@@ -5,7 +5,7 @@ Three subcommands drive the library without writing Python::
     python -m repro run gzip                  # one benchmark, all methods
     python -m repro run gzip --methods coasts multilevel
     python -m repro suite --config b          # whole-suite summary table
-    python -m repro suite --jobs 4 --timing   # parallel, with stage report
+    python -m repro suite --jobs 4 --timing   # 4 worker processes + stage report
     python -m repro leaderboard --quick       # rank every registered sampler
     python -m repro experiment fig3           # regenerate a paper table/figure
     python -m repro suite --trace-out t.jsonl # + span/metric event log
@@ -21,9 +21,14 @@ cross-run history (``.repro_history/``, or ``$REPRO_HISTORY_DIR``;
 ``--no-history`` opts out), which is what ``obs history``/``obs diff``
 read.
 
+``--jobs N`` (N > 1) runs the per-benchmark pipelines on N
+``python -m repro.harness.worker`` subprocesses under lease-based
+dispatch; ``--launcher`` swaps in a remote launch command and
+``--lease-timeout`` bounds how long a silent worker keeps its task.
+
 Heavy artefacts are disk-cached exactly as in the benches (the
 ``.repro_cache`` directory, or ``$REPRO_CACHE_DIR``); the cache is safe to
-share between the parallel workers of one or several invocations.
+share between the workers of one or several invocations.
 """
 
 from __future__ import annotations
@@ -95,7 +100,6 @@ from .harness import (
     format_table,
     granularity_experiment,
     motivation_experiment,
-    make_pool,
     speedup_experiment,
     statistics_experiment,
 )
@@ -387,14 +391,9 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         methods=_methods_of(args),
     )
     runner.resume = getattr(args, "resume", False)
-    if getattr(args, "dispatch", False):
-        runner.pool = make_pool(
-            dispatch=True,
-            workers=getattr(args, "workers", 2),
-            launcher=getattr(args, "launcher", None),
-            lease_timeout=getattr(args, "lease_timeout",
-                                  DEFAULT_LEASE_TIMEOUT),
-        )
+    runner.launcher = getattr(args, "launcher", None)
+    runner.lease_timeout = getattr(args, "lease_timeout",
+                                   DEFAULT_LEASE_TIMEOUT)
     return runner
 
 
@@ -865,25 +864,17 @@ def build_parser() -> argparse.ArgumentParser:
                             f"{', '.join(registered_methods())})")
 
     def add_jobs(p: argparse.ArgumentParser) -> None:
+        # Worker subprocesses under lease-based dispatch (see `Parallel
+        # and distributed execution` in the README).
         p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes for per-benchmark runs "
-                            "(0 = one per CPU; default: 1)")
-
-    def add_dispatch(p: argparse.ArgumentParser) -> None:
-        # Distributed backend: subprocess workers under lease-based
-        # dispatch (see `Distributed campaigns` in the README).
-        p.add_argument("--dispatch", action="store_true",
-                       help="execute runs through the distributed "
-                            "dispatcher (subprocess workers, lease-based "
-                            "work stealing) instead of the in-process "
-                            "pool")
-        p.add_argument("--workers", type=int, default=2, metavar="N",
-                       help="dispatched worker processes (default: 2)")
+                            "(0 = one per CPU; default: 1, in-process)")
         p.add_argument("--launcher", metavar="CMD", default=None,
-                       help="worker launch command (default: this "
-                            "python running -m repro.harness.worker; an "
-                            "SSH/cluster launcher is just a prefix, e.g. "
-                            "'ssh node7 python -m repro.harness.worker')")
+                       help="worker launch command for --jobs N > 1 "
+                            "(default: this python running -m "
+                            "repro.harness.worker; an SSH/cluster "
+                            "launcher is just a prefix, e.g. 'ssh node7 "
+                            "python -m repro.harness.worker')")
         p.add_argument("--lease-timeout", type=float,
                        default=DEFAULT_LEASE_TIMEOUT, metavar="SECONDS",
                        help="reclaim a task after this long without a "
@@ -948,7 +939,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "see `repro sets`)")
     add_methods(suite)
     add_jobs(suite)
-    add_dispatch(suite)
     add_serve(suite)
     add_fault(suite)
     add_common(suite)
@@ -974,7 +964,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   "to FILE")
     add_methods(leaderboard)
     add_jobs(leaderboard)
-    add_dispatch(leaderboard)
     add_serve(leaderboard)
     add_fault(leaderboard)
     add_common(leaderboard)
@@ -991,7 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_methods(experiment)
     experiment.add_argument("--progress", action="store_true")
     add_jobs(experiment)
-    add_dispatch(experiment)
     add_serve(experiment)
     add_fault(experiment)
     add_common(experiment)

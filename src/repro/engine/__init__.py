@@ -9,7 +9,6 @@ from .profiles import (
     StructureProfile,
     StructureProfiles,
 )
-from .shm import attach_or_none, attach_trace, share_trace, shm_enabled
 from .trace import (
     TRACE_ARRAY_FIELDS,
     Segment,
@@ -31,13 +30,9 @@ __all__ = [
     "TRACE_ARRAY_FIELDS",
     "Trace",
     "TraceBuilder",
-    "attach_or_none",
-    "attach_trace",
     "build_trace",
     "get_backend",
     "resolve_backend",
     "set_backend",
-    "share_trace",
-    "shm_enabled",
     "use_backend",
 ]

@@ -8,8 +8,7 @@ and noise blocks map to single-rep segments.
 The canonical trace representation is **array-native**: contiguous flat
 int64 arrays (``flat_blocks`` plus per-segment ``blocks_per_segment``,
 ``reps``, ``outer_index``, ``iter_base``, ``loop_id``) that the vectorized
-profilers index directly and that cross process boundaries zero-copy via
-shared memory (:mod:`repro.engine.shm`).  :class:`Segment` tuples are
+profilers index directly.  :class:`Segment` tuples are
 materialised lazily, only for the consumers that still want object views
 (the detailed simulators' per-piece bookkeeping).
 
@@ -146,9 +145,6 @@ class Trace:
             raise TraceError("pass segments or arrays, not both")
         self.workload = workload
         self.program = workload.program
-        #: Keeps an attached shared-memory block alive for the arrays'
-        #: lifetime (set by :func:`repro.engine.shm.attach_trace`).
-        self._shm = None
 
         self.flat_blocks = np.asarray(arrays["flat_blocks"], dtype=np.int64)
         self.blocks_per_segment = np.asarray(

@@ -1,18 +1,15 @@
-"""Distributed campaign dispatcher: lease-based work over stdio workers.
+"""Campaign dispatcher: lease-based work over stdio worker subprocesses.
 
-Two pool backends behind one interface drive a suite's (benchmark,
-config) tasks:
+:class:`DispatchPool` is the one multi-process driver of a suite's
+(benchmark, config) tasks.  ``run_suite(jobs=N)`` hands N > 1 workers'
+worth of tasks to it (:func:`pool_for`); one worker or one task stays
+on the in-process serial loop.  Workers are subprocesses launched via a
+configurable launcher command (default ``python -m
+repro.harness.worker``, so an SSH or cluster launcher is just a command
+prefix) speaking the versioned JSONL protocol of
+:mod:`repro.harness.worker` over stdin/stdout.
 
-* :class:`LocalPool` — the existing in-process
-  ``ProcessPoolExecutor`` path (:mod:`repro.harness.parallel`),
-  unchanged semantics;
-* :class:`DispatchPool` — subprocess workers launched via a
-  configurable launcher command (default ``python -m
-  repro.harness.worker``, so an SSH or cluster launcher is just a
-  command prefix) speaking the versioned JSONL protocol of
-  :mod:`repro.harness.worker` over stdin/stdout.
-
-Task ownership in the dispatch backend is **lease-based**: the
+Task ownership is **lease-based**: the
 dispatcher hands each worker a (run spec, lease, deadline) tuple,
 workers heartbeat while executing, and the monitor loop reclaims and
 re-queues any task whose lease expires — missed heartbeats, a dead
@@ -23,10 +20,11 @@ partitioned or slow worker finishing late cannot double-commit a run
 into the :class:`~repro.harness.recovery.SuiteJournal`; re-execution of
 a reclaimed task is idempotent because every run is a pure function of
 its spec and lands in the shared :class:`~repro.harness.cache
-.ResultCache`.  The invariant the tests pin: serial == pooled ==
-dispatched output, byte-identical, including under every injected
-dispatch fault (``worker_exit``, ``heartbeat_drop``, ``partition``,
-``stale_commit`` — see :mod:`repro.harness.faults`).
+.ResultCache`.  The invariant the tests pin: serial == dispatched
+output, byte-identical, including under every injected fault (the
+stage-level kinds and the dispatch kinds ``worker_exit``,
+``heartbeat_drop``, ``partition``, ``stale_commit`` — see
+:mod:`repro.harness.faults`).
 
 The lease bookkeeping itself lives in :class:`LeaseTable`, a pure
 state machine (grant / renew / sweep / reclaim / settle) so property
@@ -75,7 +73,7 @@ from .recovery import (
     assemble_outcome,
 )
 from .timing import SuiteTiming
-from .worker import PROTOCOL_VERSION, encode_task_payload
+from .worker import PROTOCOL_VERSION, encode_task_payload, plugin_modules
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runner import BenchmarkRun, ExperimentRunner
@@ -326,54 +324,35 @@ class LeaseTable:
 
 
 # ----------------------------------------------------------------------
-# pool interface
+# worker fleet
 # ----------------------------------------------------------------------
-class Pool:
-    """One interface over both campaign execution backends.
+def resolve_jobs(jobs: Optional[int]) -> int:
+    """Normalise a job count: ``None``/``0`` means one worker per CPU."""
+    if jobs is None or jobs == 0:
+        return os.cpu_count() or 1
+    if jobs < 0:
+        raise HarnessError(f"jobs must be >= 0, got {jobs}")
+    return jobs
 
-    A pool turns a task list into a :class:`SuiteOutcome` under a fault
-    policy, journaling through the ``on_run``/``on_failure`` hooks
-    exactly like the serial and process-pool drivers.
+
+def pool_for(
+    jobs: Optional[int],
+    tasks: int,
+    launcher: Optional[str] = None,
+    lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
+) -> Optional["DispatchPool"]:
+    """The pool that runs *tasks* tasks at *jobs*, or ``None`` for serial.
+
+    One worker (``jobs=1``, or ``jobs=0`` on a one-CPU host) or one task
+    gains nothing from a subprocess, so it stays on the in-process
+    serial loop; anything wider runs ``resolve_jobs(jobs)`` workers.
     """
-
-    def run_tasks(
-        self,
-        runner: "ExperimentRunner",
-        tasks: Sequence[Task],
-        policy: FaultPolicy = DEFAULT_POLICY,
-        progress: bool = False,
-        on_run: Optional[Callable[[int, "BenchmarkRun"], None]] = None,
-        on_failure: Optional[Callable[[int, RunFailure], None]] = None,
-    ) -> SuiteOutcome:
-        raise NotImplementedError
-
-    def describe(self) -> str:
-        """One-line human description (logs, manifests)."""
-        raise NotImplementedError
-
-
-class LocalPool(Pool):
-    """The in-process backend: ``ProcessPoolExecutor`` fan-out.
-
-    A thin adapter over :func:`repro.harness.parallel.run_tasks_parallel`
-    (which itself degrades to the serial driver for one worker or one
-    task), so both backends are driven through the same interface.
-    """
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = jobs
-
-    def run_tasks(self, runner, tasks, policy=DEFAULT_POLICY, progress=False,
-                  on_run=None, on_failure=None):
-        from .parallel import run_tasks_parallel
-
-        return run_tasks_parallel(
-            runner, tasks, jobs=self.jobs, progress=progress, policy=policy,
-            on_run=on_run, on_failure=on_failure,
-        )
-
-    def describe(self) -> str:
-        return f"local process pool ({self.jobs or 'auto'} jobs)"
+    workers = resolve_jobs(jobs)
+    if workers <= 1 or tasks <= 1:
+        return None
+    return DispatchPool(
+        workers=workers, launcher=launcher, lease_timeout=lease_timeout
+    )
 
 
 def _worker_env() -> Dict[str, str]:
@@ -459,8 +438,8 @@ class _WorkerProc:
             pass
 
 
-class DispatchPool(Pool):
-    """Subprocess-worker backend with lease-based work stealing.
+class DispatchPool:
+    """Subprocess-worker fleet with lease-based work stealing.
 
     ``launcher`` is the full worker command as one shell-style string
     (default: this interpreter running ``-m repro.harness.worker``); a
@@ -514,19 +493,35 @@ class DispatchPool(Pool):
         ]
 
     def describe(self) -> str:
+        """One-line human description (logs, events)."""
         return (
             f"dispatch pool ({self.workers} workers via "
             f"{' '.join(self.command())!r}, lease {self.lease_timeout}s)"
         )
 
     # ------------------------------------------------------------------
-    def run_tasks(self, runner, tasks, policy=DEFAULT_POLICY, progress=False,
-                  on_run=None, on_failure=None):
+    def run_tasks(
+        self,
+        runner: "ExperimentRunner",
+        tasks: Sequence[Task],
+        policy: FaultPolicy = DEFAULT_POLICY,
+        progress: bool = False,
+        on_run: Optional[Callable[[int, "BenchmarkRun"], None]] = None,
+        on_failure: Optional[Callable[[int, RunFailure], None]] = None,
+    ) -> SuiteOutcome:
+        """Run *tasks* on the fleet under *policy*.
+
+        Completed runs come back in task order inside a
+        :class:`SuiteOutcome`, failures (after the retry budget)
+        alongside; ``on_run``/``on_failure`` fire as each task settles
+        (the suite journal hooks in here).
+        """
         from . import faults
         from .runner import BenchmarkRun
 
         if not tasks:
             return SuiteOutcome(())
+        plugins = plugin_modules(runner.methods)
         metrics = runner.obs.metrics
         runner.timing.jobs = max(runner.timing.jobs, self.workers)
         logger.info(
@@ -581,6 +576,7 @@ class DispatchPool(Pool):
             "cache_dir": Path(runner.cache.directory),
             "cache_enabled": runner.cache.enabled,
             "diagnostics": runner.diagnostics,
+            "plugins": plugins,
         }
 
         def _spawn() -> None:
@@ -791,6 +787,11 @@ class DispatchPool(Pool):
             worker.state = worker.IDLE
             worker.lease_id = None
             _note_worker(worker.wid, "idle")
+            # Hand the freed worker its next lease before the commit
+            # bookkeeping below (obs merge, run decode, journal fsync),
+            # which is the dispatcher's work: the worker would otherwise
+            # sit idle through it.
+            _assign(now)
             index = lease.index
             benchmark, config = tasks[index]
             if status == "ok":
@@ -963,18 +964,3 @@ class DispatchPool(Pool):
         finally:
             _shutdown_fleet()
         return assemble_outcome(tasks, results, failures)
-
-
-def make_pool(
-    dispatch: bool = False,
-    jobs: Optional[int] = None,
-    workers: int = 2,
-    launcher: Optional[str] = None,
-    lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
-) -> Pool:
-    """Build the campaign pool the CLI flags describe."""
-    if dispatch:
-        return DispatchPool(
-            workers=workers, launcher=launcher, lease_timeout=lease_timeout
-        )
-    return LocalPool(jobs=jobs)

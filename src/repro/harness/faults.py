@@ -9,7 +9,7 @@ so a test that injects a fault sees exactly the same failure on every
 run, serial or parallel alike.
 
 Faults are configured through the ``$REPRO_FAULTS`` environment variable,
-which crosses the process boundary to pool workers for free.  The value
+which crosses the process boundary to worker processes for free.  The value
 is a semicolon-separated list of specs::
 
     kind:benchmark:stage:attempts
@@ -18,11 +18,12 @@ is a semicolon-separated list of specs::
   entry), ``hang`` (block in the stage until killed or timed out),
   ``kill`` (``os._exit`` the current process, simulating an OOM-killed
   worker), ``corrupt`` (overwrite the run's just-published cache entry
-  with garbage), or a dispatch-level kind understood by the distributed
+  with garbage), or a dispatch-level kind understood by the ``jobs > 1``
   dispatcher (:mod:`repro.harness.dispatch`): ``worker_exit`` (the
   subprocess worker dies the moment it receives the matching task),
   ``heartbeat_drop`` (the worker executes the task but sends no
-  heartbeats), ``partition`` (the dispatcher drops every message
+  heartbeats and holds the task past its lease deadline before
+  running it), ``partition`` (the dispatcher drops every message
   concerning the matching lease until the lease is reclaimed,
   simulating a network partition), ``stale_commit`` (the worker
   withholds its finished result until after its lease deadline, so the
@@ -38,8 +39,8 @@ is a semicolon-separated list of specs::
 Example: ``raise:gzip:baseline:0,1`` makes gzip's first two attempts die
 in the baseline stage; the third succeeds — a transient failure.
 
-.. warning:: ``kill`` terminates the *current* process.  Under the
-   parallel runner that is a pool worker (the scenario being simulated);
+.. warning:: ``kill`` terminates the *current* process.  With
+   ``jobs > 1`` that is a worker subprocess (the scenario being simulated);
    on the serial path it is the suite process itself — only inject serial
    kills into a subprocess (e.g. a CLI invocation) whose death and
    ``--resume`` you then observe.

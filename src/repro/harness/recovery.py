@@ -1,7 +1,7 @@
 """Fault tolerance for suite execution: policies, failures, journaling.
 
 One failed (benchmark, config) pipeline must not abort a whole campaign.
-This module supplies the pieces the serial and parallel suite drivers
+This module supplies the pieces the serial and dispatched suite drivers
 share:
 
 * :class:`FaultPolicy` — bounded retries with deterministic exponential
@@ -287,8 +287,8 @@ def run_deadline(seconds: Optional[float]) -> Iterator[None]:
 
     Signal-based, so it interrupts even a hung C-level sleep; only
     installable in the main thread (and on platforms with ``SIGALRM``) —
-    elsewhere it degrades to a no-op, and the parallel path enforces
-    timeouts by terminating workers instead.
+    elsewhere it degrades to a no-op, and the dispatcher enforces
+    timeouts by killing workers instead.
     """
     if (
         seconds is None
@@ -323,7 +323,7 @@ def run_tasks_serial(
 ) -> SuiteOutcome:
     """Run *tasks* in-process with per-run isolation, retries and timeout.
 
-    Mirrors the parallel driver's recovery semantics on one process:
+    Mirrors the dispatcher's recovery semantics on one process:
     each task gets up to ``policy.max_attempts`` attempts with
     deterministic backoff between them; a task that exhausts its budget
     becomes a :class:`RunFailure` (or raises, under ``fail_fast``).

@@ -50,6 +50,7 @@ from ..sampling.estimate import (
 from ..sampling.points import SamplingPlan
 from ..workloads.registry import benchmark_names, load_trace
 from .cache import ResultCache
+from .dispatch import DEFAULT_LEASE_TIMEOUT, DispatchPool, pool_for
 from .faults import corrupt_cache_entry
 from .recovery import (
     DEFAULT_POLICY,
@@ -253,11 +254,12 @@ class ExperimentRunner:
         #: Default worker count for :meth:`run_suite` (overridable per
         #: call; 0 means one worker per CPU).
         self.jobs = jobs
-        #: Default execution backend for :meth:`run_suite`: ``None``
-        #: keeps the jobs-based serial/process-pool selection; a
-        #: :class:`~repro.harness.dispatch.Pool` (e.g. the CLI's
-        #: ``--dispatch`` backend) takes over task execution wholesale.
-        self.pool = None
+        #: Worker launch command (``None``: this interpreter running
+        #: ``-m repro.harness.worker``) and lease timeout of the
+        #: :class:`~repro.harness.dispatch.DispatchPool` that runs
+        #: ``jobs > 1``.
+        self.launcher: Optional[str] = None
+        self.lease_timeout = DEFAULT_LEASE_TIMEOUT
         #: Default fault policy for :meth:`run_suite` (retries, per-run
         #: timeout, fail_fast; overridable per call).
         self.policy = policy if policy is not None else DEFAULT_POLICY
@@ -306,11 +308,6 @@ class ExperimentRunner:
                 metrics=self.obs.metrics,
             )
         return self._traces[benchmark]
-
-    def adopt_trace(self, benchmark: str, trace: Trace) -> None:
-        """Install an externally built trace (e.g. a shared-memory view)
-        into the memo, so :meth:`trace` never rebuilds it."""
-        self._traces[benchmark] = trace
 
     def plans(
         self,
@@ -599,7 +596,7 @@ class ExperimentRunner:
         policy: Optional[FaultPolicy] = None,
         resume: Optional[bool] = None,
         journal: object = None,
-        pool: object = None,
+        pool: Optional[DispatchPool] = None,
     ) -> SuiteOutcome:
         """Run every benchmark (or *names*) under *config*.
 
@@ -607,18 +604,17 @@ class ExperimentRunner:
         as a set expression (``'phase-heavy + fam:irregular[0:4]'``)
         resolved through :func:`repro.workloads.sets.resolve`.
 
-        With ``jobs > 1`` the per-benchmark pipelines fan out over worker
-        processes (see :mod:`repro.harness.parallel`); results are
-        identical to the serial path and arrive in suite order.  ``jobs``
-        defaults to the runner's construction-time value; ``jobs=0`` means
-        one worker per CPU.  *progress* logs per-benchmark lines at INFO
-        level (see the CLI's ``-v``).
-
-        *pool* (default: the runner's :attr:`pool`) swaps the execution
-        backend wholesale: any :class:`~repro.harness.dispatch.Pool`,
-        e.g. the lease-based subprocess dispatcher behind the CLI's
-        ``--dispatch``.  Results remain byte-identical across serial,
-        pooled and dispatched execution.
+        With ``jobs > 1`` and more than one run to do, the per-benchmark
+        pipelines fan out over that many ``python -m
+        repro.harness.worker`` subprocesses under lease-based dispatch
+        (see :mod:`repro.harness.dispatch`; :attr:`launcher` and
+        :attr:`lease_timeout` configure them); otherwise they run
+        in-process.  Results are identical either way and arrive in
+        suite order.  ``jobs`` defaults to the runner's construction-time
+        value; ``jobs=0`` means one worker per CPU.  *progress* logs
+        per-benchmark lines at INFO level (see the CLI's ``-v``).  An
+        explicit *pool* runs every task on that
+        :class:`~repro.harness.dispatch.DispatchPool` instead.
 
         Execution is fault-tolerant: a failing run is retried per
         *policy* (default: the runner's) and, if it keeps failing,
@@ -642,7 +638,6 @@ class ExperimentRunner:
         else:
             chosen = list(names)
         jobs = self.jobs if jobs is None else jobs
-        pool = self.pool if pool is None else pool
         policy = policy if policy is not None else self.policy
         resume = self.resume if resume is None else resume
         tasks = [(name, config) for name in chosen]
@@ -669,6 +664,11 @@ class ExperimentRunner:
         remaining = [
             task for index, task in enumerate(tasks) if index not in preloaded
         ]
+        if pool is None:
+            pool = pool_for(
+                jobs, len(remaining), launcher=self.launcher,
+                lease_timeout=self.lease_timeout,
+            )
 
         plane = self.telemetry
 
@@ -701,8 +701,7 @@ class ExperimentRunner:
             plane.events.emit(
                 "suite_begin", config=config.name, runs=len(tasks),
                 resumed=len(preloaded), jobs=jobs,
-                backend=(pool.describe() if pool is not None else
-                         ("serial" if jobs == 1 else "pool")),
+                backend=pool.describe() if pool is not None else "serial",
             )
         began = time.perf_counter()
         try:
@@ -719,14 +718,6 @@ class ExperimentRunner:
                 if remaining and pool is not None:
                     executed = pool.run_tasks(
                         self, remaining, policy=policy, progress=progress,
-                        on_run=_journal_run, on_failure=_journal_failure,
-                    )
-                elif remaining and jobs != 1 and len(remaining) > 1:
-                    from .parallel import resolve_jobs, run_tasks_parallel
-
-                    executed = run_tasks_parallel(
-                        self, remaining, jobs=resolve_jobs(jobs),
-                        progress=progress, policy=policy,
                         on_run=_journal_run, on_failure=_journal_failure,
                     )
                 elif remaining:

@@ -1,9 +1,10 @@
-"""Subprocess worker for the distributed campaign dispatcher.
+"""Subprocess worker for the campaign dispatcher.
 
 ``python -m repro.harness.worker`` turns a process — local, or remote
 behind any launcher that can pipe stdio (SSH, ``prun``, a cluster
-spawner) — into a campaign worker.  The worker speaks a versioned
-JSONL protocol over stdin/stdout (one JSON object per line):
+spawner) — into a campaign worker.  ``run_suite(jobs=N)`` starts N of
+them locally.  The worker speaks a versioned JSONL protocol over
+stdin/stdout (one JSON object per line):
 
 * worker → dispatcher: ``hello`` (once, at startup), ``heartbeat``
   (periodically while a task executes), ``result`` (one per task,
@@ -13,16 +14,17 @@ JSONL protocol over stdin/stdout (one JSON object per line):
 
 Every message carries the protocol version (:data:`PROTOCOL_VERSION`);
 a mismatch is fatal on both sides, because silently reinterpreting a
-task spec across versions could corrupt a campaign.  Task execution
-reuses the process-pool worker body (:func:`repro.harness.parallel
-._worker_run`), so a dispatched run is the same pure function of its
-spec as a pooled or serial one — byte-identical results by
-construction, and re-execution after a lost lease is idempotent through
-the shared :class:`~repro.harness.cache.ResultCache`.
+task spec across versions could corrupt a campaign.  A task runs through
+:func:`_worker_run`, a fresh :class:`~repro.harness.runner
+.ExperimentRunner` over the shared on-disk cache, so a dispatched run is
+the same pure function of its spec as a serial one — byte-identical
+results by construction, and re-execution after a lost lease is
+idempotent through the shared :class:`~repro.harness.cache.ResultCache`.
 
 Dispatch-level fault injection (``$REPRO_FAULTS``, which crosses the
 process boundary for free) hooks in here: ``worker_exit`` kills the
-worker at task receipt, ``heartbeat_drop`` suppresses heartbeats, and
+worker at task receipt, ``heartbeat_drop`` suppresses heartbeats and
+holds the task past its lease deadline before executing it, and
 ``stale_commit`` withholds the finished result (and all heartbeats)
 until shutdown — by which point the lease has certainly been reclaimed,
 so the late commit must be rejected.  See :mod:`repro.harness.faults`.
@@ -30,13 +32,19 @@ so the late commit must be rejected.  See :mod:`repro.harness.faults`.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+import socket
 import sys
 import threading
+import time
+import traceback as traceback_module
 from dataclasses import asdict
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, TextIO
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, TextIO,
+)
 
 from ..config import (
     BranchPredictorConfig,
@@ -46,7 +54,11 @@ from ..config import (
     MachineConfig,
     SamplingConfig,
 )
-from ..errors import DispatchError
+from ..errors import DispatchError, HarnessError, ReproError
+from .cache import ResultCache
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .runner import ExperimentRunner
 
 #: Version of the dispatcher <-> worker JSONL protocol.  Bump on any
 #: incompatible change to message shapes or task payload encoding.
@@ -95,8 +107,123 @@ def decode_machine_config(data: Dict[str, Any]) -> MachineConfig:
     return MachineConfig(**fields)
 
 
+def plugin_modules(methods: Sequence[str]) -> List[str]:
+    """Modules a fresh worker must import to see *methods*' samplers.
+
+    A worker process starts with only the built-in samplers registered,
+    so each selected sampler defined outside the ``repro`` package is
+    shipped by the name of the module that defines its ``build_plan``;
+    importing that module registers it.  A sampler defined in
+    ``__main__`` cannot be imported by name, so it is rejected here,
+    before any worker starts.
+    """
+    from ..samplers import get_sampler
+
+    modules: List[str] = []
+    for name in methods:
+        module = get_sampler(name).build_plan.__module__
+        if module == "repro" or module.startswith("repro."):
+            continue
+        if module == "__main__":
+            raise HarnessError(
+                f"sampler {name!r} is defined in __main__, which worker "
+                f"processes cannot import; define it in an importable "
+                f"module to run with jobs > 1"
+            )
+        if module not in modules:
+            modules.append(module)
+    return modules
+
+
 # ----------------------------------------------------------------------
-# worker side
+# task execution
+# ----------------------------------------------------------------------
+def _worker_obs(
+    runner: "ExperimentRunner", worker: Optional[str] = None
+) -> dict:
+    """A worker's observability shipment: timing view + spans + metrics.
+
+    Each shipped root span is stamped with the executing host/pid (and
+    the dispatch worker id, when there is one) so the stitched campaign
+    trace records *where* every attempt ran.
+    """
+    attributes = {"host": socket.gethostname(), "pid": os.getpid()}
+    if worker is not None:
+        attributes["worker"] = worker
+    for root in runner.obs.tracer.roots:
+        root.set(**attributes)
+    return {
+        "timing": runner.timing.to_dict(),
+        "spans": runner.obs.tracer.to_payload(),
+        "metrics": runner.obs.metrics.to_dict(),
+    }
+
+
+def _worker_run(
+    payload: dict, runner_sink: Callable[["ExperimentRunner"], None]
+) -> tuple:
+    """Execute one pipeline run inside a worker process.
+
+    Builds a local :class:`ExperimentRunner` (workers share only the
+    on-disk cache), runs the benchmark, and returns either
+    ``("ok", run_payload, obs_payload)`` or — when the pipeline raises
+    a library error — ``("error", info)`` with the exception class,
+    message, traceback, failing stage and the worker's observability
+    records (timing view, span trees, metrics), so the dispatcher can
+    retry or record the failure.  Non-library exceptions (genuine bugs)
+    propagate, exactly as on the serial path.
+
+    A ``trace_ctx`` in the payload joins the driver's distributed trace
+    (span ids minted under the task's origin, roots pointed at the
+    owning suite span).  *runner_sink* receives the freshly built runner
+    before execution starts, so the caller can tap its registry for
+    heartbeat piggybacking.
+    """
+    from . import faults
+    from .runner import ExperimentRunner
+
+    for module in payload.get("plugins", ()):
+        importlib.import_module(module)
+    faults.set_attempt(payload.get("attempt", 0))
+    runner = ExperimentRunner(
+        sampling=payload["sampling"],
+        cost_model=payload["cost_model"],
+        cache=ResultCache(
+            directory=payload["cache_dir"], enabled=payload["cache_enabled"]
+        ),
+        workload_scale=payload["workload_scale"],
+        methods=payload["methods"],
+        diagnostics=payload.get("diagnostics", True),
+    )
+    context = payload.get("trace_ctx")
+    if context:
+        runner.obs.tracer.adopt_context(
+            trace_id=context.get("trace_id"),
+            parent_id=context.get("parent_id"),
+            origin=context.get("origin"),
+        )
+    runner_sink(runner)
+    worker_label = payload.get("worker")
+    try:
+        run = runner.run_benchmark(payload["benchmark"], payload["config"])
+    except ReproError as error:
+        return (
+            "error",
+            {
+                "error_type": type(error).__name__,
+                "error_message": str(error),
+                "traceback": traceback_module.format_exc(),
+                "stage": getattr(error, "_repro_stage", None),
+                "obs": _worker_obs(runner, worker=worker_label),
+            },
+        )
+    finally:
+        faults.set_attempt(0)
+    return ("ok", run.to_dict(), _worker_obs(runner, worker=worker_label))
+
+
+# ----------------------------------------------------------------------
+# worker side of the protocol
 # ----------------------------------------------------------------------
 class _Outbox:
     """Serialised, locked JSONL writes (heartbeat thread + main thread)."""
@@ -122,7 +249,6 @@ def _execute_task(
     to flush at shutdown.
     """
     from . import faults
-    from .parallel import _worker_run
 
     lease = message["lease"]
     benchmark = message["benchmark"]
@@ -137,6 +263,11 @@ def _execute_task(
         "heartbeat_drop", benchmark, attempt
     )
     stale_commit = faults.dispatch_fault("stale_commit", benchmark, attempt)
+    if drop_heartbeats:
+        # A deaf worker stays silent past its lease deadline before it
+        # starts, so the lease always expires before the result commits,
+        # however fast the run itself is.
+        time.sleep(float(message["lease_timeout"]) + heartbeat_interval)
 
     payload = decode_task_payload(message["payload"])
     payload["attempt"] = attempt
@@ -178,8 +309,6 @@ def _execute_task(
             # Non-library failure (a genuine bug): report it so the
             # dispatcher can abort the campaign with the traceback
             # instead of inferring a silent node loss.
-            import traceback as traceback_module
-
             outbox.send({
                 "type": "result",
                 "lease": lease,

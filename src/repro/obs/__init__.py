@@ -86,7 +86,6 @@ from .metrics import (
     FAULTS_INJECTED,
     FUNCTIONAL_INSTRUCTIONS,
     JOURNAL_TORN,
-    POOL_RESPAWNS,
     PROFILE_PASSES,
     RETRY_BACKOFF_SECONDS,
     RUN_FAILURES,
@@ -97,10 +96,7 @@ from .metrics import (
     STAGE_SECONDS,
     TELEMETRY_DELTAS,
     TELEMETRY_DROPPED,
-    TRACE_SHM_ATTACHED,
-    TRACE_SHM_BYTES,
     TRACE_SHM_FALLBACKS,
-    TRACE_SHM_SHARED,
     WORKER_CRASHES,
     Counter,
     Gauge,
@@ -153,7 +149,6 @@ __all__ = [
     "ObsContext",
     "PhaseDiag",
     "ProgressBoard",
-    "POOL_RESPAWNS",
     "PROFILE_PASSES",
     "RETRY_BACKOFF_SECONDS",
     "RUN_FAILURES",
@@ -167,10 +162,7 @@ __all__ = [
     "Span",
     "TELEMETRY_DELTAS",
     "TELEMETRY_DROPPED",
-    "TRACE_SHM_ATTACHED",
-    "TRACE_SHM_BYTES",
     "TRACE_SHM_FALLBACKS",
-    "TRACE_SHM_SHARED",
     "TelemetryPlane",
     "TelemetryServer",
     "TraceDump",

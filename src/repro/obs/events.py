@@ -29,7 +29,7 @@ EVENT_KINDS = (
     "cache_hit", "cache_miss",
     "lease_grant", "lease_reclaim", "lease_steal", "lease_commit",
     "stale_commit",
-    "worker_spawn", "worker_dead", "pool_respawn",
+    "worker_spawn", "worker_dead",
 )
 
 #: Default ring capacity — enough for a full campaign's lifecycle

@@ -38,7 +38,6 @@ RUN_RETRIES = "repro_run_retries_total"
 RUN_FAILURES = "repro_run_failures_total"
 RUN_TIMEOUTS = "repro_run_timeouts_total"
 WORKER_CRASHES = "repro_worker_crashes_total"
-POOL_RESPAWNS = "repro_pool_respawns_total"
 FAULTS_INJECTED = "repro_faults_injected_total"
 STAGE_SECONDS = "repro_stage_seconds"
 RUN_SECONDS = "repro_run_seconds"
@@ -46,10 +45,9 @@ DETAILED_INSTRUCTIONS = "repro_detailed_instructions_total"
 DETAILED_CALLS = "repro_detailed_calls_total"
 FUNCTIONAL_INSTRUCTIONS = "repro_functional_instructions_total"
 PROFILE_PASSES = "repro_profile_passes_total"
-TRACE_SHM_SHARED = "repro_trace_shm_shared_total"
-TRACE_SHM_ATTACHED = "repro_trace_shm_attached_total"
+#: Retired with shared-memory trace sharing: never incremented, kept so
+#: readers of older metric dumps still resolve the name.
 TRACE_SHM_FALLBACKS = "repro_trace_shm_fallbacks_total"
-TRACE_SHM_BYTES = "repro_trace_shm_bytes_total"
 DISPATCH_LEASES = "repro_dispatch_leases_total"
 DISPATCH_HEARTBEATS = "repro_dispatch_heartbeats_total"
 DISPATCH_MISSED = "repro_dispatch_missed_total"
@@ -78,7 +76,6 @@ _METRIC_HELP: Dict[str, str] = {
     RUN_FAILURES: "Runs abandoned after exhausting their retry budget.",
     RUN_TIMEOUTS: "Run attempts killed by the per-run deadline.",
     WORKER_CRASHES: "Worker processes that died mid-task.",
-    POOL_RESPAWNS: "Process-pool rebuilds after a broken pool.",
     FAULTS_INJECTED: "Faults fired by the $REPRO_FAULTS injection plan.",
     STAGE_SECONDS: "Wall seconds per pipeline stage.",
     RUN_SECONDS: "Wall seconds per pipeline run (all stages).",
@@ -86,10 +83,7 @@ _METRIC_HELP: Dict[str, str] = {
     DETAILED_CALLS: "Detailed-simulation invocations.",
     FUNCTIONAL_INSTRUCTIONS: "Instructions executed functionally.",
     PROFILE_PASSES: "Profiling passes over the instruction trace.",
-    TRACE_SHM_SHARED: "Traces published to shared memory by the driver.",
-    TRACE_SHM_ATTACHED: "Worker attachments to a shared-memory trace.",
-    TRACE_SHM_FALLBACKS: "Workers that rebuilt a trace after shm fallback.",
-    TRACE_SHM_BYTES: "Bytes of trace data published to shared memory.",
+    TRACE_SHM_FALLBACKS: "Retired (traces are no longer shared); always 0.",
     DISPATCH_LEASES: "Task leases granted by the dispatcher.",
     DISPATCH_HEARTBEATS: "Worker heartbeats accepted by the dispatcher.",
     DISPATCH_MISSED: "Heartbeat deadlines missed by leased tasks.",

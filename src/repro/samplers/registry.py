@@ -24,7 +24,10 @@ Third-party registration::
 The paper's four methods and the two related-work samplers are
 registered by :mod:`repro.samplers.builtin` at package import, so the
 registry is never empty once ``repro.samplers`` is imported (the harness
-imports it; dispatcher workers therefore self-register too).
+imports it; dispatcher workers therefore self-register too).  A sampler
+registered anywhere else reaches ``jobs > 1`` workers by the name of the
+module defining its ``build_plan``, which each worker imports (see
+:func:`repro.harness.worker.plugin_modules`).
 
 :class:`PlanContext` memoises the expensive shared inputs — the fine
 fixed-interval BBV profile and the COASTS coarse plan — so co-scheduled

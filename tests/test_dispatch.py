@@ -6,8 +6,8 @@ late commit), the wire codec for task payloads, and the dispatched
 backend end to end: a subprocess-worker suite must be byte-identical to
 the serial path — clean, and under every injected dispatch fault
 (``worker_exit``, ``heartbeat_drop``, ``partition``, ``stale_commit``,
-plus an in-stage ``kill`` mirroring the shm worker-kill test) — and must
-never leave an orphaned worker process behind.
+plus an in-stage ``kill``) — and must never leave an orphaned worker
+process behind.  ``run_suite(jobs=N)`` maps onto the same dispatcher.
 """
 
 import json
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cli import build_parser
+from repro.cli import _make_runner, build_parser
 from repro.config import CONFIG_A
 from repro.errors import DispatchError, HarnessError
 from repro.harness import (
@@ -26,11 +26,10 @@ from repro.harness import (
     ExperimentRunner,
     FaultPolicy,
     LeaseTable,
-    LocalPool,
     ResultCache,
     decode_task_payload,
     encode_task_payload,
-    make_pool,
+    pool_for,
 )
 from repro.harness.faults import FAULTS_ENV
 from repro.obs import (
@@ -294,13 +293,22 @@ class TestTaskPayloadCodec:
 # pool construction
 # ----------------------------------------------------------------------
 class TestPoolFactory:
-    def test_make_pool_selects_backend(self):
-        assert isinstance(make_pool(), LocalPool)
-        assert isinstance(make_pool(jobs=4), LocalPool)
-        pool = make_pool(dispatch=True, workers=3, lease_timeout=5.0)
+    def test_jobs_mapping(self, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert pool_for(0, tasks=5).workers == 3
+        assert pool_for(None, tasks=5).workers == 3
+        pool = pool_for(4, tasks=5, launcher="python -m x",
+                        lease_timeout=5.0)
         assert isinstance(pool, DispatchPool)
-        assert pool.workers == 3
-        assert pool.lease_timeout == 5.0
+        assert (pool.workers, pool.launcher, pool.lease_timeout) == \
+            (4, "python -m x", 5.0)
+        # One worker or one task stays on the in-process serial loop.
+        assert pool_for(1, tasks=5) is None
+        assert pool_for(4, tasks=1) is None
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert pool_for(0, tasks=5) is None
+        with pytest.raises(HarnessError):
+            pool_for(-1, tasks=5)
 
     def test_dispatch_pool_validation(self):
         with pytest.raises(HarnessError):
@@ -320,11 +328,17 @@ class TestPoolFactory:
 
     def test_cli_flags_build_a_dispatch_pool(self):
         args = build_parser().parse_args([
-            "suite", "--dispatch", "--workers", "3",
-            "--lease-timeout", "7.5", "--launcher", "python -m x",
+            "suite", "--jobs", "3", "--lease-timeout", "7.5",
+            "--launcher", "python -m x",
         ])
-        assert args.dispatch and args.workers == 3
-        assert args.lease_timeout == 7.5 and args.launcher == "python -m x"
+        runner = _make_runner(args)
+        assert (runner.jobs, runner.launcher, runner.lease_timeout) == \
+            (3, "python -m x", 7.5)
+        # --jobs is the only worker count.
+        for retired in (["--dispatch"], ["--workers", "2"]):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(["suite", *retired])
+            assert exit_info.value.code == 2
 
     def test_broken_launcher_raises_dispatch_error(
             self, tmp_path, test_sampling):
@@ -357,13 +371,17 @@ class TestDispatchedSuite:
 
     def test_local_pool_backend_matches_serial(
             self, tmp_path, test_sampling, monkeypatch, serial_payload):
+        # jobs=2 runs on a pool of local dispatch workers; a single task
+        # stays in-process.
         monkeypatch.delenv(FAULTS_ENV, raising=False)
         runner = _runner(test_sampling, tmp_path / "local")
-        outcome = runner.run_suite(
-            CONFIG_A, names=SUITE_NAMES, pool=LocalPool(jobs=2)
-        )
+        outcome = runner.run_suite(CONFIG_A, names=SUITE_NAMES, jobs=2)
         assert outcome.ok
         assert _payload(outcome) == serial_payload
+        assert runner.obs.metrics.value(DISPATCH_LEASES) == 2.0
+        single = _runner(test_sampling, tmp_path / "local")
+        assert single.run_suite(CONFIG_A, names=["gzip"], jobs=2).ok
+        assert single.obs.metrics.value(DISPATCH_LEASES) == 0.0
 
     def test_worker_exit_is_reclaimed_and_stolen(
             self, tmp_path, test_sampling, monkeypatch, serial_payload):
@@ -385,8 +403,8 @@ class TestDispatchedSuite:
 
     def test_in_stage_kill_mirrors_shm_worker_kill(
             self, tmp_path, test_sampling, monkeypatch, serial_payload):
-        # The pre-existing stage-level kill fault (os._exit mid-stage,
-        # as in test_trace_shm) must be survivable under dispatch too.
+        # The stage-level kill fault (os._exit mid-stage) must be
+        # survivable under dispatch too.
         monkeypatch.setenv(FAULTS_ENV, "kill:gzip:trace_build:0")
         runner, pool, outcome = _dispatched(
             test_sampling, tmp_path / "killed", max_retries=2,
@@ -432,9 +450,9 @@ class TestDispatchedSuite:
 
     def test_heartbeat_drop_expires_the_lease(
             self, tmp_path, test_sampling, monkeypatch, serial_payload):
-        # Heartbeats suppressed on gzip's first attempt: with a lease
-        # far shorter than the run, the monitor must count the missed
-        # beats and reclaim mid-execution.
+        # Heartbeats suppressed on gzip's first attempt, and the worker
+        # holds the task past its lease before running it: the monitor
+        # must count the missed beats and reclaim before any commit.
         monkeypatch.setenv(FAULTS_ENV, "heartbeat_drop:gzip:*:0")
         runner, pool, outcome = _dispatched(
             test_sampling, tmp_path / "deaf", max_retries=2,

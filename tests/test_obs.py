@@ -337,15 +337,14 @@ class TestHarnessInstrumentation:
         monkeypatch.delenv(FAULTS_ENV, raising=False)
 
         def counter_totals(runner):
-            # Trace-sharing transport counters (repro_trace_shm_*) are
-            # the one deliberate serial/parallel difference: only the
-            # parallel driver publishes shared-memory segments. All
-            # *work* counters must still match exactly.
+            # Dispatch transport counters (repro_dispatch_*) are the one
+            # deliberate serial/parallel difference: only jobs > 1 hands
+            # out leases. All *work* counters must still match exactly.
             return {
                 (name, labels): metric.value
                 for name, labels, metric in runner.obs.metrics.samples()
                 if metric.kind == "counter"
-                and not name.startswith("repro_trace_shm_")
+                and not name.startswith("repro_dispatch_")
             }
 
         serial = _runner(test_sampling, tmp_path / "serial")
@@ -355,10 +354,10 @@ class TestHarnessInstrumentation:
                            journal=False)
         assert counter_totals(parallel) == counter_totals(serial)
         assert parallel.obs.metrics.value(FUNCTIONAL_INSTRUCTIONS) > 0
-        # One shared segment per distinct benchmark, all attached.
-        assert parallel.obs.metrics.value("repro_trace_shm_shared_total") \
+        # One lease per run, and none on the serial path.
+        assert parallel.obs.metrics.value("repro_dispatch_leases_total") \
             == len(SUITE_NAMES)
-        assert serial.obs.metrics.value("repro_trace_shm_shared_total") == 0
+        assert serial.obs.metrics.value("repro_dispatch_leases_total") == 0
 
     def test_parallel_spans_reparent_under_suite(
             self, tmp_path, test_sampling, monkeypatch):

@@ -2,8 +2,9 @@
 
 Exercises the recovery layer end to end with deterministic fault
 injection (``$REPRO_FAULTS``): transient and permanent failures on the
-serial and parallel paths, per-run timeouts against injected hangs,
-killed pool workers, corrupted cache entries, and checkpoint/resume via
+serial and ``jobs=2`` (dispatched) paths, per-run timeouts against
+injected hangs, killed workers, corrupted cache entries, and
+checkpoint/resume via
 the suite journal.  Faulted campaigns must produce results byte-identical
 to clean serial ones — retries re-run a pure function.
 """
@@ -298,8 +299,9 @@ class TestParallelRecovery:
 
     def test_killed_worker_recovered(
             self, tmp_path, test_sampling, monkeypatch, clean_payload):
-        # os._exit(137) in a worker breaks the pool; the driver respawns
-        # it, charges the crash an attempt, and the retry completes.
+        # os._exit(137) kills a worker mid-stage; the dispatcher reclaims
+        # its lease, charges the crash an attempt, and the retry
+        # completes on a replacement worker.
         monkeypatch.setenv(FAULTS_ENV, "kill:gzip:trace_build:0")
         runner = _runner(test_sampling, tmp_path / "killed", jobs=2,
                          max_retries=2)

@@ -10,11 +10,14 @@ Two halves:
   for free the moment it registers.
 """
 
+import importlib
+import sys
+
 import pytest
 
 from repro.config import CONFIG_A
 from repro.errors import HarnessError, SamplingError
-from repro.harness import ExperimentRunner, ResultCache
+from repro.harness import DispatchPool, ExperimentRunner, ResultCache
 from repro.samplers import (
     PlanContext,
     SamplerSpec,
@@ -207,6 +210,49 @@ def test_serial_equals_parallel(tmp_path, test_sampling):
         return [run.to_dict() for run in result]
 
     assert outcome(1, "serial") == outcome(2, "parallel")
+
+
+def test_plugin_sampler_reaches_workers(tmp_path, test_sampling):
+    """A sampler registered outside ``repro`` runs identically at jobs=2:
+    each worker imports the module that defines it."""
+    plugin = importlib.import_module("tests.sampler_plugin")
+    try:
+        def outcome(jobs, sub):
+            runner = ExperimentRunner(
+                sampling=test_sampling,
+                cache=ResultCache(tmp_path / sub),
+                workload_scale=0.04,
+                methods=(plugin.NAME, "simpoint"),
+            )
+            result = runner.run_suite(names=["gzip", "lucas"], jobs=jobs)
+            assert result.ok
+            return [run.to_dict() for run in result]
+
+        assert outcome(1, "serial") == outcome(2, "parallel")
+    finally:
+        unregister_sampler(plugin.NAME)
+        sys.modules.pop(plugin.__name__, None)
+
+
+def test_main_module_sampler_rejected_before_spawn(tmp_path, test_sampling):
+    def _build(ctx):  # pragma: no cover - never runs
+        raise NotImplementedError
+
+    _build.__module__ = "__main__"
+    register_sampler("main_only", "defined in a script")(_build)
+    try:
+        runner = ExperimentRunner(
+            sampling=test_sampling,
+            cache=ResultCache(tmp_path),
+            workload_scale=0.04,
+            methods=("main_only",),
+        )
+        pool = DispatchPool(workers=2)
+        with pytest.raises(HarnessError, match="__main__"):
+            runner.run_suite(names=["gzip", "lucas"], pool=pool)
+        assert pool.spawned_pids == []
+    finally:
+        unregister_sampler("main_only")
 
 
 # ----------------------------------------------------------------------

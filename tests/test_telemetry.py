@@ -22,7 +22,6 @@ from repro.harness import (
     DispatchPool,
     ExperimentRunner,
     FaultPolicy,
-    LocalPool,
     ResultCache,
 )
 from repro.harness.faults import FAULTS_ENV
@@ -503,9 +502,7 @@ class TestLiveCampaign:
         monkeypatch.delenv(FAULTS_ENV, raising=False)
         runner = _runner(test_sampling, tmp_path / "pool")
         plane = _attach_plane(runner)
-        outcome = runner.run_suite(
-            CONFIG_A, names=SUITE_NAMES, pool=LocalPool(jobs=2)
-        )
+        outcome = runner.run_suite(CONFIG_A, names=SUITE_NAMES, jobs=2)
         assert outcome.ok
         assert _payload(outcome) == serial_payload
         self._assert_live_equals_post_hoc(runner, plane)
