@@ -13,6 +13,7 @@ from repro.analysis import cluster_with_bic
 from repro.config import CONFIG_A, DEFAULT_SAMPLING
 from repro.detailed import TimingSimulator
 from repro.engine import FunctionalSimulator, build_trace
+from repro.sampling.estimate import simulate_point_set
 from repro.workloads import load_workload
 
 
@@ -52,11 +53,12 @@ def test_perf_point_simulation(benchmark, gzip_trace):
     simulator = TimingSimulator(gzip_trace, CONFIG_A)
     total = gzip_trace.total_instructions
 
-    def simulate():
-        return simulator.simulate_point(total // 2, total // 2 + 2500,
-                                        warmup=7500)
+    point = (total // 2, total // 2 + 2500)
 
-    result = benchmark(simulate)
+    def simulate():
+        return simulate_point_set(simulator, [point])[point]
+
+    result = benchmark.pedantic(simulate, rounds=1, iterations=1)
     assert result.instructions >= 2500
 
 

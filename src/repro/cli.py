@@ -103,6 +103,7 @@ from .harness import (
     speedup_experiment,
     statistics_experiment,
 )
+from .harness.faults import active_faults
 from .harness.runner import BOTH_CONFIGS
 from .samplers import registered_methods
 from .workloads import benchmark_names, load_trace
@@ -1188,6 +1189,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     _configure_logging(args)
     try:
+        # A malformed $REPRO_FAULTS is a usage error before any run
+        # starts, not one failed run per benchmark.
+        active_faults()
         return args.func(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

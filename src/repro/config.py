@@ -208,8 +208,6 @@ class SamplingConfig:
     kmeans_seeds: int = 5
     bic_threshold: float = 0.9
     random_seed: int = 42
-    full_warming: bool = True
-    warmup_instructions: int = 30 * SCALE
     #: Two-phase stratified sampling: total detailed-interval budget
     #: spread over the BBV-cluster strata (Neyman-style allocation).
     stratified_budget: int = 30
@@ -235,8 +233,6 @@ class SamplingConfig:
             raise ConfigError("bic_threshold must be in (0, 1]")
         if self.kmeans_seeds <= 0:
             raise ConfigError("kmeans_seeds must be positive")
-        if self.warmup_instructions < 0:
-            raise ConfigError("warmup_instructions must be non-negative")
         if self.stratified_budget <= 0:
             raise ConfigError("stratified_budget must be positive")
         if self.ranked_set_size <= 0:

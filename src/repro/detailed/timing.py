@@ -29,7 +29,6 @@ import numpy as np
 
 from ..config import MachineConfig
 from ..engine.trace import SegmentPiece, Trace
-from ..errors import SimulationError
 from ..obs import DETAILED_CALLS, DETAILED_INSTRUCTIONS, MetricsRegistry
 from ..uarch.branch import (
     advance_loop_branch,
@@ -248,31 +247,14 @@ class TimingSimulator:
         before = result.instructions
         for piece in self.trace.clip(start, end):
             self._simulate_piece(piece, state, result)
-        # Coarse accounting only: simulate_full/simulate_point delegate
-        # here, so every detail-simulated instruction is counted exactly
-        # once, outside the hot loop.
+        # Coarse accounting only: simulate_full delegates here, so every
+        # detail-simulated instruction is counted exactly once, outside
+        # the hot loop.
         self.metrics.counter(DETAILED_CALLS).inc()
         self.metrics.counter(DETAILED_INSTRUCTIONS).inc(
             float(result.instructions - before)
         )
         return result
-
-    def simulate_point(
-        self, start: int, end: int, warmup: int = 0
-    ) -> SimulationResult:
-        """Simulate one simulation point from cold state with a fixed-window
-        warming prefix (see :mod:`repro.sampling.estimate` for the full-
-        warming alternative the harness uses)."""
-        if end <= start:
-            raise SimulationError(f"empty simulation point [{start}, {end})")
-        state = self.new_state()
-        if warmup > 0 and start > 0:
-            warm_start = max(0, start - warmup)
-            if warm_start < start:
-                self.simulate_range(
-                    warm_start, start, state=state, result=SimulationResult()
-                )
-        return self.simulate_range(start, end, state=state)
 
     # ------------------------------------------------------------------
     def _simulate_piece(
@@ -283,7 +265,9 @@ class TimingSimulator:
     ) -> None:
         seg = piece.segment
         n = piece.n_reps
-        statics = self._statics_of(piece.seg_index)
+        seg_index = piece.seg_index
+        statics = self._statics_of(seg_index)
+        includes_end = piece.rep_offset + n == seg.reps
         data = state.data
         il1 = state.il1
 
@@ -319,11 +303,14 @@ class TimingSimulator:
                 )
 
             # --- data accesses ----------------------------------------------
+            # Touches scale linearly in n and the visit is keyed by
+            # (segment index, block), so any rep-aligned split of a
+            # segment books exactly what the whole segment does.
             if memory is not None:
-                touches = max(1.0, memory.touches_per_rep * n)
+                touches = memory.touches_per_rep * n
                 visit_touches = max(1.0, memory.touches_per_rep * seg.reps)
                 l1m, l2m = data.access_data(
-                    memory.region, memory.ws_lines, (seg, block_id),
+                    memory.region, memory.ws_lines, (seg_index, block_id),
                     visit_touches, touches,
                 )
                 result.l1d_accesses += memory.n_mem * n
@@ -340,7 +327,6 @@ class TimingSimulator:
         # the cache accesses cannot change any cache outcome.
         if statics.loop_branch_block >= 0:
             block_id = statics.loop_branch_block
-            includes_end = piece.rep_offset + n == seg.reps
             counter = state.loop_counters.get(block_id, 1)
             takens = n - 1 if includes_end else n
             counter, mis = advance_loop_branch(counter, takens)
@@ -354,3 +340,9 @@ class TimingSimulator:
             cycles += mispredicts * self.branch_penalty
 
         result.cycles += cycles
+        # The segment's visits are over; dropping them keeps the visit
+        # table at one segment's blocks instead of the whole trace's.
+        if includes_end:
+            for block_id, _, memory in statics.blocks:
+                if memory is not None:
+                    data.end_visit((seg_index, block_id))

@@ -300,6 +300,21 @@ class Trace:
             )
             index += 1
 
+    def rep_bounds(self, start: int, end: int) -> Tuple[int, int]:
+        """The range [start, end) rounded outward to rep boundaries: the
+        exact span :meth:`clip` yields pieces over."""
+        if start < 0 or end > self.total_instructions or start >= end:
+            raise TraceError(f"bad clip range [{start}, {end})")
+        first = self.locate(start)
+        seg_start = int(self.seg_starts[first])
+        rep_len = int(self.rep_lengths[first])
+        lo = seg_start + (start - seg_start) // rep_len * rep_len
+        last = self.locate(end - 1)
+        seg_start = int(self.seg_starts[last])
+        rep_len = int(self.rep_lengths[last])
+        hi = seg_start + ((end - 1 - seg_start) // rep_len + 1) * rep_len
+        return lo, hi
+
 
 class TraceBuilder:
     """Deterministically unroll a workload's schedule into a trace.

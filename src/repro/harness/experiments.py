@@ -448,7 +448,7 @@ def ablation_coarse_kmax(
     for kmax in kmaxes:
         sampling = replace(runner.sampling, coarse_kmax=kmax)
         plan = Coasts(sampling).sample(trace, benchmark=benchmark)
-        evaluation = evaluate_plan(plan, simulator, baseline, config=sampling)
+        evaluation = evaluate_plan(plan, simulator, baseline)
         rows.append(
             AblationRow(
                 setting=f"kmax={kmax}",
@@ -484,7 +484,7 @@ def ablation_fine_interval(
                            resample_threshold=size * runner.sampling.fine_kmax)
         profile = functional.profile_fixed_intervals(size)
         plan = SimPoint(sampling).sample(profile, benchmark=benchmark)
-        evaluation = evaluate_plan(plan, simulator, baseline, config=sampling)
+        evaluation = evaluate_plan(plan, simulator, baseline)
         rows.append(
             AblationRow(
                 setting=f"interval={size}",
@@ -517,7 +517,7 @@ def ablation_resample_threshold(
         plan = MultiLevelSampler(sampling).sample(
             trace, benchmark=benchmark, coarse_plan=coarse_plan
         )
-        evaluation = evaluate_plan(plan, simulator, baseline, config=sampling)
+        evaluation = evaluate_plan(plan, simulator, baseline)
         rows.append(
             AblationRow(
                 setting=f"threshold={threshold}",
@@ -549,7 +549,7 @@ def ablation_projection_dim(
     for dim in dims:
         sampling = replace(runner.sampling, projection_dim=dim)
         plan = SimPoint(sampling).sample(profile, benchmark=benchmark)
-        evaluation = evaluate_plan(plan, simulator, baseline, config=sampling)
+        evaluation = evaluate_plan(plan, simulator, baseline)
         rows.append(
             AblationRow(
                 setting=f"dim={dim}",
@@ -586,8 +586,7 @@ def ablation_metric(
         plan = SimPoint(runner.sampling, metric=metric).sample(
             profile, benchmark=benchmark, program=trace.program
         )
-        evaluation = evaluate_plan(plan, simulator, baseline,
-                                   config=runner.sampling)
+        evaluation = evaluate_plan(plan, simulator, baseline)
         rows.append(
             AblationRow(
                 setting=metric,
@@ -659,8 +658,7 @@ def ablation_representative_policy(
             total_instructions=trace.total_instructions,
             n_clusters=result.k,
         )
-        evaluation = evaluate_plan(plan, simulator, baseline,
-                                   config=runner.sampling)
+        evaluation = evaluate_plan(plan, simulator, baseline)
         rows.append(
             AblationRow(
                 setting=policy,

@@ -30,14 +30,17 @@ is a semicolon-separated list of specs::
   commit must be rejected as stale).
 * ``benchmark`` — benchmark name, or ``*`` for all.
 * ``stage`` — pipeline stage name (``trace_build``, ``profiling``,
-  ``plan_construction``, ``baseline``, ``point_simulation``), or ``*``.
+  ``plan_construction``, ``detailed_simulation``, ``diagnostics``; see
+  :data:`~repro.harness.timing.STAGE_ORDER`), or ``*``; anything else is
+  rejected, so a spec naming a renamed stage cannot silently never fire.
   Ignored for ``corrupt`` (which fires after the run publishes) and for
   the dispatch-level kinds (which fire at lease grant / task receipt,
   outside any stage).
 * ``attempts`` — comma-separated attempt numbers (0-based), or ``*``.
 
-Example: ``raise:gzip:baseline:0,1`` makes gzip's first two attempts die
-in the baseline stage; the third succeeds — a transient failure.
+Example: ``raise:gzip:detailed_simulation:0,1`` makes gzip's first two
+attempts die in the detailed-simulation stage; the third succeeds — a
+transient failure.
 
 .. warning:: ``kill`` terminates the *current* process.  With
    ``jobs > 1`` that is a worker subprocess (the scenario being simulated);
@@ -56,6 +59,7 @@ from typing import Optional, Tuple
 
 from ..errors import FaultSpecError, InjectedFault
 from ..obs import FAULTS_INJECTED
+from .timing import STAGE_ORDER
 
 logger = logging.getLogger(__name__)
 
@@ -117,6 +121,11 @@ def parse_faults(text: str) -> Tuple[FaultSpec, ...]:
         if kind not in FAULT_KINDS:
             raise FaultSpecError(
                 f"unknown fault kind {kind!r} (expected one of {FAULT_KINDS})"
+            )
+        if stage != "*" and stage not in STAGE_ORDER:
+            raise FaultSpecError(
+                f"unknown stage {stage!r} in {chunk!r} (expected * or one "
+                f"of {', '.join(STAGE_ORDER)})"
             )
         if attempts_text == "*":
             attempts: Tuple[int, ...] = ()

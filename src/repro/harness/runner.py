@@ -5,10 +5,12 @@ For one benchmark and one machine configuration the runner:
 1. generates the workload and unrolls its trace;
 2. collects the profiles and builds each method's sampling plan
    (SimPoint, EarlySP, COASTS, multi-level);
-3. runs the full-trace detailed baseline (the paper's "original
-   sim-outorder" run);
-4. detail-simulates every plan's simulation points (shared across plans
-   that pick identical points) and reconstructs the weighted estimates;
+3. makes one warmed detailed walk of the trace
+   (:func:`~repro.sampling.estimate.simulate_tagged_ranges`) that books
+   the full-trace baseline (the paper's "original sim-outorder" run),
+   every plan's simulation points and every diagnostics phase at once,
+   and reconstructs the weighted estimates;
+4. attributes each method's error to its phases (diagnostics);
 5. packages metrics, deviations and cost accounting into a serialisable
    :class:`BenchmarkRun`, cached on disk.
 
@@ -41,7 +43,9 @@ from ..errors import HarnessError
 from ..obs import ObsContext
 from ..obs.diag import DIAG_METRICS, MethodDiag, record_diag_metrics
 from ..samplers import PlanContext, get_sampler, registered_methods
-from ..sampling.estimate import (
+# simulate_point_set is not called here; benchmarks/e2e/layers.py wraps
+# it under this module's name, so the import stays.
+from ..sampling.estimate import (  # noqa: F401
     evaluate_plan,
     plan_ranges,
     simulate_point_set,
@@ -63,6 +67,9 @@ from .recovery import (
 from .timing import RunTiming, SuiteTiming
 
 logger = logging.getLogger(__name__)
+
+#: The walk tag booking the whole trace: the full-run baseline.
+BASELINE_TAG = "baseline"
 
 #: Methods registered at import time, in reporting order — a convenience
 #: snapshot of :func:`repro.samplers.registered_methods` (the registry is
@@ -241,7 +248,7 @@ class ExperimentRunner:
         registered = registered_methods()
         self.methods = tuple(methods) if methods is not None else registered
         #: Whether to run the accuracy-diagnostics stage (per-phase error
-        #: attribution; costs roughly one extra detailed pass per run).
+        #: attribution; its phases ride on the run's one detailed walk).
         self.diagnostics = diagnostics
         unknown = set(self.methods) - set(registered)
         if unknown:
@@ -376,13 +383,18 @@ class ExperimentRunner:
     ) -> BenchmarkRun:
         """Full pipeline for one benchmark and config (disk-cached).
 
+        All detailed numbers come from one warmed walk from cold state:
+        a ``[0, total)`` baseline tag, one tag per leaf and one per
+        (method, phase).  The detailed model is split-additive at the
+        walk's rep-aligned cuts, so a method's estimate, deviation and
+        diagnostics do not depend on which other methods share the walk.
+
         The cache entry is keyed per (benchmark, config) and accumulates
         methods: a request whose method set is covered by the entry is a
         pure hit; a request that grows the set computes *only* the
-        missing methods (reusing the cached baseline — point simulation
-        starts from fresh machine state, so skipping the baseline pass
-        cannot perturb it) and re-publishes the merged entry.  A method's
-        numbers are always those of the set it was first computed with.
+        missing methods — its walk omits the baseline tag, reuses the
+        cached baseline and stops at the last new range end — and
+        re-publishes the merged entry.
         """
         with self.timing.run(benchmark, config.name) as record:
             key = self._cache_key(benchmark, config)
@@ -424,34 +436,33 @@ class ExperimentRunner:
             with self.timing.stage(record, "trace_build"):
                 trace = self.trace(benchmark)
             plans = self.plans(benchmark, record, methods=compute)
-            if cached is None:
-                with self.timing.stage(record, "baseline"):
-                    simulator = TimingSimulator(
-                        trace, config, metrics=self.obs.metrics
-                    )
-                    baseline = simulator.simulate_full().metrics()
-            else:
+            diags = self._diag_copies(benchmark, compute)
+
+            with self.timing.stage(record, "detailed_simulation"):
                 simulator = TimingSimulator(
                     trace, config, metrics=self.obs.metrics
                 )
-                baseline = cached.baseline
-
-            with self.timing.stage(record, "point_simulation"):
-                if self.sampling.full_warming:
-                    union = sorted(
-                        {r for name in compute
-                         for r in plan_ranges(plans[name])}
-                    )
-                    leaf_cache: Dict[Tuple[int, int], SimulationResult] = \
-                        simulate_point_set(simulator, union)
-                else:
-                    leaf_cache = {}
+                tagged: Dict[object, List[Tuple[int, int]]] = {}
+                if cached is None:
+                    tagged[BASELINE_TAG] = [(0, trace.total_instructions)]
+                for name in compute:
+                    for r in plan_ranges(plans[name]):
+                        tagged[r] = [r]
+                for name, diag in diags.items():
+                    for phase, bounds in diag.members.items():
+                        tagged[(name, phase)] = bounds
+                # Leaf tags are their ranges, so the results double as
+                # the plans' point cache.
+                results = simulate_tagged_ranges(simulator, tagged)
+                baseline = (
+                    results[BASELINE_TAG].metrics() if cached is None
+                    else cached.baseline
+                )
                 methods: Dict[str, MethodResult] = {}
                 for name in compute:
                     plan = plans[name]
                     evaluation = evaluate_plan(
-                        plan, simulator, baseline, config=self.sampling,
-                        cache=leaf_cache,
+                        plan, simulator, baseline, cache=results
                     )
                     methods[name] = MethodResult(
                         stats=PlanStats.from_plan(plan),
@@ -459,13 +470,9 @@ class ExperimentRunner:
                         deviation=evaluation.deviation,
                     )
 
-            diags: Dict[str, MethodDiag] = {}
             if self.diagnostics:
                 with self.timing.stage(record, "diagnostics"):
-                    diags = self._diagnose(
-                        benchmark, plans, leaf_cache, baseline, methods,
-                        simulator,
-                    )
+                    self._diagnose(diags, plans, results, baseline, methods)
 
             merged_methods = dict(cached.methods) if cached else {}
             merged_methods.update(methods)
@@ -504,40 +511,35 @@ class ExperimentRunner:
             },
         )
 
+    def _diag_copies(
+        self, benchmark: str, names: Iterable[str]
+    ) -> Dict[str, MethodDiag]:
+        """Per-run copies of the memoised plan diagnostics of *names*
+        (empty when the runner was built with ``diagnostics=False``)."""
+        if not self.diagnostics:
+            return {}
+        base = self._plan_diags.get(benchmark, {})
+        # The memoised diag is per-benchmark; each (benchmark, config) run
+        # attributes its own copy, so deep-copy before mutating.
+        return {
+            name: copy.deepcopy(base[name]) for name in names if name in base
+        }
+
+    @staticmethod
     def _diagnose(
-        self,
-        benchmark: str,
+        diags: Dict[str, MethodDiag],
         plans: Dict[str, SamplingPlan],
-        leaf_cache: Dict[Tuple[int, int], SimulationResult],
+        results: Dict[object, SimulationResult],
         baseline: Metrics,
         methods: Dict[str, MethodResult],
-        simulator: TimingSimulator,
-    ) -> Dict[str, MethodDiag]:
-        """Per-phase error attribution for every method of one run.
+    ) -> None:
+        """Per-phase error attribution for every method in *diags*.
 
-        True per-phase metric means come from one shared
-        :func:`simulate_tagged_ranges` pass (a tag per (method, phase));
-        the representative terms reuse the point results already in
-        ``leaf_cache``.  The attribution decomposes each method's signed
+        True per-phase metric means are the walk's ``(method, phase)``
+        tags and the representative terms its leaf tags (both in
+        *results*).  The attribution decomposes each method's signed
         deviation into per-phase contributions plus an exact residual.
         """
-        base = self._plan_diags.get(benchmark, {})
-        diags: Dict[str, MethodDiag] = {}
-        tagged: Dict[Tuple[str, int], List[Tuple[int, int]]] = {}
-        for name in methods:
-            source = base.get(name)
-            if source is None:
-                continue
-            # The memoised diag is per-benchmark; each (benchmark, config)
-            # run attributes its own copy, so deep-copy before mutating.
-            diag = copy.deepcopy(source)
-            diags[name] = diag
-            for phase, bounds in diag.members.items():
-                tagged[(name, phase)] = bounds
-        if not diags:
-            return diags
-
-        truths = simulate_tagged_ranges(simulator, tagged)
         for name, diag in diags.items():
             plan = plans[name]
             weight_total = sum(
@@ -551,13 +553,13 @@ class ExperimentRunner:
                 for leaf in point.leaves():
                     if leaf.weight <= 0:
                         continue
-                    m = leaf_cache[(leaf.start, leaf.end)].metrics()
+                    m = results[(leaf.start, leaf.end)].metrics()
                     term["cpi"] += leaf.weight * m.cpi
                     term["l1"] += leaf.weight * m.l1_hit_rate
                     term["l2"] += leaf.weight * m.l2_hit_rate
             phase_values: Dict[int, Dict[str, float]] = {}
             for phase in diag.members:
-                result = truths.get((name, phase))
+                result = results.get((name, phase))
                 if result is None or result.instructions <= 0:
                     continue
                 phase_values[phase] = {
@@ -584,7 +586,6 @@ class ExperimentRunner:
             # Member bounds are trace-sized working state, not a result;
             # drop them so the run (and its cache entry) stays small.
             diag.members.clear()
-        return diags
 
     def run_suite(
         self,

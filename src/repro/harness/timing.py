@@ -36,8 +36,7 @@ STAGE_ORDER = (
     "trace_build",
     "profiling",
     "plan_construction",
-    "baseline",
-    "point_simulation",
+    "detailed_simulation",
     "diagnostics",
 )
 

@@ -9,7 +9,7 @@ from .cost import (
     speedup_over_full,
 )
 from .early import EarlySimPoint
-from .estimate import PlanEvaluation, estimate_plan, evaluate_plan, simulate_leaf
+from .estimate import PlanEvaluation, estimate_plan, evaluate_plan
 from .multilevel import MultiLevelSampler
 from .points import SamplingPlan, SimulationPoint
 from .ranked_set import RankedSetSampler
@@ -33,7 +33,6 @@ __all__ = [
     "evaluate_plan",
     "full_detail_cost",
     "plan_cost",
-    "simulate_leaf",
     "speedup",
     "speedup_over_full",
 ]

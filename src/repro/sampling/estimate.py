@@ -3,14 +3,18 @@
 Simulation points are detail-simulated with **functional warming**: the
 fast-forward from the start of the program to each point updates caches and
 branch predictors (what SimpleScalar's functional mode does when warmup is
-enabled, and what the paper's error rates presuppose).  All points of all
-plans for one (benchmark, config) pair are recorded in a *single* pass over
-the trace — the machine state at a point depends only on the trace prefix,
-so the pass is shared and its cost is bounded by one full-trace walk.
+enabled, and what the paper's error rates presuppose).
 
-A cheap alternative — a fixed warming window before each point
-(``SamplingConfig.full_warming = False``) — exists for fast tests and for
-the warmup ablation; it trades accuracy for per-point cost.
+Every detailed number of one (benchmark, config) run — the full-trace
+baseline, every plan's leaves, every diagnostics phase — comes from a
+*single* warmed walk, :func:`simulate_tagged_ranges`.  Ranges are first
+rounded outward to rep boundaries (what :meth:`Trace.clip` does for one
+range), and the walk cuts the trace only at those rounded bounds, so no
+rep is ever simulated twice.  Because the detailed model is
+split-additive at rep boundaries (see :mod:`repro.uarch.occupancy`), a
+range's result is exactly what one uninterrupted warmed run would book
+over it, whichever other ranges share the walk: a method's estimate does
+not depend on the methods run beside it.
 """
 
 from __future__ import annotations
@@ -18,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ..config import DEFAULT_SAMPLING, SamplingConfig
 from ..detailed.results import Deviation, Metrics, SimulationResult, WeightedMetrics
 from ..detailed.timing import TimingSimulator
 from ..errors import SamplingError
-from .points import SamplingPlan, SimulationPoint
+from .points import SamplingPlan
 
 #: A point's instruction range, the key of shared point-result caches.
 PointRange = Tuple[int, int]
@@ -43,38 +46,69 @@ class PlanEvaluation:
         return self.plan.benchmark
 
 
+def simulate_tagged_ranges(
+    simulator: TimingSimulator,
+    tagged: Dict[object, Iterable[PointRange]],
+) -> Dict[object, SimulationResult]:
+    """Detail-simulate *groups* of ranges in one warmed walk.
+
+    *tagged* maps an opaque tag (a leaf range, ``(method, phase)``, the
+    whole trace) to the ranges whose merged metrics that tag should
+    accumulate; ranges within a tag must be disjoint (they may abut),
+    ranges of *different* tags may overlap arbitrarily.
+
+    Each range is rounded outward to rep boundaries; the walk starts from
+    cold state at instruction 0 and cuts the trace at the sorted set of
+    rounded bounds, up to the last one.  Every grid interval is simulated
+    once and booked at most once into every tag whose rounded ranges
+    cover it — two ranges of one tag that share a mid-rep bound book that
+    rep once.  Intervals no tag covers only warm the state.
+    """
+    trace = simulator.trace
+    starts_at: Dict[int, List[object]] = {}
+    ends_at: Dict[int, List[object]] = {}
+    for tag, ranges in tagged.items():
+        spans: List[List[int]] = []
+        previous_end = None
+        for start, end in sorted(set(ranges)):
+            if end <= start or start < 0:
+                raise SamplingError(f"bad point range [{start}, {end})")
+            if previous_end is not None and start < previous_end:
+                raise SamplingError(f"tag {tag!r}: ranges overlap at {start}")
+            previous_end = end
+            lo, hi = trace.rep_bounds(start, end)
+            if spans and lo <= spans[-1][1]:
+                spans[-1][1] = max(spans[-1][1], hi)
+            else:
+                spans.append([lo, hi])
+        for lo, hi in spans:
+            starts_at.setdefault(lo, []).append(tag)
+            ends_at.setdefault(hi, []).append(tag)
+    results = {tag: SimulationResult() for tag in tagged}
+    grid = sorted({0} | set(starts_at) | set(ends_at))
+
+    active: Dict[object, None] = {}
+    state = simulator.new_state()
+    for a, b in zip(grid[:-1], grid[1:]):
+        for tag in ends_at.get(a, ()):
+            del active[tag]
+        for tag in starts_at.get(a, ()):
+            active[tag] = None
+        piece = simulator.simulate_range(a, b, state=state)
+        for tag in active:
+            results[tag].merge(piece)
+    return results
+
+
 def simulate_point_set(
     simulator: TimingSimulator,
     ranges: Iterable[PointRange],
 ) -> Dict[PointRange, SimulationResult]:
-    """Detail-simulate every range with full functional warming, one pass.
-
-    The trace is walked once from instruction 0 to the end of the last
-    range; outside all ranges the machine state is warmed without recording,
-    inside them results accumulate (nested/overlapping ranges each receive
-    the shared stretch).
-    """
-    ranges = sorted(set(ranges))
-    if not ranges:
-        return {}
-    for start, end in ranges:
-        if end <= start or start < 0:
-            raise SamplingError(f"bad point range [{start}, {end})")
-    results = {r: SimulationResult() for r in ranges}
-
-    boundaries = sorted({0} | {b for r in ranges for b in r})
-    state = simulator.new_state()
-    throwaway = SimulationResult()
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        active = [r for r in ranges if r[0] <= a and b <= r[1]]
-        if not active:
-            simulator.simulate_range(a, b, state=state, result=throwaway)
-            continue
-        piece = SimulationResult()
-        simulator.simulate_range(a, b, state=state, result=piece)
-        for r in active:
-            results[r].merge(piece)
-    return results
+    """Detail-simulate every range with full functional warming, one walk
+    (one :func:`simulate_tagged_ranges` tag per range)."""
+    return simulate_tagged_ranges(
+        simulator, {r: [r] for r in sorted(set(ranges))}
+    )
 
 
 def plan_ranges(plan: SamplingPlan) -> List[PointRange]:
@@ -82,104 +116,21 @@ def plan_ranges(plan: SamplingPlan) -> List[PointRange]:
     return [(leaf.start, leaf.end) for leaf in plan.leaves()]
 
 
-def simulate_tagged_ranges(
-    simulator: TimingSimulator,
-    tagged: Dict[object, Iterable[PointRange]],
-) -> Dict[object, SimulationResult]:
-    """Detail-simulate overlapping *groups* of ranges in one warmed pass.
-
-    *tagged* maps an opaque tag (e.g. ``(method, phase)``) to the ranges
-    whose merged metrics that tag should accumulate; ranges within a tag
-    must be disjoint (they may abut), ranges of *different* tags may
-    overlap arbitrarily.  Like :func:`simulate_point_set` this walks the
-    trace once from 0 with full functional warming, so each tag's result
-    is exactly what a baseline run would have booked over those
-    stretches — the accuracy diagnostics use this to compute true
-    per-phase metric means for every method at the cost of one extra
-    detailed pass, not one per phase.
-
-    The active-tag set is maintained with start/end events (a counter
-    per tag, since a tag's next range may abut the previous one), so the
-    sweep is O((B + R) log R) bookkeeping on top of the simulation
-    itself.
-    """
-    groups = {tag: sorted(set(ranges)) for tag, ranges in tagged.items()}
-    for tag, ranges in groups.items():
-        previous_end = None
-        for start, end in ranges:
-            if end <= start or start < 0:
-                raise SamplingError(f"bad point range [{start}, {end})")
-            if previous_end is not None and start < previous_end:
-                raise SamplingError(
-                    f"tag {tag!r}: ranges overlap at {start}"
-                )
-            previous_end = end
-    results = {tag: SimulationResult() for tag in groups}
-    starts_at: Dict[int, List[object]] = {}
-    ends_at: Dict[int, List[object]] = {}
-    for tag, ranges in groups.items():
-        for start, end in ranges:
-            starts_at.setdefault(start, []).append(tag)
-            ends_at.setdefault(end, []).append(tag)
-    boundaries = sorted({0} | set(starts_at) | set(ends_at))
-    if len(boundaries) < 2:
-        return results
-
-    active: Dict[object, int] = {}
-    state = simulator.new_state()
-    throwaway = SimulationResult()
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        for tag in ends_at.get(a, ()):
-            remaining = active.get(tag, 0) - 1
-            if remaining <= 0:
-                active.pop(tag, None)
-            else:
-                active[tag] = remaining
-        for tag in starts_at.get(a, ()):
-            active[tag] = active.get(tag, 0) + 1
-        if not active:
-            simulator.simulate_range(a, b, state=state, result=throwaway)
-            continue
-        piece = SimulationResult()
-        simulator.simulate_range(a, b, state=state, result=piece)
-        for tag in active:
-            results[tag].merge(piece)
-    return results
-
-
-def simulate_leaf(
-    simulator: TimingSimulator,
-    leaf: SimulationPoint,
-    warmup: int,
-) -> SimulationResult:
-    """Detail-simulate one leaf with a fixed warming window (cheap mode)."""
-    return simulator.simulate_point(leaf.start, leaf.end, warmup=warmup)
-
-
 def estimate_plan(
     plan: SamplingPlan,
     simulator: TimingSimulator,
-    config: SamplingConfig = DEFAULT_SAMPLING,
     cache: Optional[Dict[PointRange, SimulationResult]] = None,
 ) -> Metrics:
     """Whole-program metric estimate from the plan's weighted points.
 
     ``cache`` carries point results across plans of the same benchmark and
-    config (the runner fills it with a single shared warming pass); missing
-    points are simulated on demand with the configured warming mode.
+    config (the runner fills it from its single walk); missing points are
+    simulated on demand in one warmed walk of their own.
     """
     ranges = plan_ranges(plan)
     missing = [r for r in ranges if cache is None or r not in cache]
     if missing:
-        if config.full_warming:
-            fresh = simulate_point_set(simulator, missing)
-        else:
-            fresh = {
-                r: simulator.simulate_point(
-                    r[0], r[1], warmup=config.warmup_instructions
-                )
-                for r in missing
-            }
+        fresh = simulate_point_set(simulator, missing)
         if cache is None:
             cache = fresh
         else:
@@ -200,11 +151,10 @@ def evaluate_plan(
     plan: SamplingPlan,
     simulator: TimingSimulator,
     baseline: Metrics,
-    config: SamplingConfig = DEFAULT_SAMPLING,
     cache: Optional[Dict[PointRange, SimulationResult]] = None,
 ) -> PlanEvaluation:
     """Estimate the plan and compute its deviation from *baseline*."""
-    estimate = estimate_plan(plan, simulator, config=config, cache=cache)
+    estimate = estimate_plan(plan, simulator, cache=cache)
     return PlanEvaluation(
         plan=plan,
         estimate=estimate,

@@ -22,6 +22,15 @@ scale a per-line (or within-visit-evolving) model would make a thin slice's
 hit rate depend on where in the sweep it falls, which is an artifact, not
 microarchitecture.
 
+**Visits are keyed, not inferred.**  Visit state is kept per visit key
+(the timing simulator passes ``(segment index, block)``), not per region:
+two blocks of one segment that sweep the same region each keep their
+own visit, so cutting a segment into several batches — at any rep
+boundary — never restarts a visit and re-derives its hit rates from the
+residency the visit itself just installed.  That makes a detailed walk
+split-additive: simulating ``[a, b)`` then ``[b, c)`` on one carried
+state books exactly what ``[a, c)`` books.
+
 **LRU across regions.** Residency is capacity-managed across regions with
 recency-ordered eviction: the region being swept keeps its footprint (up to
 capacity); the stalest regions lose theirs first.  History therefore still
@@ -119,7 +128,6 @@ class OccupancyCache:
 class _VisitState:
     """Hit rates derived at visit entry, applied to all its batches."""
 
-    key: Hashable
     l1_hit: float
     l2_hit: float
 
@@ -137,7 +145,7 @@ class DataHierarchyModel:
     def __init__(self, l1_config: CacheConfig, l2_config: CacheConfig) -> None:
         self.l1 = OccupancyCache(l1_config)
         self.l2 = OccupancyCache(l2_config)
-        self._visits: Dict[int, _VisitState] = {}
+        self._visits: Dict[Hashable, _VisitState] = {}
         self._code_hit = 0.0
         self._code_seen = 0.0
 
@@ -161,12 +169,14 @@ class DataHierarchyModel:
         """Data touches of one batch of a visit; returns fractional
         ``(l1_misses, l2_misses)``.
 
-        ``visit_key`` identifies the visit (one loop-body segment of the
-        trace); its first batch fixes the visit's hit rates from current
-        residency, and installs the visit's footprint as resident.
+        ``visit_key`` identifies the visit (one block of one loop-body
+        segment of the trace); its first batch fixes the visit's hit
+        rates from current residency, and installs the visit's footprint
+        as resident.  Later batches with the same key reuse those rates
+        until :meth:`end_visit`.
         """
-        state = self._visits.get(region)
-        if state is None or state.key != visit_key:
+        state = self._visits.get(visit_key)
+        if state is None:
             state = self._begin_visit(region, footprint, visit_key,
                                       visit_touches)
         l1_misses = touches * (1.0 - state.l1_hit)
@@ -202,9 +212,13 @@ class DataHierarchyModel:
             self.l2.residency(region) + l2_touches * (1.0 - l2_hit),
         )
         self.l2.install(region, l2_resident)
-        state = _VisitState(key=visit_key, l1_hit=l1_hit, l2_hit=l2_hit)
-        self._visits[region] = state
+        state = _VisitState(l1_hit=l1_hit, l2_hit=l2_hit)
+        self._visits[visit_key] = state
         return state
+
+    def end_visit(self, visit_key: Hashable) -> None:
+        """Forget the visit *visit_key* (its segment has run to its end)."""
+        self._visits.pop(visit_key, None)
 
     # ------------------------------------------------------------------
     def access_code(self, code_lines: float, touches: float) -> float:

@@ -64,7 +64,6 @@ def test_sampling():
         coarse_kmax=3,
         resample_threshold=3000,
         kmeans_seeds=2,
-        warmup_instructions=2000,
     )
 
 

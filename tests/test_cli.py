@@ -126,10 +126,21 @@ class TestExitCodes:
         assert "error:" in err and "explode:gzip" in err
         assert "Traceback" not in err
 
+    def test_retired_fault_stage_rejected_before_any_run(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv(FAULTS_ENV, "kill:gzip:baseline:0")
+        code = main(["--scale", "0.04", "suite", "--quick"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "unknown stage 'baseline'" in captured.err
+        assert "detailed_simulation" in captured.err
+        assert captured.out == ""
+
     def test_partial_suite_renders_table_and_exits_partial(
             self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.setenv(FAULTS_ENV, "raise:lucas:baseline:*")
+        monkeypatch.setenv(FAULTS_ENV, "raise:lucas:detailed_simulation:*")
         code = main(["--scale", "0.04", "suite", "--quick",
                      "--retries", "0"])
         captured = capsys.readouterr()
@@ -137,7 +148,7 @@ class TestExitCodes:
         # The completed rows still render; the failed one is explicit.
         assert "gzip" in captured.out and "mcf" in captured.out
         assert "FAILED(1/1)" in captured.out
-        assert "InjectedFault in baseline" in captured.err
+        assert "InjectedFault in detailed_simulation" in captured.err
         assert "--resume" in captured.err
 
 

@@ -53,7 +53,7 @@ class TestSimulatePointSet:
         total = small_trace.total_instructions
         rng = (total // 2, total // 2 + 2000)
         warmed = simulate_point_set(simulator, [rng])[rng]
-        cold = simulator.simulate_point(*rng, warmup=0)
+        cold = simulator.simulate_range(*rng)
         assert warmed.l1d_misses <= cold.l1d_misses
 
     def test_empty_set(self, simulator):
@@ -86,6 +86,24 @@ class TestSimulateTaggedRanges:
         assert 1000 <= results["b"].instructions < 1500
         assert results["a"].cycles > results["b"].cycles
 
+    def test_abutting_ranges_book_a_shared_mid_rep_once(self, simulator,
+                                                         small_trace):
+        """Two ranges of one tag meeting inside a rep book that rep once."""
+        seg = next(i for i in range(small_trace.n_segments)
+                   if small_trace.reps[i] >= 4
+                   and small_trace.rep_lengths[i] >= 2)
+        rep = int(small_trace.rep_lengths[seg])
+        lo = int(small_trace.seg_starts[seg])
+        mid = lo + rep + rep // 2  # inside the segment's second rep
+        split = simulate_tagged_ranges(
+            simulator, {"a": [(lo, mid), (mid, lo + 3 * rep)]}
+        )["a"]
+        whole = simulate_tagged_ranges(
+            simulator, {"a": [(lo, lo + 3 * rep)]}
+        )["a"]
+        assert split.instructions == whole.instructions == 3 * rep
+        assert split.cycles == pytest.approx(whole.cycles, rel=1e-12)
+
     def test_overlap_within_tag_rejected(self, simulator):
         with pytest.raises(SamplingError):
             simulate_tagged_ranges(
@@ -111,33 +129,31 @@ class TestEstimatePlan:
         is covered by the integration test and the Table II bench.  Here we
         only require the right order of magnitude."""
         plan = SimPoint(test_sampling).sample(small_fine_profile)
-        estimate = estimate_plan(plan, simulator, config=test_sampling)
+        estimate = estimate_plan(plan, simulator)
         assert 0.3 < estimate.cpi / baseline.cpi < 3.0
 
     def test_coasts_estimate_same_magnitude(
         self, simulator, baseline, small_trace, test_sampling
     ):
         plan = Coasts(test_sampling).sample(small_trace)
-        estimate = estimate_plan(plan, simulator, config=test_sampling)
+        estimate = estimate_plan(plan, simulator)
         assert 0.3 < estimate.cpi / baseline.cpi < 3.0
 
     def test_cache_shares_leaf_results(self, simulator, small_trace,
                                        test_sampling):
         plan = Coasts(test_sampling).sample(small_trace)
         cache = {}
-        first = estimate_plan(plan, simulator, config=test_sampling,
-                              cache=cache)
+        first = estimate_plan(plan, simulator, cache=cache)
         assert set(cache) == set(plan_ranges(plan))
         # a second estimate must not re-simulate: poison detection by
         # replacing the simulator with None-like object would raise
-        second = estimate_plan(plan, None, config=test_sampling, cache=cache)
+        second = estimate_plan(plan, None, cache=cache)
         assert second == first
 
     def test_evaluate_plan_reports_deviation(self, simulator, baseline,
                                              small_trace, test_sampling):
         plan = Coasts(test_sampling).sample(small_trace)
-        evaluation = evaluate_plan(plan, simulator, baseline,
-                                   config=test_sampling)
+        evaluation = evaluate_plan(plan, simulator, baseline)
         assert isinstance(evaluation.deviation, Deviation)
         assert evaluation.deviation.cpi >= 0
         assert evaluation.benchmark == plan.benchmark

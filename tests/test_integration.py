@@ -82,7 +82,7 @@ class TestPaperShapeOnGzip:
         cache = {}
         for plan in (simpoint, coasts, multilevel):
             evaluation = evaluate_plan(plan, simulator, baseline,
-                                       config=SAMPLING, cache=cache)
+                                       cache=cache)
             assert evaluation.deviation.cpi < 0.5
             assert evaluation.deviation.l2_hit_rate < 0.5
 

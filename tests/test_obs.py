@@ -315,7 +315,7 @@ class TestMergeProperties:
 class TestHarnessInstrumentation:
     def test_retried_run_has_one_span_per_attempt(
             self, tmp_path, test_sampling, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "raise:gzip:baseline:0")
+        monkeypatch.setenv(FAULTS_ENV, "raise:gzip:detailed_simulation:0")
         runner = _runner(test_sampling, tmp_path / "cache", max_retries=1)
         outcome = runner.run_suite(CONFIG_A, names=["gzip"], journal=False)
         assert outcome.ok
@@ -325,7 +325,7 @@ class TestHarnessInstrumentation:
         failed, retried = runs
         assert failed.status == "error"
         (bad_stage,) = [c for c in failed.children if c.status == "error"]
-        assert bad_stage.name == "baseline"
+        assert bad_stage.name == "detailed_simulation"
         assert bad_stage.attributes["attempt"] == 0
         assert retried.status == "ok"
         assert all(c.attributes["attempt"] == 1 for c in retried.children)
@@ -370,7 +370,7 @@ class TestHarnessInstrumentation:
         assert sorted(r.attributes["benchmark"] for r in runs) == \
             sorted(SUITE_NAMES)
         for run in runs:
-            assert {c.name for c in run.children} >= {"baseline"}
+            assert {c.name for c in run.children} >= {"detailed_simulation"}
 
     def test_cache_counters_live_on_registry(self, tmp_path, test_sampling,
                                              monkeypatch):
@@ -418,8 +418,8 @@ class TestHarnessInstrumentation:
         assert run["benchmark"] == "gzip"
         assert run["cache_hit"] is False
         assert set(run["stages"]) == {
-            "trace_build", "profiling", "plan_construction", "baseline",
-            "point_simulation", "diagnostics",
+            "trace_build", "profiling", "plan_construction",
+            "detailed_simulation", "diagnostics",
         }
         assert all(
             isinstance(v, float) and v >= 0 for v in run["stages"].values()
@@ -521,7 +521,7 @@ class TestExport:
 class TestManifest:
     def test_collect_and_roundtrip(self, tmp_path, test_sampling,
                                    monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "raise:gzip:baseline:5")
+        monkeypatch.setenv(FAULTS_ENV, "raise:gzip:detailed_simulation:5")
         runner = _runner(test_sampling, tmp_path / "cache")
         outcome = runner.run_suite(CONFIG_A, names=["gzip", "mcf"],
                                    journal=False)
@@ -531,7 +531,7 @@ class TestManifest:
         assert manifest.config_name == CONFIG_A.name
         assert manifest.benchmarks == ["gzip", "mcf"]
         assert set(manifest.seeds) == {"gzip", "mcf"}
-        assert manifest.fault_spec == "raise:gzip:baseline:5"
+        assert manifest.fault_spec == "raise:gzip:detailed_simulation:5"
         assert manifest.outcome["completed"] == 2
         assert manifest.policy["max_retries"] == runner.policy.max_retries
         path = tmp_path / "manifest.json"

@@ -27,6 +27,7 @@ from repro.harness import (
     resolve_jobs,
 )
 from repro.harness.timing import STAGE_ORDER
+from repro.sampling.estimate import simulate_point_set
 
 from .conftest import TEST_SCALE
 
@@ -194,7 +195,9 @@ class TestVectorizedGoldens:
     addition order (np.bincount adds sequentially in entry order), and the
     batched timing loop leaves all state-carrying accesses in original
     order — so every comparison here is exact, not approximate.  Values
-    are gzip at scale 0.04 under config A.
+    are gzip at scale 0.04 under config A.  The timing pins were
+    re-captured when data visits became keyed by (segment index, block)
+    and points moved to the one warmed walk.
     """
 
     GOLDEN_TOTAL = 296490
@@ -235,24 +238,25 @@ class TestVectorizedGoldens:
 
     def test_full_timing_simulation(self, small_trace):
         full = TimingSimulator(small_trace, CONFIG_A).simulate_full()
-        assert full.cycles == 175651.18228890124
+        assert full.cycles == 174920.32527426333
         assert full.instructions == 296490
-        assert full.l1d_misses == 40905.5920916441
+        assert full.l1d_misses == 40493.26368962733
         assert full.l1d_accesses == 94634
         assert full.l1i_misses == 87
         assert full.l1i_accesses == 47774
-        assert full.l2_misses == 4116.22485732644
-        assert full.l2_accesses == 40992.5920916441
+        assert full.l2_misses == 4114.671368887111
+        assert full.l2_accesses == 40580.263689627325
         assert full.branches == 12374
         assert full.mispredicts == 964.0467844426604
 
     def test_warmed_point_simulation(self, small_trace):
         sim = TimingSimulator(small_trace, CONFIG_A)
         mid = small_trace.total_instructions // 2
-        result = sim.simulate_point(mid, mid + 1500, warmup=2000)
-        assert result.cycles == 3144.5292231110698
+        point = (mid, mid + 1500)
+        result = simulate_point_set(sim, [point])[point]
+        assert result.cycles == 471.9786743043288
         assert result.instructions == 1554
-        assert result.l1d_misses == 154.41697108197846
+        assert result.l1d_misses == 139.39243007532548
         assert result.mispredicts == 4.536585365853658
 
 

@@ -1,13 +1,21 @@
 """Property-based tests (hypothesis) for core invariants."""
 
+import dataclasses
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import kmeans, normalize_rows, select_k
 from repro.analysis.bic import bic_score
-from repro.config import CacheConfig
+from repro.config import CONFIG_A, CONFIG_B, CacheConfig
+from repro.detailed import SimulationResult, TimingSimulator
+from repro.harness.cache import ResultCache
+from repro.harness.runner import ExperimentRunner
+from repro.obs import DETAILED_INSTRUCTIONS
+from repro.samplers import registered_methods
 from repro.sampling.points import SamplingPlan, SimulationPoint
 from repro.uarch import (
     Cache,
@@ -238,3 +246,128 @@ class TestPlanProperties:
         assert plan.functional_instructions + plan.detail_instructions == \
             plan.last_end
         assert 0 < plan.last_point_position <= 1
+
+
+# ----------------------------------------------------------------------
+# one warmed detailed walk
+# ----------------------------------------------------------------------
+#: Relative tolerance of floats that only sum in another order.
+FLOAT_RTOL = 1e-12
+
+
+def _assert_close(left, right, path="result", floor=1e-300):
+    """Nested dicts/lists equal; floats to FLOAT_RTOL relative to
+    ``max(|value|, floor)``."""
+    if isinstance(left, dict):
+        assert left.keys() == right.keys(), path
+        for key in left:
+            _assert_close(left[key], right[key], f"{path}.{key}", floor)
+    elif isinstance(left, (list, tuple)):
+        assert len(left) == len(right), path
+        for i, (a, b) in enumerate(zip(left, right)):
+            _assert_close(a, b, f"{path}[{i}]", floor)
+    elif isinstance(left, float) or isinstance(right, float):
+        assert left == pytest.approx(
+            right, rel=FLOAT_RTOL, abs=FLOAT_RTOL * floor
+        ), path
+    else:
+        assert left == right, path
+
+
+class TestSplitAdditivity:
+    """Cutting a warmed walk at rep boundaries changes nothing."""
+
+    @pytest.mark.parametrize("config", [CONFIG_A, CONFIG_B],
+                             ids=lambda c: c.name)
+    @pytest.mark.parametrize("trace_name", ["small_trace", "lucas_trace"])
+    def test_rep_aligned_cuts_match_full_run(self, request, trace_name,
+                                             config):
+        trace = request.getfixturevalue(trace_name)
+        simulator = TimingSimulator(trace, config)
+        full = simulator.simulate_full()
+        total = trace.total_instructions
+
+        @given(positions=st.lists(st.integers(0, total - 1), max_size=40),
+               round_up=st.booleans())
+        @settings(max_examples=12, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+        def check(positions, round_up):
+            side = 1 if round_up else 0
+            cuts = sorted({0, total} | {
+                trace.rep_bounds(p, p + 1)[side] for p in positions
+            })
+            state = simulator.new_state()
+            chained = SimulationResult()
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                simulator.simulate_range(a, b, state=state, result=chained)
+            _assert_close(dataclasses.asdict(chained),
+                          dataclasses.asdict(full))
+
+        check()
+
+
+def _detailed_instructions(runner):
+    return runner.obs.metrics.value(DETAILED_INSTRUCTIONS)
+
+
+@pytest.fixture(scope="module")
+def all_methods_run(test_sampling, small_trace):
+    runner = ExperimentRunner(
+        sampling=test_sampling, cache=ResultCache(enabled=False),
+        workload_scale=0.04,
+    )
+    run = runner.run_benchmark("gzip", CONFIG_A)
+    assert run.total_instructions == small_trace.total_instructions
+    return run, _detailed_instructions(runner)
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize("method", registered_methods())
+    def test_method_set_independence(self, test_sampling, all_methods_run,
+                                     method):
+        """X alone reads exactly what X reads beside every other method."""
+        together, _ = all_methods_run
+        runner = ExperimentRunner(
+            sampling=test_sampling, cache=ResultCache(enabled=False),
+            workload_scale=0.04, methods=(method,),
+        )
+        alone = runner.run_benchmark("gzip", CONFIG_A)
+        # CPIs and hit rates are O(1), and per-phase contributions are
+        # differences of them, so tolerances are relative to max(|x|, 1):
+        # the grid's cut points only change the order of float sums.
+        _assert_close(alone.to_dict()["methods"][method],
+                      together.to_dict()["methods"][method], floor=1.0)
+        assert (method in alone.diagnostics) == \
+            (method in together.diagnostics)
+        if method in alone.diagnostics:
+            _assert_close(alone.diagnostics[method].to_dict(),
+                          together.diagnostics[method].to_dict(), floor=1.0)
+
+    def test_uncached_run_walks_the_trace_once(self, all_methods_run,
+                                               small_trace):
+        _, detailed = all_methods_run
+        assert detailed == small_trace.total_instructions
+
+    @given(first=st.sets(st.sampled_from(registered_methods()),
+                         min_size=1, max_size=2))
+    @settings(max_examples=4, deadline=None)
+    def test_partial_hit_walks_at_most_once(self, first):
+        from repro.config import SamplingConfig
+
+        sampling = SamplingConfig(
+            fine_interval_size=1000, fine_kmax=10, coarse_kmax=3,
+            resample_threshold=3000, kmeans_seeds=2,
+        )
+        with tempfile.TemporaryDirectory() as cache_dir:
+            def runner(methods):
+                return ExperimentRunner(
+                    sampling=sampling, cache=ResultCache(cache_dir),
+                    workload_scale=0.04, methods=methods,
+                )
+
+            seed = runner(tuple(sorted(first)))
+            total = seed.run_benchmark("gzip", CONFIG_A).total_instructions
+            assert _detailed_instructions(seed) == total
+            grown = runner(None)
+            grown.run_benchmark("gzip", CONFIG_A)
+            assert 0 < _detailed_instructions(grown) <= total

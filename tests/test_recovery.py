@@ -38,6 +38,7 @@ from repro.harness import (
 )
 from repro.harness.faults import FAULTS_ENV, FaultSpec
 from repro.harness.recovery import assemble_outcome, run_deadline
+from repro.harness.timing import STAGE_ORDER
 
 from .conftest import TEST_SCALE
 
@@ -138,13 +139,13 @@ class TestRunFailure:
 
 class TestParseFaults:
     def test_single_spec(self):
-        (spec,) = parse_faults("raise:gzip:baseline:0,1")
-        assert spec == FaultSpec("raise", "gzip", "baseline", (0, 1))
-        assert spec.matches("gzip", "baseline", 0)
-        assert spec.matches("gzip", "baseline", 1)
-        assert not spec.matches("gzip", "baseline", 2)
+        (spec,) = parse_faults("raise:gzip:detailed_simulation:0,1")
+        assert spec == FaultSpec("raise", "gzip", "detailed_simulation", (0, 1))
+        assert spec.matches("gzip", "detailed_simulation", 0)
+        assert spec.matches("gzip", "detailed_simulation", 1)
+        assert not spec.matches("gzip", "detailed_simulation", 2)
         assert not spec.matches("gzip", "profiling", 0)
-        assert not spec.matches("mcf", "baseline", 0)
+        assert not spec.matches("mcf", "detailed_simulation", 0)
 
     def test_wildcards(self):
         (spec,) = parse_faults("hang:*:*:*")
@@ -152,12 +153,12 @@ class TestParseFaults:
         assert spec.matches("anything", "any_stage", 7)
 
     def test_stage_none_skips_stage_matching(self):
-        (spec,) = parse_faults("corrupt:gzip:baseline:0")
+        (spec,) = parse_faults("corrupt:gzip:detailed_simulation:0")
         # corrupt faults fire after the run publishes, outside any stage.
         assert spec.matches("gzip", None, 0)
 
     def test_multiple_specs(self):
-        specs = parse_faults("raise:gzip:*:0; kill:mcf:baseline:*")
+        specs = parse_faults("raise:gzip:*:0; kill:mcf:detailed_simulation:*")
         assert [s.kind for s in specs] == ["raise", "kill"]
 
     def test_empty_is_no_faults(self):
@@ -170,10 +171,21 @@ class TestParseFaults:
         "raise:gzip:baseline:x",        # non-integer attempt
         "raise:gzip:baseline:-1",       # negative attempt
         "raise:gzip:baseline:",         # empty attempt list
+        "kill:gzip:baseline:0",         # retired stage name
+        "raise:gzip:point_simulation:0",  # retired stage name
+        "worker_exit:gzip:nowhere:0",   # unknown stage, any kind
     ])
     def test_malformed_specs_rejected(self, text):
         with pytest.raises(FaultSpecError):
             parse_faults(text)
+
+    def test_unknown_stage_error_lists_valid_stages(self):
+        with pytest.raises(FaultSpecError) as caught:
+            parse_faults("kill:gzip:baseline:0")
+        message = str(caught.value)
+        assert "'baseline'" in message
+        for stage in STAGE_ORDER:
+            assert stage in message
 
 
 class TestSuiteOutcome:
@@ -224,7 +236,7 @@ class TestRunDeadline:
 class TestSerialRecovery:
     def test_transient_failure_retried_to_identical_result(
             self, tmp_path, test_sampling, monkeypatch, clean_payload):
-        monkeypatch.setenv(FAULTS_ENV, "raise:gzip:baseline:0")
+        monkeypatch.setenv(FAULTS_ENV, "raise:gzip:detailed_simulation:0")
         runner = _runner(test_sampling, tmp_path / "faulted", max_retries=1)
         outcome = runner.run_suite(CONFIG_A, names=SUITE_NAMES)
         assert outcome.ok
@@ -232,13 +244,13 @@ class TestSerialRecovery:
 
     def test_permanent_failure_isolates_one_run(
             self, tmp_path, test_sampling, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "raise:mcf:baseline:*")
+        monkeypatch.setenv(FAULTS_ENV, "raise:mcf:detailed_simulation:*")
         runner = _runner(test_sampling, tmp_path, max_retries=1)
         outcome = runner.run_suite(CONFIG_A, names=SUITE_NAMES)
         assert [run.benchmark for run in outcome] == ["gzip", "lucas"]
         (failure,) = outcome.failures
         assert failure.benchmark == "mcf"
-        assert failure.stage == "baseline"
+        assert failure.stage == "detailed_simulation"
         assert failure.attempts == 2 and failure.max_attempts == 2
         assert failure.error_type == "InjectedFault"
         assert "InjectedFault" in failure.traceback
@@ -254,7 +266,7 @@ class TestSerialRecovery:
 
     def test_hang_hits_timeout_and_retry_succeeds(
             self, tmp_path, test_sampling, monkeypatch, clean_payload):
-        monkeypatch.setenv(FAULTS_ENV, "hang:gzip:baseline:0")
+        monkeypatch.setenv(FAULTS_ENV, "hang:gzip:detailed_simulation:0")
         runner = _runner(test_sampling, tmp_path / "hung",
                          max_retries=1, timeout=HANG_TIMEOUT)
         outcome = runner.run_suite(CONFIG_A, names=SUITE_NAMES)
@@ -263,13 +275,13 @@ class TestSerialRecovery:
 
     def test_timeout_exhausted_becomes_failure(
             self, tmp_path, test_sampling, monkeypatch):
-        monkeypatch.setenv(FAULTS_ENV, "hang:lucas:baseline:*")
+        monkeypatch.setenv(FAULTS_ENV, "hang:lucas:detailed_simulation:*")
         runner = _runner(test_sampling, tmp_path, max_retries=0, timeout=1.0)
         outcome = runner.run_suite(CONFIG_A, names=("gzip", "lucas"))
         (failure,) = outcome.failures
         assert failure.benchmark == "lucas"
         assert failure.error_type == "RunTimeout"
-        assert failure.stage == "baseline"
+        assert failure.stage == "detailed_simulation"
         assert [run.benchmark for run in outcome] == ["gzip"]
 
 
@@ -279,7 +291,7 @@ class TestParallelRecovery:
         # The acceptance scenario: one benchmark fails twice transiently,
         # the parallel suite retries it to completion, and the result set
         # matches a clean serial run exactly.
-        monkeypatch.setenv(FAULTS_ENV, "raise:gzip:baseline:0,1")
+        monkeypatch.setenv(FAULTS_ENV, "raise:gzip:detailed_simulation:0,1")
         runner = _runner(test_sampling, tmp_path / "faulted", jobs=2,
                          max_retries=2)
         outcome = runner.run_suite(CONFIG_A, names=SUITE_NAMES)
@@ -311,7 +323,7 @@ class TestParallelRecovery:
 
     def test_hang_hits_timeout_and_retry_succeeds(
             self, tmp_path, test_sampling, monkeypatch, clean_payload):
-        monkeypatch.setenv(FAULTS_ENV, "hang:lucas:baseline:0")
+        monkeypatch.setenv(FAULTS_ENV, "hang:lucas:detailed_simulation:0")
         runner = _runner(test_sampling, tmp_path / "hung", jobs=2,
                          max_retries=1, timeout=HANG_TIMEOUT)
         outcome = runner.run_suite(CONFIG_A, names=SUITE_NAMES)
@@ -324,7 +336,7 @@ class TestBackoffHistogram:
             self, tmp_path, test_sampling, monkeypatch):
         from repro.obs import RETRY_BACKOFF_SECONDS
 
-        monkeypatch.setenv(FAULTS_ENV, "raise:gzip:baseline:0")
+        monkeypatch.setenv(FAULTS_ENV, "raise:gzip:detailed_simulation:0")
         runner = _runner(test_sampling, tmp_path, max_retries=1)
         outcome = runner.run_suite(CONFIG_A, names=("gzip",))
         assert outcome.ok
@@ -336,7 +348,7 @@ class TestBackoffHistogram:
             self, tmp_path, test_sampling, monkeypatch):
         from repro.obs import RETRY_BACKOFF_SECONDS
 
-        monkeypatch.setenv(FAULTS_ENV, "raise:gzip:baseline:0")
+        monkeypatch.setenv(FAULTS_ENV, "raise:gzip:detailed_simulation:0")
         runner = _runner(test_sampling, tmp_path, jobs=2, max_retries=1)
         outcome = runner.run_suite(CONFIG_A, names=("gzip", "lucas"))
         assert outcome.ok
@@ -533,7 +545,7 @@ class TestKillAndResumeViaCli:
         argv = [sys.executable, "-m", "repro", "--scale", str(TEST_SCALE),
                 "suite", "--quick"]
         killed = subprocess.run(
-            argv, env={**env, FAULTS_ENV: "kill:lucas:baseline:*"},
+            argv, env={**env, FAULTS_ENV: "kill:lucas:detailed_simulation:*"},
             capture_output=True, text=True, timeout=300,
         )
         assert killed.returncode == 137

@@ -40,14 +40,14 @@ BUILTINS = (
 #: re-pinning protocol as tests/test_golden_accuracy.py.
 GOLDEN_NEW = {
     "stratified": {
-        "cpi": 0.08417785393393411,
-        "l1_hit_rate": 0.06223871217985388,
-        "l2_hit_rate": 0.0529944983066456,
+        "cpi": 0.0977462664079336,
+        "l1_hit_rate": 0.04421011792524032,
+        "l2_hit_rate": 0.05400666192996706,
     },
     "ranked_set": {
-        "cpi": 0.33646997098952275,
-        "l1_hit_rate": 0.04848257982913784,
-        "l2_hit_rate": 0.09929835809067378,
+        "cpi": 0.3475949415282984,
+        "l1_hit_rate": 0.05516313276124285,
+        "l2_hit_rate": 0.09992603687207124,
     },
 }
 

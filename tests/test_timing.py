@@ -4,7 +4,7 @@ import pytest
 
 from repro.config import CONFIG_A, CONFIG_B
 from repro.detailed import SimulationResult, TimingSimulator
-from repro.errors import SimulationError
+from repro.errors import TraceError
 
 
 @pytest.fixture(scope="module")
@@ -71,15 +71,9 @@ class TestRangeSimulation:
         assert warm.l1d_misses <= cold.l1d_misses
         assert warm.cycles <= cold.cycles
 
-    def test_simulate_point_with_warmup(self, simulator, small_trace):
-        total = small_trace.total_instructions
-        result = simulator.simulate_point(total // 2, total // 2 + 1500,
-                                          warmup=2000)
-        assert result.instructions >= 1500
-
     def test_empty_point_rejected(self, simulator):
-        with pytest.raises(SimulationError):
-            simulator.simulate_point(100, 100)
+        with pytest.raises(TraceError):
+            simulator.simulate_range(100, 100)
 
 
 class TestConfigSensitivity:

@@ -279,7 +279,6 @@ class TestEndToEndPlanIdentity:
             coarse_kmax=3,
             resample_threshold=3000,
             kmeans_seeds=2,
-            warmup_instructions=2000,
         )
 
     def _plans(self, trace, sampling, backend):
