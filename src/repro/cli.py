@@ -103,8 +103,8 @@ from .harness import (
     speedup_experiment,
     statistics_experiment,
 )
-from .harness.faults import active_faults
-from .harness.runner import BOTH_CONFIGS
+from .harness.faults import STAGE_ORDER, active_faults
+from .harness.runner import BOTH_CONFIGS, timing_summary
 from .samplers import registered_methods
 from .workloads import benchmark_names, load_trace
 from .workloads import sets as workload_sets
@@ -167,15 +167,30 @@ def _configure_logging(args: argparse.Namespace) -> None:
     logging.basicConfig(level=level, format="%(message)s")
 
 
+def format_timing(summary: dict) -> str:
+    """The ``--timing`` report of a :func:`timing_summary`."""
+    totals = summary["stage_totals"]
+    ordered = [stage for stage in STAGE_ORDER if stage in totals]
+    busy = sum(totals.values())
+    lines = [
+        f"timing: {summary['runs']} runs, jobs={summary['jobs']}, "
+        f"wall {summary['wall_seconds']:.2f}s, "
+        f"cache {summary['cache_hits']} hit / "
+        f"{summary['cache_misses']} miss"
+    ]
+    width = max((len(stage) for stage in ordered), default=5)
+    for stage in ordered:
+        seconds = totals[stage]
+        share = 100.0 * seconds / busy if busy else 0.0
+        lines.append(f"  {stage:<{width}}  {seconds:8.3f}s  {share:5.1f}%")
+    lines.append(f"  {'(stage total)':<{width}}  {busy:8.3f}s")
+    return "\n".join(lines)
+
+
 def _emit_timing(runner: ExperimentRunner, args: argparse.Namespace) -> None:
-    """Print and/or dump the per-stage timing report when requested."""
+    """Print the per-stage timing report when requested."""
     if getattr(args, "timing", False):
-        print(runner.timing.format_report())
-    timing_json = getattr(args, "timing_json", None)
-    if timing_json:
-        payload = runner.timing.to_dict()
-        Path(timing_json).write_text(json.dumps(payload, indent=2) + "\n")
-        print(f"[timing report written to {timing_json}]")
+        print(format_timing(timing_summary(runner.obs.tracer)))
 
 
 def _emit_obs(
@@ -835,8 +850,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="progress at INFO (-v) or DEBUG (-vv) level")
         p.add_argument("--timing", action="store_true",
                        help="print the per-stage timing report")
-        p.add_argument("--timing-json", metavar="FILE", default=None,
-                       help="dump the timing report as JSON to FILE")
         p.add_argument("--trace-out", metavar="FILE", default=None,
                        help="write the span/metric event log as JSONL to "
                             "FILE (inspect with `repro obs report`)")

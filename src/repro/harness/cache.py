@@ -99,9 +99,6 @@ class ResultCache:
         ).hexdigest()[:24]
         return self.directory / f"{digest}.json"
 
-    # Backwards-compatible internal alias.
-    _path = path_for
-
     def _quarantine(self, path: Path) -> None:
         """Move a corrupt entry aside (``*.json.corrupt``) so it is not
         re-read forever, and count it."""

@@ -72,7 +72,6 @@ from .recovery import (
     SuiteOutcome,
     assemble_outcome,
 )
-from .timing import SuiteTiming
 from .worker import PROTOCOL_VERSION, encode_task_payload, plugin_modules
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -523,7 +522,6 @@ class DispatchPool:
             return SuiteOutcome(())
         plugins = plugin_modules(runner.methods)
         metrics = runner.obs.metrics
-        runner.timing.jobs = max(runner.timing.jobs, self.workers)
         logger.info(
             "dispatching %d runs over %s", len(tasks), self.describe()
         )
@@ -557,9 +555,11 @@ class DispatchPool:
             """Fold a committed obs payload, atomically retiring the
             lease's streamed deltas so live scrapes never double count."""
             if plane is not None:
-                plane.live.resolve(lease_id, merge=lambda: _merge_obs(payload))
+                plane.live.resolve(
+                    lease_id, merge=lambda: runner.obs.merge_dict(payload)
+                )
             else:
-                _merge_obs(payload)
+                runner.obs.merge_dict(payload)
 
         inbox: "Queue[Tuple[int, Optional[str]]]" = Queue()
         fleet: Dict[int, _WorkerProc] = {}
@@ -608,12 +608,6 @@ class DispatchPool:
             target = min(self.workers, outstanding) if outstanding else 0
             while _usable() < target:
                 _spawn()
-
-        def _merge_obs(payload: Optional[dict]) -> None:
-            if not payload:
-                return
-            runner.timing.merge(SuiteTiming.from_dict(payload["timing"]))
-            runner.obs.merge_dict(payload)
 
         def _finalize_failure(index: int, failure: RunFailure) -> None:
             logger.warning("run failed: %s", failure.describe())

@@ -3,10 +3,11 @@
 The fault-tolerance machinery (:mod:`repro.harness.recovery`) is only
 trustworthy if every recovery path can be exercised on demand, in tests,
 reproducibly.  This module installs hooks at the pipeline's stage
-boundaries (see :meth:`SuiteTiming.stage`) and at the cache-publish point
-that fire on *chosen* ``(benchmark, attempt)`` pairs — never randomly —
-so a test that injects a fault sees exactly the same failure on every
-run, serial or parallel alike.
+boundaries (the runner calls :func:`fire_stage` as each stage span
+opens) and at the cache-publish point that fire on *chosen*
+``(benchmark, attempt)`` pairs — never randomly — so a test that
+injects a fault sees exactly the same failure on every run, serial or
+parallel alike.
 
 Faults are configured through the ``$REPRO_FAULTS`` environment variable,
 which crosses the process boundary to worker processes for free.  The value
@@ -31,7 +32,7 @@ is a semicolon-separated list of specs::
 * ``benchmark`` — benchmark name, or ``*`` for all.
 * ``stage`` — pipeline stage name (``trace_build``, ``profiling``,
   ``plan_construction``, ``detailed_simulation``, ``diagnostics``; see
-  :data:`~repro.harness.timing.STAGE_ORDER`), or ``*``; anything else is
+  :data:`STAGE_ORDER`), or ``*``; anything else is
   rejected, so a spec naming a renamed stage cannot silently never fire.
   Ignored for ``corrupt`` (which fires after the run publishes) and for
   the dispatch-level kinds (which fire at lease grant / task receipt,
@@ -59,9 +60,18 @@ from typing import Optional, Tuple
 
 from ..errors import FaultSpecError, InjectedFault
 from ..obs import FAULTS_INJECTED
-from .timing import STAGE_ORDER
 
 logger = logging.getLogger(__name__)
+
+#: Pipeline stage names in pipeline order (the ``--timing`` report
+#: renders in this order; stages a run never entered are absent).
+STAGE_ORDER = (
+    "trace_build",
+    "profiling",
+    "plan_construction",
+    "detailed_simulation",
+    "diagnostics",
+)
 
 #: Environment variable holding the fault specs.
 FAULTS_ENV = "REPRO_FAULTS"
@@ -194,7 +204,7 @@ def dispatch_fault(kind: str, benchmark: str, attempt: int) -> bool:
 
 
 def fire_stage(benchmark: str, stage: str) -> None:
-    """Fault hook at stage entry (called by :meth:`SuiteTiming.stage`)."""
+    """Fault hook at stage entry (the runner calls it as each stage opens)."""
     for spec in active_faults():
         if spec.kind not in STAGE_FAULT_KINDS:
             continue

@@ -182,9 +182,9 @@ class RunFailure:
     ) -> "RunFailure":
         """Build a failure record from a caught exception.
 
-        The failing stage comes from the marker the timing layer attaches
-        to exceptions that escape a stage context (see
-        :meth:`SuiteTiming.stage`).
+        The failing stage comes from the marker the runner attaches to
+        exceptions that escape a stage span (see
+        :meth:`ExperimentRunner._stage`).
         """
         return RunFailure(
             benchmark=benchmark,

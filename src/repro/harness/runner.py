@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import copy
 import logging
-import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ..config import (
     CONFIG_A,
@@ -39,9 +39,10 @@ from ..config import (
 from ..detailed.results import Deviation, Metrics, SimulationResult
 from ..detailed.timing import TimingSimulator
 from ..engine.trace import Trace, build_trace
-from ..errors import HarnessError
-from ..obs import ObsContext
+from ..errors import HarnessError, InjectedFault
+from ..obs import FAULTS_INJECTED, RUN_SECONDS, STAGE_SECONDS, ObsContext
 from ..obs.diag import DIAG_METRICS, MethodDiag, record_diag_metrics
+from ..obs.spans import Span, Tracer
 from ..samplers import PlanContext, get_sampler, registered_methods
 # simulate_point_set is not called here; benchmarks/e2e/layers.py wraps
 # it under this module's name, so the import stays.
@@ -55,7 +56,7 @@ from ..sampling.points import SamplingPlan
 from ..workloads.registry import benchmark_names, load_trace
 from .cache import ResultCache
 from .dispatch import DEFAULT_LEASE_TIMEOUT, DispatchPool, pool_for
-from .faults import corrupt_cache_entry
+from .faults import corrupt_cache_entry, current_attempt, fire_stage
 from .recovery import (
     DEFAULT_POLICY,
     FaultPolicy,
@@ -64,7 +65,6 @@ from .recovery import (
     SuiteOutcome,
     run_tasks_serial,
 )
-from .timing import RunTiming, SuiteTiming
 
 logger = logging.getLogger(__name__)
 
@@ -75,6 +75,39 @@ BASELINE_TAG = "baseline"
 #: snapshot of :func:`repro.samplers.registered_methods` (the registry is
 #: the source of truth; samplers registered later appear there, not here).
 ALL_METHODS: Tuple[str, ...] = registered_methods()
+
+
+def timing_summary(tracer: Tracer) -> dict:
+    """The ``--timing`` view of *tracer*'s spans.
+
+    Every ``run`` span (one per attempt, worker trees included once
+    merged) is a run, a full cache hit when it says so; its stage
+    children sum into ``stage_totals``.  Wall clock is the summed
+    duration of the ``suite`` spans, and ``jobs`` the widest worker
+    count any of them ran with.
+    """
+    runs = hits = 0
+    wall = 0.0
+    jobs = 1
+    stages: Dict[str, float] = {}
+    for span in tracer.spans():
+        if span.name == "suite":
+            wall += span.elapsed
+            jobs = max(jobs, span.attributes["jobs"])
+        elif span.name == "run":
+            runs += 1
+            hits += span.attributes["cache_hit"]
+            for stage in span.children:
+                seconds = stages.get(stage.name, 0.0)
+                stages[stage.name] = seconds + stage.elapsed
+    return {
+        "runs": runs,
+        "jobs": jobs,
+        "wall_seconds": wall,
+        "cache_hits": hits,
+        "cache_misses": runs - hits,
+        "stage_totals": stages,
+    }
 
 
 @dataclass(frozen=True)
@@ -286,9 +319,6 @@ class ExperimentRunner:
         #: keeps every telemetry hook a no-op.  Strictly out-of-band:
         #: results are identical with or without a plane.
         self.telemetry = None
-        #: Per-stage wall-clock records of every pipeline run (a
-        #: compatibility view over the obs span trees).
-        self.timing = SuiteTiming(obs=self.obs)
         self._traces: Dict[str, Trace] = {}
         self._plans: Dict[str, Dict[str, SamplingPlan]] = {}
         #: Per-benchmark clustering diagnostics captured while the plans
@@ -319,7 +349,6 @@ class ExperimentRunner:
     def plans(
         self,
         benchmark: str,
-        _record: Optional[RunTiming] = None,
         methods: Optional[Iterable[str]] = None,
     ) -> Dict[str, SamplingPlan]:
         """The requested sampling plans for *benchmark* (memoised).
@@ -329,9 +358,6 @@ class ExperimentRunner:
         :class:`~repro.samplers.SamplerSpec`), so incremental requests
         never re-cluster.  The returned dict is the per-benchmark memo —
         it accumulates every method ever requested for *benchmark*.
-
-        ``_record`` lets :meth:`run_benchmark` attribute the profiling and
-        plan-construction stages; external callers omit it.
         """
         requested = tuple(methods) if methods is not None else self.methods
         plans = self._plans.setdefault(benchmark, {})
@@ -351,17 +377,54 @@ class ExperimentRunner:
             any("fine" in spec.requires for spec in specs)
             and not context.has_fine_profile
         ):
-            with self.timing.stage(_record, "profiling"):
+            with self._stage(benchmark, "profiling"):
                 context.fine_profile()
         # The coarse samplers profile internally; their time lands in
         # plan_construction (the fine BBV pass dominates profiling cost).
-        with self.timing.stage(_record, "plan_construction"):
+        with self._stage(benchmark, "plan_construction"):
             for spec in specs:
                 plan, diag = spec.build_plan(context)
                 plans[spec.name] = plan
                 if diag is not None:
                     diags[spec.name] = diag
         return plans
+
+    @contextmanager
+    def _stage(self, benchmark: str, name: str) -> Iterator[Span]:
+        """Time one pipeline stage as a span (under the open run span).
+
+        Stage entry is the fault-injection hook site; an exception
+        escaping the stage is tagged with the stage name, so failure
+        records report where a run died.  The span's duration also
+        feeds the ``repro_stage_seconds`` histogram.
+        """
+        try:
+            with self.obs.tracer.span(name, attempt=current_attempt()) as span:
+                fire_stage(benchmark, name)
+                yield span
+        except BaseException as error:
+            if not hasattr(error, "_repro_stage"):
+                error._repro_stage = name
+            if isinstance(error, InjectedFault):
+                self.obs.metrics.counter(FAULTS_INJECTED, site="stage").inc()
+            raise
+        finally:
+            self.obs.metrics.histogram(
+                STAGE_SECONDS, stage=name
+            ).observe(span.duration)
+
+    @contextmanager
+    def _run_span(self, benchmark: str, config_name: str) -> Iterator[Span]:
+        """One attempt of one run as a span; its duration feeds the
+        ``repro_run_seconds`` histogram, on success and on error."""
+        try:
+            with self.obs.tracer.span(
+                "run", benchmark=benchmark, config=config_name,
+                attempt=current_attempt(), cache_hit=False,
+            ) as span:
+                yield span
+        finally:
+            self.obs.metrics.histogram(RUN_SECONDS).observe(span.duration)
 
     # ------------------------------------------------------------------
     def _cache_key(self, benchmark: str, config: MachineConfig) -> str:
@@ -396,7 +459,7 @@ class ExperimentRunner:
         cached baseline and stops at the last new range end — and
         re-publishes the merged entry.
         """
-        with self.timing.run(benchmark, config.name) as record:
+        with self._run_span(benchmark, config.name) as span:
             key = self._cache_key(benchmark, config)
             payload = self.cache.get(key)
             cached = BenchmarkRun.from_dict(payload) if payload else None
@@ -406,7 +469,7 @@ class ExperimentRunner:
                     if name not in cached.methods
                 ]
                 if not compute:
-                    record.cache_hit = True
+                    span.set(cache_hit=True)
                     logger.debug(
                         "[%s] %s: cache hit", config.name, benchmark
                     )
@@ -433,12 +496,12 @@ class ExperimentRunner:
                     methods=len(compute),
                 )
 
-            with self.timing.stage(record, "trace_build"):
+            with self._stage(benchmark, "trace_build"):
                 trace = self.trace(benchmark)
-            plans = self.plans(benchmark, record, methods=compute)
+            plans = self.plans(benchmark, methods=compute)
             diags = self._diag_copies(benchmark, compute)
 
-            with self.timing.stage(record, "detailed_simulation"):
+            with self._stage(benchmark, "detailed_simulation"):
                 simulator = TimingSimulator(
                     trace, config, metrics=self.obs.metrics
                 )
@@ -471,7 +534,7 @@ class ExperimentRunner:
                     )
 
             if self.diagnostics:
-                with self.timing.stage(record, "diagnostics"):
+                with self._stage(benchmark, "diagnostics"):
                     self._diagnose(diags, plans, results, baseline, methods)
 
             merged_methods = dict(cached.methods) if cached else {}
@@ -704,15 +767,15 @@ class ExperimentRunner:
                 resumed=len(preloaded), jobs=jobs,
                 backend=pool.describe() if pool is not None else "serial",
             )
-        began = time.perf_counter()
         try:
             # The suite span is the parent of every run span below it —
             # serial runs nest directly; worker span trees are grafted
-            # under it as their payloads merge.
+            # under it as their payloads merge.  Its ``jobs`` is the
+            # worker count the runs actually got (1 when serial).
             with self.obs.tracer.span(
                 "suite",
                 config=config.name,
-                jobs=jobs,
+                jobs=pool.workers if remaining and pool is not None else 1,
                 benchmarks=len(remaining),
                 resumed=len(preloaded),
             ):
@@ -729,7 +792,6 @@ class ExperimentRunner:
                 else:
                     executed = SuiteOutcome(())
         finally:
-            self.timing.wall_seconds += time.perf_counter() - began
             if plane is not None:
                 plane.progress.end_suite()
                 plane.events.emit("suite_end", config=config.name)

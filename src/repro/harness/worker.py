@@ -141,7 +141,7 @@ def plugin_modules(methods: Sequence[str]) -> List[str]:
 def _worker_obs(
     runner: "ExperimentRunner", worker: Optional[str] = None
 ) -> dict:
-    """A worker's observability shipment: timing view + spans + metrics.
+    """A worker's observability shipment: span trees + metrics.
 
     Each shipped root span is stamped with the executing host/pid (and
     the dispatch worker id, when there is one) so the stitched campaign
@@ -152,11 +152,7 @@ def _worker_obs(
         attributes["worker"] = worker
     for root in runner.obs.tracer.roots:
         root.set(**attributes)
-    return {
-        "timing": runner.timing.to_dict(),
-        "spans": runner.obs.tracer.to_payload(),
-        "metrics": runner.obs.metrics.to_dict(),
-    }
+    return runner.obs.to_dict()
 
 
 def _worker_run(
@@ -169,7 +165,7 @@ def _worker_run(
     ``("ok", run_payload, obs_payload)`` or — when the pipeline raises
     a library error — ``("error", info)`` with the exception class,
     message, traceback, failing stage and the worker's observability
-    records (timing view, span trees, metrics), so the dispatcher can
+    records (span trees, metrics), so the dispatcher can
     retry or record the failure.  Non-library exceptions (genuine bugs)
     propagate, exactly as on the serial path.
 

@@ -3,8 +3,8 @@
 The measurement substrate under every performance claim the harness
 makes.  Four pieces:
 
-* :mod:`repro.obs.spans` — hierarchical span tracer (context-manager /
-  decorator API, monotonic clocks, parent/child nesting, cross-process
+* :mod:`repro.obs.spans` — hierarchical span tracer (context-manager
+  API, monotonic clocks, parent/child nesting, cross-process
   serialisation);
 * :mod:`repro.obs.metrics` — counters, gauges and fixed-bucket
   histograms with multi-process merge semantics;
@@ -106,7 +106,7 @@ from .metrics import (
     register_help,
 )
 from .serve import TelemetryServer
-from .spans import Span, Tracer, traced
+from .spans import Span, Tracer
 from .stream import (
     DEFAULT_STREAM_INTERVAL,
     LiveRegistry,
@@ -193,7 +193,6 @@ __all__ = [
     "render_prometheus",
     "trace_records",
     "trace_report_json",
-    "traced",
     "write_folded",
     "write_prometheus",
     "write_trace_jsonl",

@@ -94,6 +94,7 @@ class RunManifest:
     ) -> "RunManifest":
         """Snapshot *runner*'s invocation (call after the work finished)."""
         from ..harness.faults import FAULTS_ENV
+        from ..harness.runner import timing_summary
         from ..workloads.registry import get_spec
 
         names = list(names)
@@ -103,6 +104,7 @@ class RunManifest:
                 seeds[name] = get_spec(name).seed
             except Exception:  # unknown name: leave it out of the seeds
                 pass
+        timing = timing_summary(runner.obs.tracer)
         outcome_payload: Dict[str, object] = {
             "completed": len(outcome.runs) if outcome is not None else 0,
             "failed": len(outcome.failures) if outcome is not None else 0,
@@ -110,9 +112,9 @@ class RunManifest:
                 [f.describe() for f in outcome.failures]
                 if outcome is not None else []
             ),
-            "wall_seconds": runner.timing.wall_seconds,
-            "cache_hits": runner.timing.cache_hits,
-            "cache_misses": runner.timing.cache_misses,
+            "wall_seconds": timing["wall_seconds"],
+            "cache_hits": timing["cache_hits"],
+            "cache_misses": timing["cache_misses"],
         }
         host = host_fingerprint()
         return RunManifest(
@@ -130,7 +132,7 @@ class RunManifest:
             methods=list(runner.methods),
             benchmarks=names,
             seeds=seeds,
-            jobs=runner.timing.jobs,
+            jobs=timing["jobs"],
             fault_spec=os.environ.get(FAULTS_ENV, ""),
             policy={
                 "max_retries": runner.policy.max_retries,

@@ -10,12 +10,10 @@ ordered coarsely in reports.
 
 The tracer is deliberately tiny and dependency-free:
 
-* ``with tracer.span("baseline", benchmark="gzip"):`` times a block and
-  nests it under the innermost active ``span()`` context;
+* ``with tracer.span("detailed_simulation", attempt=0):`` times a
+  block and nests it under the innermost active ``span()`` context;
 * :meth:`Tracer.start_span` opens a span *without* entering a context —
-  callers that cannot use ``with`` (the timing shim's run records) end
-  it explicitly via :meth:`Span.end`;
-* :func:`traced` wraps a function in a span;
+  for an instant record the caller ends at once via :meth:`Span.end`;
 * span trees serialise to plain dicts (:meth:`Span.to_dict`) and back,
   which is how parallel workers ship their trees to the suite driver —
   :meth:`Tracer.merge_payload` re-attaches them under the driver's
@@ -37,13 +35,9 @@ one coherent cross-process trace per campaign.
 
 from __future__ import annotations
 
-import functools
 import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
-
-#: Sentinel meaning "parent is the innermost active span context".
-CURRENT = object()
+from typing import Any, Dict, Iterator, List, Optional
 
 
 class Span:
@@ -204,18 +198,10 @@ class Tracer:
             "origin": origin,
         }
 
-    def start_span(
-        self, name: str, parent: Any = CURRENT, **attributes: Any
-    ) -> Span:
-        """Open a span without entering a context (end it explicitly).
-
-        *parent* defaults to the innermost active context; pass ``None``
-        to force a root, or an explicit :class:`Span` to attach elsewhere
-        (the timing shim parents stage spans under their run span this
-        way).
-        """
-        if parent is CURRENT:
-            parent = self.current()
+    def start_span(self, name: str, **attributes: Any) -> Span:
+        """Open a span under the innermost active context (or as a
+        root outside any) without entering it; end it explicitly."""
+        parent = self.current()
         span = Span(name, attributes)
         self._serial += 1
         span.span_id = f"{self.origin}:{self._serial}"
@@ -229,11 +215,9 @@ class Tracer:
         return span
 
     @contextmanager
-    def span(
-        self, name: str, parent: Any = CURRENT, **attributes: Any
-    ) -> Iterator[Span]:
+    def span(self, name: str, **attributes: Any) -> Iterator[Span]:
         """Context manager: time the block as a span, nest children."""
-        span = self.start_span(name, parent=parent, **attributes)
+        span = self.start_span(name, **attributes)
         self._stack.append(span)
         try:
             yield span
@@ -255,15 +239,12 @@ class Tracer:
         """Serialise all root trees (worker -> driver)."""
         return [root.to_dict() for root in self.roots]
 
-    def merge_payload(
-        self, payload: Optional[List[dict]], parent: Any = CURRENT
-    ) -> None:
-        """Attach serialised root trees under *parent* (default: the
-        innermost active span, or as new roots outside any context)."""
+    def merge_payload(self, payload: Optional[List[dict]]) -> None:
+        """Attach serialised root trees under the innermost active span
+        (or as new roots outside any context)."""
         if not payload:
             return
-        if parent is CURRENT:
-            parent = self.current()
+        parent = self.current()
         for item in payload:
             span = Span.from_dict(item)
             if parent is not None:
@@ -277,29 +258,3 @@ class Tracer:
                 parent.children.append(span)
             else:
                 self.roots.append(span)
-
-
-def traced(
-    tracer_of: Callable[..., Tracer], name: Optional[str] = None
-) -> Callable:
-    """Decorator: run the wrapped method inside a span.
-
-    *tracer_of* maps the call's ``self`` to its :class:`Tracer` (methods
-    carry their tracer on the instance; free functions can close over
-    one)::
-
-        @traced(lambda self: self.obs.tracer, "rebalance")
-        def rebalance(self): ...
-    """
-
-    def decorate(function: Callable) -> Callable:
-        span_name = name if name is not None else function.__name__
-
-        @functools.wraps(function)
-        def wrapper(self, *args: Any, **kwargs: Any):
-            with tracer_of(self).span(span_name):
-                return function(self, *args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -9,7 +9,8 @@ from repro.errors import (
     HarnessError,
     ReproError,
 )
-from repro.harness.faults import FAULTS_ENV
+from repro.harness.faults import FAULTS_ENV, STAGE_ORDER
+from repro.workloads import benchmark_names
 
 
 class TestParser:
@@ -63,11 +64,11 @@ class TestParser:
         ).verbose == 2
 
     def test_timing_flags(self):
-        args = build_parser().parse_args(
-            ["suite", "--timing", "--timing-json", "t.json"]
-        )
+        args = build_parser().parse_args(["suite", "--timing"])
         assert args.timing
-        assert args.timing_json == "t.json"
+        # One timing option: the JSON numbers come from the trace.
+        assert [k for k in vars(args) if k.startswith("timing")] == \
+            ["timing"]
 
     def test_fault_flags(self):
         args = build_parser().parse_args(
@@ -171,6 +172,45 @@ class TestExecution:
         assert "suite summary" in out
         assert "jobs=2" in out
         assert "plan_construction" in out
+
+    @staticmethod
+    def _timing_report(capsys, monkeypatch, cache, *extra):
+        """(run count, cache counts, stage row names) of a quick suite's
+        ``--timing`` report; jobs and wall clock are left out."""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        code = main(["--scale", "0.05", "suite", "--quick", "--timing",
+                     *extra])
+        assert code == 0
+        out = capsys.readouterr().out
+        lines = out[out.index("timing: "):].splitlines()
+        head, _, cache_counts = lines[0].partition(", wall ")
+        head = head.split(", jobs=")[0]
+        cache_counts = cache_counts.split(", ", 1)[1]
+        stages = [line.split()[0] for line in lines[1:-1]]
+        return head, cache_counts, stages
+
+    def test_timing_report_agrees_across_backends(self, capsys, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        n = len(benchmark_names(quick=True))
+        for label, extra in (("serial", ()), ("jobs2", ("--jobs", "2"))):
+            cache = tmp_path / label
+            cold = self._timing_report(capsys, monkeypatch, cache, *extra)
+            assert cold == (f"timing: {n} runs", f"cache 0 hit / {n} miss",
+                            list(STAGE_ORDER))
+            warm = self._timing_report(capsys, monkeypatch, cache, *extra)
+            assert warm == (f"timing: {n} runs", f"cache {n} hit / 0 miss",
+                            [])
+            # A failed attempt is a run of its own.
+            monkeypatch.setenv(FAULTS_ENV, "raise:gzip:detailed_simulation:0")
+            retried = self._timing_report(
+                capsys, monkeypatch, tmp_path / f"{label}-fault",
+                "--retries", "1", *extra,
+            )
+            monkeypatch.delenv(FAULTS_ENV)
+            assert retried == (f"timing: {n + 1} runs",
+                               f"cache 0 hit / {n + 1} miss",
+                               list(STAGE_ORDER))
 
     def test_fig1_experiment(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

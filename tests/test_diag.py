@@ -186,8 +186,8 @@ class TestRoundTrips:
         run = runner.run_benchmark("gzip", CONFIG_A)
         assert run.diagnostics == {}
         assert diag_views(runner.obs.metrics) == {}
-        (record,) = runner.timing.runs
-        assert "diagnostics" not in record.stages
+        (run,) = runner.obs.tracer.roots
+        assert "diagnostics" not in {c.name for c in run.children}
 
 
 class TestClusterQuality:

@@ -126,8 +126,7 @@ class TestMethodSetCache:
         sub = self._runner(tmp_path, test_sampling, ("coasts",))
         run = sub.run_benchmark("gzip", CONFIG_A)
         assert tuple(run.methods) == ("coasts",)
-        record = sub.timing.runs[-1]
-        assert record.cache_hit
+        assert sub.obs.tracer.roots[-1].attributes["cache_hit"]
 
     def test_extension_computes_only_missing(self, tmp_path,
                                              test_sampling):
@@ -158,7 +157,7 @@ class TestMethodSetCache:
                              ("coasts", "ranked_set"))
         run = again.run_benchmark("gzip", CONFIG_A)
         assert set(run.methods) == {"coasts", "ranked_set"}
-        assert again.timing.runs[-1].cache_hit
+        assert again.obs.tracer.roots[-1].attributes["cache_hit"]
 
 
 class TestResultCache:

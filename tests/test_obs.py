@@ -6,7 +6,7 @@ semantics, multi-process merge, Prometheus exposition), the exporters
 (JSONL round-trip, report rendering), run manifests, and the
 instrumented harness: span trees across retried runs, parallel metrics
 equal to serial ones, cache counters surfaced through the registry, and
-the byte-level shape of the ``--timing-json`` compatibility view.
+the manifest outcome read from the run and suite spans.
 """
 
 import json
@@ -78,14 +78,6 @@ class TestSpans:
         assert span.status == "error"
         assert span.error == "ValueError"
         assert span.ended
-
-    def test_start_span_explicit_parent(self):
-        tracer = Tracer()
-        run = tracer.start_span("run")
-        stage = tracer.start_span("baseline", parent=run)
-        root = tracer.start_span("other", parent=None)
-        assert run.children == [stage]
-        assert tracer.roots == [run, root]
 
     def test_end_is_idempotent(self):
         span = Span("x")
@@ -395,43 +387,30 @@ class TestHarnessInstrumentation:
         cache.bind_metrics(shared)  # idempotent: no double counting
         assert cache.hits == 3
 
-    def test_timing_json_layout_is_stable(self, tmp_path, test_sampling,
-                                          monkeypatch):
-        """Golden structural pin of the --timing-json payload.
-
-        The timing module is now a shim over spans; this locks the
-        serialised shape old consumers parse.
-        """
+    def test_manifest_outcome_agrees_with_run_spans(
+            self, tmp_path, test_sampling, monkeypatch):
+        """The manifest's outcome layout, and its cache and wall numbers
+        read from the same run and suite spans ``--timing`` renders."""
         monkeypatch.delenv(FAULTS_ENV, raising=False)
         runner = _runner(test_sampling, tmp_path / "cache")
         runner.run_suite(CONFIG_A, names=["gzip"], journal=False)
-        payload = runner.timing.to_dict()
-        assert sorted(payload) == [
-            "cache_hits", "cache_misses", "jobs", "runs", "stage_totals",
-            "wall_seconds",
-        ]
-        (run,) = payload["runs"]
-        assert sorted(run) == [
-            "benchmark", "cache_hit", "config_name", "stages",
-            "total_seconds",
-        ]
-        assert run["benchmark"] == "gzip"
-        assert run["cache_hit"] is False
-        assert set(run["stages"]) == {
-            "trace_build", "profiling", "plan_construction",
-            "detailed_simulation", "diagnostics",
-        }
-        assert all(
-            isinstance(v, float) and v >= 0 for v in run["stages"].values()
+        outcome = runner.run_suite(CONFIG_A, names=["gzip"], journal=False)
+        manifest = RunManifest.collect(
+            runner, config=CONFIG_A, names=["gzip"], outcome=outcome
         )
-        assert run["total_seconds"] > 0
-        # Span identity (span_id/parent_id/trace_id, the stitched-trace
-        # fields) must not leak into the compatibility view: the shim's
-        # serialised shape is unchanged by the id fields.
-        id_fields = {"span_id", "parent_id", "trace_id", "id", "parent"}
-        assert id_fields.isdisjoint(payload)
-        assert id_fields.isdisjoint(run)
-        assert id_fields.isdisjoint(run["stages"])
+        assert sorted(manifest.outcome) == [
+            "cache_hits", "cache_misses", "completed", "failed",
+            "failures", "wall_seconds",
+        ]
+        spans = list(runner.obs.tracer.spans())
+        runs = [s for s in spans if s.name == "run"]
+        assert manifest.outcome["cache_hits"] + \
+            manifest.outcome["cache_misses"] == len(runs) == 2
+        assert manifest.outcome["cache_hits"] == 1
+        assert manifest.outcome["wall_seconds"] == sum(
+            s.duration for s in spans if s.name == "suite"
+        )
+        assert manifest.jobs == 1
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ Covers four areas introduced together: (1) the process-parallel
 cache must survive concurrent writers, (3) the vectorized BBV/timing hot
 paths are pinned to numerics captured before the vectorization (the
 rewrites claim bit-identity, so comparisons are exact), and (4) the
-per-stage timing records that ride along with every run.
+run and stage spans every run records, and the timing view over them.
 """
 
 import hashlib
@@ -18,15 +18,16 @@ import pytest
 from repro.config import CONFIG_A
 from repro.detailed import TimingSimulator
 from repro.errors import HarnessError
+from repro.cli import format_timing
 from repro.harness import (
     CACHE_SCHEMA_VERSION,
     ExperimentRunner,
     ResultCache,
-    RunTiming,
-    SuiteTiming,
     resolve_jobs,
 )
-from repro.harness.timing import STAGE_ORDER
+from repro.harness.faults import STAGE_ORDER
+from repro.harness.runner import timing_summary
+from repro.obs import ObsContext
 from repro.sampling.estimate import simulate_point_set
 
 from .conftest import TEST_SCALE
@@ -47,6 +48,10 @@ def _suite_payload(sampling, cache_dir, jobs):
     return runner, payload
 
 
+def _run_spans(runner):
+    return [s for s in runner.obs.tracer.spans() if s.name == "run"]
+
+
 class TestParallelSuite:
     def test_parallel_byte_identical_to_serial(self, tmp_path,
                                                test_sampling):
@@ -59,18 +64,21 @@ class TestParallelSuite:
         # Results must come back in task order, not completion order.
         order = [json.loads(p)["benchmark"] for p in parallel]
         assert order == list(SUITE_NAMES)
-        assert parallel_runner.timing.jobs == 2
+        assert timing_summary(parallel_runner.obs.tracer)["jobs"] == 2
 
     def test_worker_timing_merged_into_parent(self, tmp_path,
                                               test_sampling):
         runner, _ = _suite_payload(test_sampling, tmp_path, jobs=2)
-        assert len(runner.timing.runs) == len(SUITE_NAMES)
-        covered = {r.benchmark for r in runner.timing.runs}
+        runs = _run_spans(runner)
+        assert len(runs) == len(SUITE_NAMES)
+        covered = {run.attributes["benchmark"] for run in runs}
         assert covered == set(SUITE_NAMES)
-        for record in runner.timing.runs:
-            assert set(record.stages) == set(STAGE_ORDER)
-        assert runner.timing.cache_misses == len(SUITE_NAMES)
-        assert runner.timing.cache_hits == 0
+        for run in runs:
+            assert [c.name for c in run.children] == list(STAGE_ORDER)
+            assert run.attributes["cache_hit"] is False
+        summary = timing_summary(runner.obs.tracer)
+        assert summary["cache_misses"] == len(SUITE_NAMES)
+        assert summary["cache_hits"] == 0
 
     def test_parallel_run_hits_shared_cache(self, tmp_path, test_sampling):
         _suite_payload(test_sampling, tmp_path, jobs=2)
@@ -79,7 +87,11 @@ class TestParallelSuite:
         _, serial = _suite_payload(test_sampling,
                                    tmp_path / "fresh", jobs=1)
         assert second == serial
-        assert runner.timing.cache_hits == len(SUITE_NAMES)
+        runs = _run_spans(runner)
+        assert len(runs) == len(SUITE_NAMES)
+        assert all(run.attributes["cache_hit"] for run in runs)
+        assert timing_summary(runner.obs.tracer)["cache_hits"] == \
+            len(SUITE_NAMES)
 
     def test_resolve_jobs(self):
         assert resolve_jobs(3) == 3
@@ -91,6 +103,23 @@ class TestParallelSuite:
     def test_negative_jobs_rejected_at_construction(self):
         with pytest.raises(HarnessError):
             ExperimentRunner(jobs=-2)
+
+    def test_suite_span_records_effective_jobs(self, tmp_path,
+                                               test_sampling):
+        # jobs=0 means one worker per CPU; a single remaining run stays
+        # in-process however many workers were asked for.
+        runner, _ = _suite_payload(test_sampling, tmp_path, jobs=0)
+        (suite,) = runner.obs.tracer.roots
+        assert suite.attributes["jobs"] == resolve_jobs(0)
+        single = ExperimentRunner(
+            sampling=test_sampling,
+            cache=ResultCache(directory=tmp_path),
+            workload_scale=TEST_SCALE,
+        )
+        single.run_suite(CONFIG_A, names=["gzip"], jobs=4)
+        (suite,) = single.obs.tracer.roots
+        assert suite.attributes["jobs"] == 1
+        assert timing_summary(single.obs.tracer)["jobs"] == 1
 
 
 def _hammer_cache(payload):
@@ -261,64 +290,87 @@ class TestVectorizedGoldens:
 
 
 class TestTimingRecords:
-    def test_stage_context_accumulates(self):
-        timing = SuiteTiming()
-        record = timing.start_run("gzip", "config_a")
-        with timing.stage(record, "trace_build"):
-            pass
-        with timing.stage(record, "trace_build"):
-            pass
-        assert record.stages["trace_build"] >= 0.0
-        assert timing.runs == [record]
-
-    def test_stage_noop_without_record(self):
-        timing = SuiteTiming()
-        with timing.stage(None, "profiling"):
-            pass
-        assert timing.runs == []
-
-    def test_roundtrip(self):
-        timing = SuiteTiming()
-        timing.jobs = 3
-        record = timing.start_run("mcf", "config_b")
-        record.add_stage("baseline", 1.25)
-        record.cache_hit = True
-        record.total_seconds = 1.5
-        clone = SuiteTiming.from_dict(timing.to_dict())
-        assert clone.jobs == 3
-        assert clone.cache_hits == 1
-        assert clone.runs[0].stages == {"baseline": 1.25}
-        assert clone.runs[0].to_dict() == record.to_dict()
-
-    def test_merge_combines_runs(self):
-        left, right = SuiteTiming(), SuiteTiming()
-        left.start_run("gzip", "config_a").add_stage("baseline", 1.0)
-        right.start_run("mcf", "config_a").add_stage("baseline", 2.0)
-        right.runs[0].cache_hit = True
-        left.merge(right)
-        assert [r.benchmark for r in left.runs] == ["gzip", "mcf"]
-        assert left.stage_totals()["baseline"] == 3.0
-        assert (left.cache_hits, left.cache_misses) == (1, 1)
-
-    def test_report_lists_stages(self):
-        timing = SuiteTiming()
-        record = timing.start_run("gzip", "config_a")
-        for stage in STAGE_ORDER:
-            record.add_stage(stage, 0.5)
-        report = timing.format_report()
-        for stage in STAGE_ORDER:
-            assert stage in report
-
-    def test_run_benchmark_records_all_stages(self, tmp_path,
-                                              test_sampling):
-        runner = ExperimentRunner(
+    def _runner(self, test_sampling, tmp_path):
+        return ExperimentRunner(
             sampling=test_sampling,
             cache=ResultCache(directory=tmp_path),
             workload_scale=TEST_SCALE,
         )
+
+    def test_stage_context_accumulates(self, test_sampling, tmp_path):
+        runner = self._runner(test_sampling, tmp_path)
+        with runner._run_span("gzip", "config_a"):
+            with runner._stage("gzip", "trace_build") as first:
+                pass
+            with runner._stage("gzip", "trace_build") as second:
+                pass
+        (run,) = runner.obs.tracer.roots
+        assert run.children == [first, second]
+        totals = timing_summary(runner.obs.tracer)["stage_totals"]
+        assert totals == {"trace_build": first.duration + second.duration}
+
+    def test_stage_noop_without_record(self, test_sampling, tmp_path):
+        # Plans built outside any run are timed, but are not a run.
+        runner = self._runner(test_sampling, tmp_path)
+        runner.plans("gzip")
+        assert [s.name for s in runner.obs.tracer.roots] == [
+            "profiling", "plan_construction",
+        ]
+        summary = timing_summary(runner.obs.tracer)
+        assert summary["runs"] == 0
+        assert summary["stage_totals"] == {}
+
+    def test_roundtrip(self, test_sampling, tmp_path):
+        # Worker -> driver: the view survives span serialisation.
+        runner = self._runner(test_sampling, tmp_path)
+        runner.run_benchmark("mcf", CONFIG_A)
+        runner.run_benchmark("mcf", CONFIG_A)
+        clone = ObsContext()
+        clone.merge_dict(runner.obs.to_dict())
+        assert timing_summary(clone.tracer) == \
+            timing_summary(runner.obs.tracer)
+        assert timing_summary(clone.tracer)["cache_hits"] == 1
+
+    def test_merge_combines_runs(self):
+        left, right = ObsContext(), ObsContext()
+        with left.tracer.span("run", benchmark="gzip", cache_hit=False):
+            with left.tracer.span("trace_build") as gzip_stage:
+                pass
+        with right.tracer.span("run", benchmark="mcf", cache_hit=True):
+            with right.tracer.span("trace_build") as mcf_stage:
+                pass
+        with left.tracer.span("suite", jobs=3):
+            left.merge_dict(right.to_dict())
+        summary = timing_summary(left.tracer)
+        assert summary["runs"] == 2
+        assert (summary["cache_hits"], summary["cache_misses"]) == (1, 1)
+        assert summary["jobs"] == 3
+        assert summary["stage_totals"]["trace_build"] == \
+            gzip_stage.duration + mcf_stage.duration
+
+    def test_report_lists_stages(self):
+        summary = {
+            "runs": 2, "jobs": 3, "wall_seconds": 1.5, "cache_hits": 1,
+            "cache_misses": 1,
+            "stage_totals": {stage: 0.5 for stage in reversed(STAGE_ORDER)},
+        }
+        lines = format_timing(summary).splitlines()
+        assert lines[0] == \
+            "timing: 2 runs, jobs=3, wall 1.50s, cache 1 hit / 1 miss"
+        assert [line.split()[0] for line in lines[1:-1]] == \
+            list(STAGE_ORDER)
+        assert lines[1] == "  trace_build             0.500s   20.0%"
+        assert lines[-1] == "  (stage total)           2.500s"
+
+    def test_run_benchmark_records_all_stages(self, tmp_path,
+                                              test_sampling):
+        runner = self._runner(test_sampling, tmp_path)
         runner.run_benchmark("gzip", CONFIG_A)
-        (record,) = runner.timing.runs
-        assert set(record.stages) == set(STAGE_ORDER)
-        assert not record.cache_hit
+        (run,) = runner.obs.tracer.roots
+        assert run.name == "run"
+        assert [c.name for c in run.children] == list(STAGE_ORDER)
+        assert run.attributes["cache_hit"] is False
         runner.run_benchmark("gzip", CONFIG_A)
-        assert isinstance(RunTiming.from_dict(record.to_dict()), RunTiming)
+        rerun = runner.obs.tracer.roots[-1]
+        assert rerun.attributes["cache_hit"] is True
+        assert rerun.children == []

@@ -36,9 +36,8 @@ from repro.harness import (
     speedup_experiment,
     suite_fingerprint,
 )
-from repro.harness.faults import FAULTS_ENV, FaultSpec
+from repro.harness.faults import FAULTS_ENV, STAGE_ORDER, FaultSpec
 from repro.harness.recovery import assemble_outcome, run_deadline
-from repro.harness.timing import STAGE_ORDER
 
 from .conftest import TEST_SCALE
 
@@ -489,7 +488,8 @@ class TestResume:
         resumed = second.run_suite(CONFIG_A, names=SUITE_NAMES,
                                    resume=True, journal=journal_path)
         assert resumed.ok
-        assert [r.benchmark for r in second.timing.runs] == ["mcf"]
+        runs = [s for s in second.obs.tracer.spans() if s.name == "run"]
+        assert [r.attributes["benchmark"] for r in runs] == ["mcf"]
         assert _payload(resumed) == clean_payload
 
     def test_non_resume_resets_the_journal(
