@@ -5,7 +5,7 @@ the speed half so it cannot silently rot.  Three pieces:
 
 * :mod:`repro.bench.suite` — the declarative benchmark suite: k-means
   sweep, signature build, coarse+fine two-level planning, and the
-  detailed-timing segment loop, each naming which kernel backends it
+  detailed timing walk, each naming which kernel backends it
   exercises;
 * :mod:`repro.bench.runner` — warm-up + measured repetitions, timed via
   the observability span tracer, yielding per-case best/mean seconds and

@@ -5,8 +5,9 @@ payload-consuming kernel, and the analysis backends it is measured
 under.  Cases that exercise the backend-switchable analysis kernels run
 under both ``vectorized`` and ``scalar`` so the runner can report their
 speedup ratio — the host-portable number CI asserts on.  Cases whose
-cost lives outside the analysis layer (the detailed-timing segment
-loop) run vectorized-only and contribute wall-clock trend data.
+cost lives outside the analysis layer (the detailed timing walk over
+int piece bounds with per-kind statics) run vectorized-only and
+contribute wall-clock trend data.
 
 Kernel-shaped cases (k-means sweep, signature build) use fixed synthetic
 inputs modelled on SimPoint's real shapes — projected 15-dim BBVs, 4
@@ -181,9 +182,10 @@ def _run_ranked_set(payload, backend: str) -> None:
 
 
 # ----------------------------------------------------------------------
-# detailed timing: the block-level OoO segment loop over the whole
-# trace (the "original sim-outorder" cost every speedup is quoted
-# against).  Backend-independent: measured vectorized-only.
+# detailed timing: the block-level OoO walk (int piece bounds, per-kind
+# statics) over the whole trace (the "original sim-outorder" cost every
+# speedup is quoted against).  Backend-independent: measured
+# vectorized-only.
 
 def _setup_detailed(scale: float) -> Trace:
     return _bench_trace(scale)
@@ -264,7 +266,7 @@ BENCH_SUITE: Tuple[BenchCase, ...] = (
     ),
     BenchCase(
         name="detailed_timing",
-        description="detailed timing segment loop, full gzip trace",
+        description="array-native detailed timing walk, full gzip trace",
         backends=("vectorized",),
         setup=_setup_detailed,
         run=_run_detailed,

@@ -18,6 +18,13 @@ Load miss penalties are de-rated by a memory-level-parallelism factor
 derived from the LSQ depth.  All quantities are deterministic; fractional
 expected counts (occupancy hits, statistical mispredicts) accumulate as
 floats.
+
+The walk is array-native: everything static about a segment depends only
+on its *kind* (block sequence, and whether it is a loop body), so the
+simulator builds one statics record per kind when it is constructed and
+walks plain ``(segment, rep offset, reps)`` ints from
+:meth:`Trace.piece_bounds` — no :class:`~repro.engine.trace.Segment` view
+is ever materialised.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..config import MachineConfig
-from ..engine.trace import SegmentPiece, Trace
+from ..engine.trace import Trace
 from ..obs import DETAILED_CALLS, DETAILED_INSTRUCTIONS, MetricsRegistry
 from ..uarch.branch import (
     advance_loop_branch,
@@ -64,17 +71,23 @@ class _BlockMemory:
 
 
 @dataclass
-class _SegmentStatics:
-    """Per-segment constants hoisted out of the piece-simulation loop.
+class _KindStatics:
+    """Per-kind constants hoisted out of the piece-simulation loop.
+
+    A segment's *kind* is its block sequence plus whether it is a loop
+    body (``loop_id >= 0``): everything here depends on nothing else, so
+    the simulator builds one record per kind up front — a trace has tens
+    of kinds against tens of thousands of segments — and the walk looks
+    it up by the segment's kind index.
 
     Everything that does not depend on machine state is reduced to batch
-    quantities once per segment: instructions and steady-state cycles per
-    rep, and the aggregate expected-mispredict rate of the segment's
-    data-dependent branches (stationary rates touch no predictor state, so
-    their per-rep sum folds into one multiply per piece).  Only the
-    state-carrying accesses — instruction fetch, data hierarchy, the loop
-    back-edge counter — remain in the per-block loop, in the exact order
-    the scalar loop used, so machine-state evolution is unchanged.
+    quantities: instructions and steady-state cycles per rep, and the
+    aggregate expected-mispredict rate of the kind's data-dependent
+    branches (stationary rates touch no predictor state, so their per-rep
+    sum folds into one multiply per piece).  Only the state-carrying
+    accesses — instruction fetch, data hierarchy, the loop back-edge
+    counter — remain in the per-block loop, in the exact order the
+    scalar loop used, so machine-state evolution is unchanged.
     """
 
     rep_insts: int
@@ -108,6 +121,9 @@ class MachineState:
 class TimingSimulator:
     """Detailed timing simulation of (ranges of) one trace.
 
+    Construction reduces the trace to per-kind statics (see
+    :class:`_KindStatics`) plus each segment's kind index and rep count,
+    so a range walk touches only ints, lists and those records.
     *metrics* hooks the simulator into an observability registry at
     coarse granularity — one bump per :meth:`simulate_range` call, never
     inside the per-piece loop.  A private registry is used when none is
@@ -179,44 +195,57 @@ class TimingSimulator:
                 else 0.0
             )
         self._code_lines = len(code_lines)
-        self._seg_statics: List[Optional[_SegmentStatics]] = \
-            [None] * trace.n_segments
 
-    def _statics_of(self, seg_index: int) -> _SegmentStatics:
-        """The (lazily built, memoised) statics of segment *seg_index*."""
-        statics = self._seg_statics[seg_index]
-        if statics is None:
-            seg = self.trace.segment_at(seg_index)
-            last_index = len(seg.blocks) - 1
-            plain_branches = 0
-            plain_rate_sum = 0.0
-            loop_branch_block = -1
-            rep_cycles = 0.0
-            blocks = []
-            for position, block_id in enumerate(seg.blocks):
-                rep_cycles += self.base_cycles[block_id]
-                blocks.append((
-                    block_id,
-                    self._inst_lines[block_id],
-                    self._block_memory[block_id],
-                ))
-                if not self._ends_in_branch[block_id]:
-                    continue
-                if seg.loop_id >= 0 and position == last_index:
-                    loop_branch_block = block_id
-                else:
-                    plain_branches += 1
-                    plain_rate_sum += self._data_branch_rate[block_id]
-            statics = _SegmentStatics(
-                rep_insts=int(self.trace.rep_lengths[seg_index]),
-                rep_cycles=rep_cycles,
-                blocks=tuple(blocks),
-                plain_branches=plain_branches,
-                plain_rate_sum=plain_rate_sum,
-                loop_branch_block=loop_branch_block,
-            )
-            self._seg_statics[seg_index] = statics
-        return statics
+        # One statics record per kind, and each segment's kind index.
+        flat = trace.flat_blocks.tolist()
+        offsets = trace.flat_offsets.tolist()
+        rep_lengths = trace.rep_lengths.tolist()
+        kind_of: Dict[Tuple[Tuple[int, ...], bool], int] = {}
+        self._kind_statics: List[_KindStatics] = []
+        self._segment_kind: List[int] = []
+        for index, is_loop in enumerate((trace.loop_id >= 0).tolist()):
+            key = (tuple(flat[offsets[index]:offsets[index + 1]]), is_loop)
+            kind = kind_of.get(key)
+            if kind is None:
+                kind = kind_of[key] = len(self._kind_statics)
+                self._kind_statics.append(
+                    self._build_statics(key[0], is_loop, rep_lengths[index])
+                )
+            self._segment_kind.append(kind)
+        self._segment_reps: List[int] = trace.reps.tolist()
+
+    def _build_statics(
+        self, blocks: Tuple[int, ...], is_loop: bool, rep_insts: int
+    ) -> _KindStatics:
+        """The statics of one kind: *blocks* run as a loop body or not."""
+        last_index = len(blocks) - 1
+        plain_branches = 0
+        plain_rate_sum = 0.0
+        loop_branch_block = -1
+        rep_cycles = 0.0
+        entries = []
+        for position, block_id in enumerate(blocks):
+            rep_cycles += self.base_cycles[block_id]
+            entries.append((
+                block_id,
+                self._inst_lines[block_id],
+                self._block_memory[block_id],
+            ))
+            if not self._ends_in_branch[block_id]:
+                continue
+            if is_loop and position == last_index:
+                loop_branch_block = block_id
+            else:
+                plain_branches += 1
+                plain_rate_sum += self._data_branch_rate[block_id]
+        return _KindStatics(
+            rep_insts=rep_insts,
+            rep_cycles=rep_cycles,
+            blocks=tuple(entries),
+            plain_branches=plain_branches,
+            plain_rate_sum=plain_rate_sum,
+            loop_branch_block=loop_branch_block,
+        )
 
     # ------------------------------------------------------------------
     def new_state(self) -> MachineState:
@@ -245,8 +274,8 @@ class TimingSimulator:
         if result is None:
             result = SimulationResult()
         before = result.instructions
-        for piece in self.trace.clip(start, end):
-            self._simulate_piece(piece, state, result)
+        for seg_index, rep_offset, n in self.trace.piece_bounds(start, end):
+            self._simulate_piece(seg_index, rep_offset, n, state, result)
         # Coarse accounting only: simulate_full delegates here, so every
         # detail-simulated instruction is counted exactly once, outside
         # the hot loop.
@@ -259,15 +288,16 @@ class TimingSimulator:
     # ------------------------------------------------------------------
     def _simulate_piece(
         self,
-        piece: SegmentPiece,
+        seg_index: int,
+        rep_offset: int,
+        n: int,
         state: MachineState,
         result: SimulationResult,
     ) -> None:
-        seg = piece.segment
-        n = piece.n_reps
-        seg_index = piece.seg_index
-        statics = self._statics_of(seg_index)
-        includes_end = piece.rep_offset + n == seg.reps
+        """Simulate *n* reps of segment *seg_index* from rep *rep_offset*."""
+        statics = self._kind_statics[self._segment_kind[seg_index]]
+        seg_reps = self._segment_reps[seg_index]
+        includes_end = rep_offset + n == seg_reps
         data = state.data
         il1 = state.il1
 
@@ -308,7 +338,7 @@ class TimingSimulator:
             # segment books exactly what the whole segment does.
             if memory is not None:
                 touches = memory.touches_per_rep * n
-                visit_touches = max(1.0, memory.touches_per_rep * seg.reps)
+                visit_touches = max(1.0, memory.touches_per_rep * seg_reps)
                 l1m, l2m = data.access_data(
                     memory.region, memory.ws_lines, (seg_index, block_id),
                     visit_touches, touches,

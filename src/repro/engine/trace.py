@@ -10,7 +10,9 @@ int64 arrays (``flat_blocks`` plus per-segment ``blocks_per_segment``,
 ``reps``, ``outer_index``, ``iter_base``, ``loop_id``) that the vectorized
 profilers index directly.  :class:`Segment` tuples are
 materialised lazily, only for the consumers that still want object views
-(the detailed simulators' per-piece bookkeeping).
+(:meth:`Trace.clip`'s pieces, read by the instruction-level OoO reference
+and the scalar profiling twins); the block-level timing simulator walks
+:meth:`Trace.piece_bounds` ints and never builds one.
 
 Every consumer — the functional profiler, both detailed simulators, the
 sampling cost accounting — reads the *same* trace, so baseline and sampled
@@ -20,6 +22,7 @@ when they mix `sim-fast` and `sim-outorder` runs of one binary.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterator, List, Optional, Tuple
@@ -270,35 +273,59 @@ class Trace:
         starts = self.outer_starts
         return np.stack([starts[:-1], starts[1:]], axis=1)
 
-    def clip(self, start: int, end: int) -> Iterator[SegmentPiece]:
-        """Yield whole-rep pieces covering the instruction range [start, end).
+    @cached_property
+    def _piece_columns(self) -> Tuple[List[int], List[int], List[int]]:
+        """Python-list copies of ``seg_starts``, ``rep_lengths`` and
+        ``reps``: :meth:`piece_bounds` does plain int arithmetic per
+        segment, which on lists avoids a NumPy scalar per access."""
+        return (
+            self.seg_starts.tolist(),
+            self.rep_lengths.tolist(),
+            self.reps.tolist(),
+        )
+
+    def piece_bounds(
+        self, start: int, end: int
+    ) -> Iterator[Tuple[int, int, int]]:
+        """Yield ``(seg_index, rep_offset, n_reps)`` per whole-rep piece
+        covering the instruction range [start, end).
 
         Pieces are rounded *outward* to rep boundaries, so the union of the
         yielded pieces is a superset of the requested range; callers measure
         the instructions they actually simulated from the pieces themselves.
+        This is the one piece arithmetic of the trace: :meth:`clip` wraps
+        it in :class:`SegmentPiece` views, and the detailed walk consumes
+        the ints directly.
         """
         if start < 0 or end > self.total_instructions or start >= end:
             raise TraceError(f"bad clip range [{start}, {end})")
-        index = self.locate(start)
-        while index < self.n_segments:
-            seg_start, seg_end = self.segment_span(index)
-            if seg_start >= end:
-                break
-            seg = self.segment_at(index)
-            rep_len = int(self.rep_lengths[index])
-            lo = max(start, seg_start)
-            hi = min(end, seg_end)
-            first_rep = (lo - seg_start) // rep_len
-            last_rep = (hi - seg_start + rep_len - 1) // rep_len  # exclusive
-            last_rep = min(max(last_rep, first_rep + 1), seg.reps)
+        start, end = int(start), int(end)
+        seg_starts, rep_lengths, reps = self._piece_columns
+        index = bisect_right(seg_starts, start) - 1
+        seg_start = seg_starts[index]
+        while seg_start < end:
+            seg_end = seg_starts[index + 1]
+            rep_len = rep_lengths[index]
+            first_rep = (max(start, seg_start) - seg_start) // rep_len
+            # exclusive; at least one rep, at most the segment's reps
+            last_rep = (min(end, seg_end) - seg_start + rep_len - 1) // rep_len
+            last_rep = min(max(last_rep, first_rep + 1), reps[index])
+            yield index, first_rep, last_rep - first_rep
+            index += 1
+            seg_start = seg_end
+
+    def clip(self, start: int, end: int) -> Iterator[SegmentPiece]:
+        """:meth:`piece_bounds` as :class:`SegmentPiece` views (each one
+        materialises its segment's lazy :class:`Segment`)."""
+        seg_starts, rep_lengths, _ = self._piece_columns
+        for index, rep_offset, n_reps in self.piece_bounds(start, end):
             yield SegmentPiece(
-                segment=seg,
-                rep_offset=int(first_rep),
-                n_reps=int(last_rep - first_rep),
-                start_inst=int(seg_start + first_rep * rep_len),
+                segment=self.segment_at(index),
+                rep_offset=rep_offset,
+                n_reps=n_reps,
+                start_inst=seg_starts[index] + rep_offset * rep_lengths[index],
                 seg_index=index,
             )
-            index += 1
 
     def rep_bounds(self, start: int, end: int) -> Tuple[int, int]:
         """The range [start, end) rounded outward to rep boundaries: the

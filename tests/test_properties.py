@@ -12,6 +12,8 @@ from repro.analysis import kmeans, normalize_rows, select_k
 from repro.analysis.bic import bic_score
 from repro.config import CONFIG_A, CONFIG_B, CacheConfig
 from repro.detailed import SimulationResult, TimingSimulator
+from repro.engine import Segment, Trace
+from repro.errors import TraceError
 from repro.harness.cache import ResultCache
 from repro.harness.runner import ExperimentRunner
 from repro.obs import DETAILED_INSTRUCTIONS
@@ -253,6 +255,78 @@ class TestPlanProperties:
 # ----------------------------------------------------------------------
 #: Relative tolerance of floats that only sum in another order.
 FLOAT_RTOL = 1e-12
+
+
+def _hand_built_traces(workload):
+    """Traces of 1-12 random segments over *workload*'s blocks."""
+    block_ids = st.integers(0, workload.program.n_blocks - 1)
+    segment = st.builds(
+        Segment,
+        blocks=st.lists(block_ids, min_size=1, max_size=4).map(tuple),
+        reps=st.integers(1, 6),
+        loop_id=st.sampled_from([-1, 0]),
+    )
+    return st.lists(segment, min_size=1, max_size=12).map(
+        lambda segments: Trace(workload, segments)
+    )
+
+
+def _assert_pieces_match_clip(trace, start, end):
+    bounds = list(trace.piece_bounds(start, end))
+    pieces = list(trace.clip(start, end))
+    assert bounds == [(p.seg_index, p.rep_offset, p.n_reps) for p in pieces]
+    # The pieces tile exactly the rep-rounded range, in order.
+    position, _ = trace.rep_bounds(start, end)
+    for piece in pieces:
+        index = piece.seg_index
+        rep_len = int(trace.rep_lengths[index])
+        assert piece.start_inst == int(trace.seg_starts[index]) + \
+            piece.rep_offset * rep_len
+        assert piece.start_inst == position
+        position += piece.n_reps * rep_len
+    assert position == trace.rep_bounds(start, end)[1]
+
+
+def _assert_same_bad_range_error(trace, start, end):
+    with pytest.raises(TraceError) as from_bounds:
+        list(trace.piece_bounds(start, end))
+    with pytest.raises(TraceError) as from_clip:
+        list(trace.clip(start, end))
+    assert str(from_bounds.value) == str(from_clip.value)
+
+
+class TestPieceBounds:
+    """``piece_bounds`` is ``clip`` without the views: the same pieces."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_real_trace_ranges(self, small_trace, data):
+        total = small_trace.total_instructions
+        start = data.draw(st.integers(0, total - 1))
+        end = data.draw(st.integers(start + 1, total))
+        _assert_pieces_match_clip(small_trace, start, end)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_hand_built_trace_ranges(self, small_workload, data):
+        trace = data.draw(_hand_built_traces(small_workload))
+        total = trace.total_instructions
+        start = data.draw(st.integers(-3, total + 3))
+        end = data.draw(st.integers(-3, total + 3))
+        if 0 <= start < end <= total:
+            _assert_pieces_match_clip(trace, start, end)
+        else:
+            _assert_same_bad_range_error(trace, start, end)
+
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_real_trace_bad_ranges(self, small_trace, data):
+        total = small_trace.total_instructions
+        start = data.draw(st.integers(-total, 2 * total))
+        end = data.draw(st.one_of(
+            st.integers(-total, start), st.integers(total + 1, 2 * total)
+        ))
+        _assert_same_bad_range_error(small_trace, start, end)
 
 
 def _assert_close(left, right, path="result", floor=1e-300):

@@ -1,10 +1,14 @@
 """Tests for the block-level timing simulator."""
 
+import numpy as np
 import pytest
 
 from repro.config import CONFIG_A, CONFIG_B
 from repro.detailed import SimulationResult, TimingSimulator
+from repro.engine import Segment, Trace
 from repro.errors import TraceError
+from repro.sampling.estimate import simulate_tagged_ranges
+from repro.uarch import stationary_mispredict_rate
 
 
 @pytest.fixture(scope="module")
@@ -108,3 +112,77 @@ class TestPhaseSensitivity:
         means = {r: sum(v) / len(v) for r, v in per_regime.items()}
         values = sorted(means.values())
         assert values[-1] / values[0] > 1.05
+
+
+@pytest.fixture(scope="module")
+def shared_body_trace(small_trace):
+    """A loop body's block sequence run as a loop, and twice as glue."""
+    loops = np.flatnonzero(small_trace.loop_id >= 0)
+    body = small_trace.segment_at(int(loops[0])).blocks
+    assert small_trace.program.blocks[body[-1]].ends_in_branch
+    other = next(b for b in range(small_trace.program.n_blocks)
+                 if b not in body)
+    segments = [
+        Segment(blocks=body, reps=3),
+        Segment(blocks=body, reps=7, loop_id=4),
+        Segment(blocks=(other,), reps=2),
+        Segment(blocks=body, reps=5),
+    ]
+    return Trace(small_trace.workload, segments)
+
+
+class TestKindStatics:
+    """Statics are shared per (block sequence, is-loop) kind."""
+
+    def test_one_statics_per_kind(self, shared_body_trace):
+        simulator = TimingSimulator(shared_body_trace, CONFIG_A)
+        kinds = {(seg.blocks, seg.loop_id >= 0)
+                 for seg in shared_body_trace.segments}
+        assert len(simulator._kind_statics) == len(kinds) == 3
+
+    def test_only_the_loop_segment_drives_the_back_edge(
+            self, shared_body_trace):
+        trace = shared_body_trace
+        program = trace.program
+        body = trace.segment_at(0).blocks
+        simulator = TimingSimulator(trace, CONFIG_A)
+        state = simulator.new_state()
+
+        glue = simulator.simulate_range(*trace.segment_span(0), state=state)
+        assert state.loop_counters == {}
+        branch_blocks = [b for b in body if program.blocks[b].ends_in_branch]
+        assert glue.branches == 3 * len(branch_blocks)
+        assert glue.mispredicts == 3 * sum(
+            stationary_mispredict_rate(program.blocks[b].branch_bias)
+            for b in branch_blocks
+        )
+
+        simulator.simulate_range(*trace.segment_span(1), state=state)
+        counter = state.loop_counters[body[-1]]
+        simulator.simulate_range(trace.segment_span(2)[0],
+                                 trace.total_instructions, state=state)
+        assert state.loop_counters == {body[-1]: counter}
+
+    def test_walk_matches_per_segment_statics(self, shared_body_trace):
+        trace = shared_body_trace
+        walked = TimingSimulator(trace, CONFIG_A).simulate_full()
+        # The reference builds one statics record per segment from its
+        # Segment view instead of sharing them by kind.
+        reference = TimingSimulator(trace, CONFIG_A)
+        reference._kind_statics = [
+            reference._build_statics(seg.blocks, seg.loop_id >= 0,
+                                     int(trace.rep_lengths[index]))
+            for index, seg in enumerate(trace.segments)
+        ]
+        reference._segment_kind = list(range(trace.n_segments))
+        assert walked == reference.simulate_full()
+
+    def test_walk_materialises_no_segment_view(self, small_trace):
+        trace = Trace(small_trace.workload, arrays=small_trace.arrays())
+        simulator = TimingSimulator(trace, CONFIG_A)
+        simulator.simulate_full()
+        total = trace.total_instructions
+        simulate_tagged_ranges(simulator, {
+            "all": [(0, total)], "mid": [(total // 3, total // 2 + 1)],
+        })
+        assert trace._segment_views == [None] * trace.n_segments
