@@ -33,7 +33,6 @@ from .suite import (
     BENCH_WORKLOAD,
     DEFAULT_BENCH_SCALE,
     BenchCase,
-    bench_workload,
     select_cases,
     set_bench_workload,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "CaseResult",
     "DEFAULT_BENCH_SCALE",
     "DEFAULT_REPORT_NAME",
-    "bench_workload",
     "compare_reports",
     "load_report",
     "run_bench",

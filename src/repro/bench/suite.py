@@ -48,11 +48,6 @@ BENCH_WORKLOAD = "gzip"
 _workload = BENCH_WORKLOAD
 
 
-def bench_workload() -> str:
-    """The benchmark the trace-backed cases currently profile."""
-    return _workload
-
-
 def set_bench_workload(name: str) -> None:
     """Point the trace-backed cases at *name* (``repro bench --benchmark``).
 

@@ -670,15 +670,3 @@ def ablation_representative_policy(
             )
         )
     return rows
-
-
-# ----------------------------------------------------------------------
-# helpers
-# ----------------------------------------------------------------------
-def require_runs(runs: List[BenchmarkRun], method: str) -> None:
-    """Validate that every run contains *method* (fail fast in benches)."""
-    for run in runs:
-        if method not in run.methods:
-            raise HarnessError(
-                f"run {run.benchmark} lacks method {method!r}"
-            )

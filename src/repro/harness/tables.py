@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 from ..errors import HarnessError
 
@@ -76,11 +76,6 @@ def rows_to_csv(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str
     for row in rows:
         out.append(",".join(_fmt(c) for c in row))
     return "\n".join(out)
-
-
-def summarize_dict(d: Dict[str, float], digits: int = 3) -> str:
-    """One-line ``k=v`` summary of a flat dict."""
-    return ", ".join(f"{k}={v:.{digits}f}" for k, v in d.items())
 
 
 def failure_rows(

@@ -73,6 +73,7 @@ from .metrics import (
     CACHE_CORRUPT,
     CACHE_HITS,
     CACHE_MISSES,
+    CLUSTER_SWEEPS,
     DEFAULT_BUCKETS,
     DETAILED_CALLS,
     DETAILED_INSTRUCTIONS,
@@ -86,6 +87,7 @@ from .metrics import (
     FAULTS_INJECTED,
     FUNCTIONAL_INSTRUCTIONS,
     JOURNAL_TORN,
+    KMEANS_RUNS,
     PROFILE_PASSES,
     RETRY_BACKOFF_SECONDS,
     RUN_FAILURES,
@@ -120,6 +122,7 @@ __all__ = [
     "CACHE_CORRUPT",
     "CACHE_HITS",
     "CACHE_MISSES",
+    "CLUSTER_SWEEPS",
     "Counter",
     "DEFAULT_BUCKETS",
     "DEFAULT_STREAM_INTERVAL",
@@ -141,6 +144,7 @@ __all__ = [
     "HistoryDiff",
     "HistoryRecord",
     "JOURNAL_TORN",
+    "KMEANS_RUNS",
     "LiveRegistry",
     "MANIFEST_VERSION",
     "MethodDiag",

@@ -45,6 +45,8 @@ DETAILED_INSTRUCTIONS = "repro_detailed_instructions_total"
 DETAILED_CALLS = "repro_detailed_calls_total"
 FUNCTIONAL_INSTRUCTIONS = "repro_functional_instructions_total"
 PROFILE_PASSES = "repro_profile_passes_total"
+CLUSTER_SWEEPS = "repro_cluster_sweeps_total"
+KMEANS_RUNS = "repro_kmeans_runs_total"
 #: Retired with shared-memory trace sharing: never incremented, kept so
 #: readers of older metric dumps still resolve the name.
 TRACE_SHM_FALLBACKS = "repro_trace_shm_fallbacks_total"
@@ -83,6 +85,10 @@ _METRIC_HELP: Dict[str, str] = {
     DETAILED_CALLS: "Detailed-simulation invocations.",
     FUNCTIONAL_INSTRUCTIONS: "Instructions executed functionally.",
     PROFILE_PASSES: "Profiling passes over the instruction trace.",
+    CLUSTER_SWEEPS: "k-means/BIC sweeps run to build sampling plans "
+                    "(a memoised clustering books none).",
+    KMEANS_RUNS: "k-means runs inside those sweeps (candidate ks times "
+                 "seeds per sweep).",
     TRACE_SHM_FALLBACKS: "Retired (traces are no longer shared); always 0.",
     DISPATCH_LEASES: "Task leases granted by the dispatcher.",
     DISPATCH_HEARTBEATS: "Worker heartbeats accepted by the dispatcher.",

@@ -27,7 +27,9 @@ from .registry import PlanContext, register_sampler
 )
 def _build_simpoint(ctx: PlanContext):
     sampler = SimPoint(ctx.sampling, obs=ctx.obs)
-    plan = sampler.sample(ctx.fine_profile(), benchmark=ctx.benchmark)
+    plan = sampler.sample(
+        ctx.fine_profile(), benchmark=ctx.benchmark, context=ctx
+    )
     return plan, sampler.last_diagnostics
 
 
@@ -40,7 +42,9 @@ def _build_simpoint(ctx: PlanContext):
 )
 def _build_early_sp(ctx: PlanContext):
     sampler = EarlySimPoint(ctx.sampling, obs=ctx.obs)
-    plan = sampler.sample(ctx.fine_profile(), benchmark=ctx.benchmark)
+    plan = sampler.sample(
+        ctx.fine_profile(), benchmark=ctx.benchmark, context=ctx
+    )
     return plan, sampler.last_diagnostics
 
 
@@ -84,7 +88,9 @@ def _build_multilevel(ctx: PlanContext):
 )
 def _build_stratified(ctx: PlanContext):
     sampler = StratifiedSampler(ctx.sampling, obs=ctx.obs)
-    plan = sampler.sample(ctx.fine_profile(), benchmark=ctx.benchmark)
+    plan = sampler.sample(
+        ctx.fine_profile(), benchmark=ctx.benchmark, context=ctx
+    )
     return plan, sampler.last_diagnostics
 
 

@@ -30,9 +30,10 @@ module defining its ``build_plan``, which each worker imports (see
 :func:`repro.harness.worker.plugin_modules`).
 
 :class:`PlanContext` memoises the expensive shared inputs — the fine
-fixed-interval BBV profile and the COASTS coarse plan — so co-scheduled
-methods share them exactly as the pre-registry harness did (bit-for-bit:
-the same profile object, the same coarse clustering).
+fixed-interval BBV profile, its SimPoint-style clustering and the COASTS
+coarse plan — so co-scheduled methods share them bit-for-bit: the same
+profile object, the same fine clustering for simpoint, early_sp and
+stratified, the same coarse clustering for coasts and multilevel.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ from ..config import SamplingConfig
 from ..errors import SamplingError
 from ..obs.diag import MethodDiag
 from ..sampling.points import SamplingPlan
+from ..sampling.simpoint import FineClustering, SimPoint
 
 #: Shared inputs a sampler may declare in ``SamplerSpec.requires``.
 KNOWN_REQUIREMENTS: Tuple[str, ...] = ("trace", "fine", "coarse")
@@ -55,11 +57,14 @@ _CONFIG_FIELDS = frozenset(f.name for f in fields(SamplingConfig))
 class PlanContext:
     """Everything a sampler needs to build a plan for one benchmark.
 
-    Shared profiles are memoised so that co-scheduled samplers reuse
+    Shared inputs are memoised so that co-scheduled samplers reuse
     them: all fine-grained methods see the *same*
-    :class:`~repro.engine.profiles.FixedIntervalProfile` object, and
-    COASTS/multilevel share one coarse clustering, exactly as the
-    hand-wired harness pipeline did.
+    :class:`~repro.engine.profiles.FixedIntervalProfile` object, the
+    SimPoint-family samplers share one projected k-means/BIC clustering
+    of it per :attr:`~repro.sampling.simpoint.SimPoint.clustering_key`
+    (:meth:`fine_clustering`), and COASTS/multilevel share one coarse
+    clustering.  Which methods run, and in what order, never changes a
+    plan.
     """
 
     def __init__(self, trace, sampling: SamplingConfig, benchmark: str,
@@ -72,6 +77,7 @@ class PlanContext:
         self.obs = obs
         self._functional = None
         self._fine_profile = None
+        self._fine_clusterings: Dict[Tuple, FineClustering] = {}
         self._coasts: Optional[Tuple[SamplingPlan, Optional[MethodDiag]]] = None
 
     # ------------------------------------------------------------------
@@ -97,6 +103,26 @@ class PlanContext:
                 self.sampling.fine_interval_size
             )
         return self._fine_profile
+
+    def fine_clustering(self, sampler: SimPoint) -> FineClustering:
+        """*sampler*'s (memoised) clustering of the fine profile.
+
+        The memo key is the sampler's
+        :attr:`~repro.sampling.simpoint.SimPoint.clustering_key` (metric,
+        interval size, kmax, sub-sample bound and the whole sampling
+        config), so differently configured samplers never share a
+        result.  Non-BBV metrics fold the profile with the trace's
+        program.  Only a miss runs the sweep, booked under the method
+        that ran it.
+        """
+        key = sampler.clustering_key
+        clustering = self._fine_clusterings.get(key)
+        if clustering is None:
+            clustering = sampler.cluster(
+                self.fine_profile(), self.trace.program
+            )
+            self._fine_clusterings[key] = clustering
+        return clustering
 
     def coasts(self) -> Tuple[SamplingPlan, Optional[MethodDiag]]:
         """The (memoised) COASTS coarse plan and its diagnostics."""

@@ -36,7 +36,7 @@ from ..engine.functional import FunctionalSimulator
 from ..engine.profiles import CoarseIntervalProfile
 from ..engine.trace import Trace
 from ..errors import SamplingError
-from ..obs import ObsContext
+from ..obs import CLUSTER_SWEEPS, KMEANS_RUNS, ObsContext
 from ..obs.diag import MethodDiag, build_method_diag
 from .points import SamplingPlan, SimulationPoint
 
@@ -189,13 +189,19 @@ class Coasts:
         )
         with span_ctx as span:
             signatures = self.signatures(profile)
-            result, _ = cluster_with_bic(
+            result, scores = cluster_with_bic(
                 signatures,
                 kmax=self.config.coarse_kmax,
                 seed=self.config.random_seed,
                 n_seeds=self.config.kmeans_seeds,
                 threshold=self.config.bic_threshold,
             )
+            if self.obs is not None:
+                metrics = self.obs.metrics
+                metrics.counter(CLUSTER_SWEEPS, method=self.method_name).inc()
+                metrics.counter(KMEANS_RUNS, method=self.method_name).inc(
+                    len(scores) * self.config.kmeans_seeds
+                )
             labels = result.labels
             k = result.k
             picks = earliest_member(labels, k)

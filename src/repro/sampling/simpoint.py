@@ -13,26 +13,33 @@ Pipeline, faithful to the SimPoint release the paper compares against:
 Like the SimPoint tool, clustering optionally runs on a random sub-sample of
 intervals (all intervals are then assigned to the nearest centroid), which
 bounds clustering cost on long programs.
+
+Steps 2 and 3 produce a :class:`FineClustering`.  EarlySP and stratified
+sampling derive their plans from the very same clustering, so the
+registry's :class:`~repro.samplers.PlanContext` builds it once per
+profile and hands it to every fine sampler (:meth:`SimPoint.sample`'s
+*context*).
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from ..analysis.bbv import normalize_rows
 from ..analysis.bic import cluster_with_bic
 from ..analysis.distance import assign_points, nearest_to_centroid
-from ..analysis.kmeans import KMeansResult, cluster_quality
+from ..analysis.kmeans import ClusterQuality, KMeansResult, cluster_quality
 from ..analysis.metrics import metric_matrix
 from ..analysis.projection import RandomProjection
 from ..config import DEFAULT_SAMPLING, SamplingConfig
 from ..engine.profiles import FixedIntervalProfile
 from ..errors import SamplingError
 from ..isa.program import Program
-from ..obs import ObsContext
+from ..obs import CLUSTER_SWEEPS, KMEANS_RUNS, ObsContext
 from ..obs.diag import MethodDiag, build_method_diag
 from .points import SamplingPlan, SimulationPoint
 
@@ -40,8 +47,38 @@ from .points import SamplingPlan, SimulationPoint
 DEFAULT_MAX_CLUSTER_SAMPLES = 4000
 
 
+@dataclass(frozen=True, eq=False)
+class FineClustering:
+    """One projected k-means/BIC clustering of a fixed-interval profile.
+
+    Besides the clustering itself it holds the views every fine sampler
+    derives from it identically, so samplers sharing one differ only in
+    how they pick points.
+    """
+
+    profile: FixedIntervalProfile
+    #: Normalised, randomly projected per-interval features.
+    features: np.ndarray
+    #: Phase of every interval (clustering may have fitted a sub-sample;
+    #: every interval is assigned to its nearest centroid).
+    labels: np.ndarray
+    centroids: np.ndarray
+    k: int
+    #: Per-phase share of the profile's executed instructions.
+    weights: np.ndarray
+    #: Quality statistics over the full assignment.
+    quality: ClusterQuality
+
+
 class SimPoint:
-    """The fixed-length SimPoint baseline sampler."""
+    """The fixed-length SimPoint baseline sampler.
+
+    :meth:`cluster` is the projection and the k-means/BIC sweep;
+    :meth:`sample` turns a clustering into a plan through :meth:`_select`
+    (subclasses change the representative rule or, like stratified
+    sampling, the whole point choice in :meth:`_points`).  Samplers with
+    equal :attr:`clustering_key` cluster one profile identically.
+    """
 
     method_name = "simpoint"
 
@@ -72,22 +109,60 @@ class SimPoint:
         self.last_diagnostics: Optional[MethodDiag] = None
 
     # ------------------------------------------------------------------
+    @property
+    def clustering_key(self) -> Tuple:
+        """Every input that changes :meth:`cluster` on a given profile.
+
+        The metric, interval size, kmax, sub-sample bound and the whole
+        sampling config.  A subclass that changes :meth:`_project` or
+        :meth:`_cluster` must extend the key.
+        """
+        return (
+            self.metric, self.interval_size, self.kmax,
+            self.max_cluster_samples, self.config,
+        )
+
+    def cluster(
+        self,
+        profile: FixedIntervalProfile,
+        program: Optional[Program] = None,
+    ) -> FineClustering:
+        """Project and cluster *profile* (steps 2 and 3)."""
+        self._check_profile(profile)
+        features = self._project(profile, program)
+        labels, centroids, k = self._cluster(features)
+        # The inertia slot is unused by cluster_quality, so a zero keeps
+        # this a view rather than a re-clustering.
+        quality = cluster_quality(
+            features,
+            KMeansResult(centroids=centroids, labels=labels, inertia=0.0),
+        )
+        return FineClustering(
+            profile=profile,
+            features=features,
+            labels=labels,
+            centroids=centroids,
+            k=k,
+            weights=self._weights(profile, labels, k),
+            quality=quality,
+        )
+
     def sample(
         self,
         profile: FixedIntervalProfile,
         benchmark: str = "",
         program: Optional[Program] = None,
+        context=None,
     ) -> SamplingPlan:
         """Select simulation points from a fixed-interval profile.
 
         *program* is required for the non-BBV metrics, which need the loop
-        nest / region table to fold the profile.
+        nest / region table to fold the profile.  With *context* (a
+        :class:`~repro.samplers.PlanContext` whose fine profile is
+        *profile*), the clustering is the context's memoised one, folded
+        with its trace's program, rather than a fresh sweep.
         """
-        if profile.interval_size != self.interval_size:
-            raise SamplingError(
-                f"profile interval size {profile.interval_size} != sampler's "
-                f"{self.interval_size}"
-            )
+        self._check_profile(profile)
         span_ctx = (
             self.obs.tracer.span(
                 "sampling", method=self.method_name, benchmark=benchmark
@@ -95,35 +170,17 @@ class SimPoint:
             if self.obs is not None else nullcontext()
         )
         with span_ctx as span:
-            features = self._project(profile, program)
-            labels, centroids, k = self._cluster(features)
-            weights = self._weights(profile, labels, k)
-            picks = self._select(features, labels, centroids)
-
-            points: List[SimulationPoint] = []
-            for phase in range(k):
-                pick = int(picks[phase])
-                if pick < 0:
-                    continue
-                points.append(
-                    SimulationPoint(
-                        start=int(profile.starts[pick]),
-                        end=profile.end_of(pick),
-                        weight=float(weights[phase]),
-                        phase=phase,
-                        interval_index=pick,
+            if context is None:
+                clustering = self.cluster(profile, program)
+            else:
+                clustering = context.fine_clustering(self)
+                if clustering.profile is not profile:
+                    raise SamplingError(
+                        "profile is not the plan context's fine profile"
                     )
-                )
+            points, picks = self._points(clustering)
             points.sort(key=lambda p: p.start)
 
-            # Quality statistics over the full assignment (clustering may
-            # have fitted a sub-sample; labels cover every interval).  The
-            # inertia slot is unused by cluster_quality, so a zero keeps
-            # this a view rather than a re-clustering.
-            quality = cluster_quality(
-                features,
-                KMeansResult(centroids=centroids, labels=labels, inertia=0.0),
-            )
             interval_bounds = [
                 (int(profile.starts[i]), profile.end_of(i))
                 for i in range(profile.n_intervals)
@@ -131,28 +188,69 @@ class SimPoint:
             self.last_diagnostics = build_method_diag(
                 method=self.method_name,
                 benchmark=benchmark,
-                labels=labels,
+                labels=clustering.labels,
                 picks=picks,
-                weights=weights,
+                weights=clustering.weights,
                 bounds=interval_bounds,
                 instructions=profile.instructions,
-                quality=quality,
+                quality=clustering.quality,
                 resample_threshold=self.config.resample_threshold,
             )
             if span is not None:
                 span.set(
                     n_intervals=profile.n_intervals,
-                    n_clusters=k,
-                    oversized_points=self.last_diagnostics.n_oversized,
-                    mean_silhouette=round(quality.mean_silhouette, 4),
+                    n_clusters=clustering.k,
+                    **self._span_attrs(points),
+                    mean_silhouette=round(
+                        clustering.quality.mean_silhouette, 4
+                    ),
                 )
             return SamplingPlan(
                 method=self.method_name,
                 benchmark=benchmark,
                 points=tuple(points),
                 total_instructions=profile.total_instructions,
-                n_clusters=k,
+                n_clusters=clustering.k,
                 origin=int(profile.starts[0]),
+            )
+
+    def _points(
+        self, clustering: FineClustering
+    ) -> Tuple[List[SimulationPoint], np.ndarray]:
+        """One point per phase at its :meth:`_select` representative.
+
+        Returns the points and the per-phase representative picks
+        (``-1`` for an empty phase) the diagnostics report.
+        """
+        profile = clustering.profile
+        picks = self._select(
+            clustering.features, clustering.labels, clustering.centroids
+        )
+        points: List[SimulationPoint] = []
+        for phase in range(clustering.k):
+            pick = int(picks[phase])
+            if pick < 0:
+                continue
+            points.append(
+                SimulationPoint(
+                    start=int(profile.starts[pick]),
+                    end=profile.end_of(pick),
+                    weight=float(clustering.weights[phase]),
+                    phase=phase,
+                    interval_index=pick,
+                )
+            )
+        return points, picks
+
+    def _span_attrs(self, points: List[SimulationPoint]) -> dict:
+        """Method-specific attributes of the ``sampling`` span."""
+        return {"oversized_points": self.last_diagnostics.n_oversized}
+
+    def _check_profile(self, profile: FixedIntervalProfile) -> None:
+        if profile.interval_size != self.interval_size:
+            raise SamplingError(
+                f"profile interval size {profile.interval_size} != sampler's "
+                f"{self.interval_size}"
             )
 
     # ------------------------------------------------------------------
@@ -187,13 +285,19 @@ class SimPoint:
             fit_data = features[chosen]
         else:
             fit_data = features
-        result, _ = cluster_with_bic(
+        result, scores = cluster_with_bic(
             fit_data,
             kmax=self.kmax,
             seed=self.config.random_seed,
             n_seeds=self.config.kmeans_seeds,
             threshold=self.config.bic_threshold,
         )
+        if self.obs is not None:
+            metrics = self.obs.metrics
+            metrics.counter(CLUSTER_SWEEPS, method=self.method_name).inc()
+            metrics.counter(KMEANS_RUNS, method=self.method_name).inc(
+                len(scores) * self.config.kmeans_seeds
+            )
         centroids = result.centroids
         labels, _ = assign_points(features, centroids)
         return labels, centroids, result.k

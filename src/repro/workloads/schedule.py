@@ -120,11 +120,6 @@ def markov(
     return tuple(out)
 
 
-def uniform_scales(n_iterations: int) -> Tuple[float, ...]:
-    """All-ones iteration scales."""
-    return tuple([1.0] * n_iterations)
-
-
 def dominant_iteration_scales(
     n_iterations: int,
     dominant_index: int,

@@ -17,7 +17,8 @@ from repro.errors import TraceError
 from repro.harness.cache import ResultCache
 from repro.harness.runner import ExperimentRunner
 from repro.obs import DETAILED_INSTRUCTIONS
-from repro.samplers import registered_methods
+from repro.samplers import PlanContext, get_sampler, registered_methods
+from repro.sampling import SimPoint
 from repro.sampling.points import SamplingPlan, SimulationPoint
 from repro.uarch import (
     Cache,
@@ -445,3 +446,88 @@ class TestOneWalk:
             grown = runner(None)
             grown.run_benchmark("gzip", CONFIG_A)
             assert 0 < _detailed_instructions(grown) <= total
+
+
+#: The SimPoint family: the methods that share one fine clustering.
+FINE_FAMILY = ("simpoint", "early_sp", "stratified")
+
+
+def _fine_family_plans(trace, sampling, methods, context=None):
+    """Plan and diag of each method, on *context* or a fresh one each."""
+    out = {}
+    for method in methods:
+        ctx = context or PlanContext(trace, sampling, "gzip")
+        plan, diag = get_sampler(method).build_plan(ctx)
+        out[method] = (plan, diag.to_dict())
+    return out
+
+
+#: The base sampler, then one variant per clustering-key input.
+CLUSTERING_VARIANTS = (
+    "base", "kmax", "max_cluster_samples", "metric", "random_seed",
+)
+
+
+def _clustering_variants(sampling):
+    """SimPoint samplers that differ in one clustering-key input each."""
+    return {
+        "base": SimPoint(sampling),
+        "kmax": SimPoint(sampling, kmax=4),
+        "max_cluster_samples": SimPoint(sampling, max_cluster_samples=40),
+        "metric": SimPoint(sampling, metric="loop_frequency"),
+        "random_seed": SimPoint(dataclasses.replace(sampling,
+                                                    random_seed=7)),
+    }
+
+
+def _variant_plan(sampler, context):
+    plan = sampler.sample(context.fine_profile(), benchmark="gzip",
+                          context=context)
+    return plan, sampler.last_diagnostics.to_dict()
+
+
+@pytest.fixture(scope="module")
+def fresh_fine_family(small_trace, test_sampling):
+    return _fine_family_plans(small_trace, test_sampling, FINE_FAMILY)
+
+
+@pytest.fixture(scope="module")
+def fresh_variants(small_trace, test_sampling):
+    return {
+        name: _variant_plan(
+            sampler, PlanContext(small_trace, test_sampling, "gzip")
+        )
+        for name, sampler in _clustering_variants(test_sampling).items()
+    }
+
+
+class TestSharedFineClustering:
+    @given(methods=st.lists(st.sampled_from(FINE_FAMILY), min_size=1,
+                            max_size=len(FINE_FAMILY), unique=True))
+    @settings(max_examples=12, deadline=None)
+    def test_method_set_independence(self, small_trace, test_sampling,
+                                     fresh_fine_family, methods):
+        """Any subset, in any order, on one context equals fresh builds."""
+        shared = PlanContext(small_trace, test_sampling, "gzip")
+        assert _fine_family_plans(
+            small_trace, test_sampling, methods, shared
+        ) == {method: fresh_fine_family[method] for method in methods}
+
+    @given(order=st.permutations(CLUSTERING_VARIANTS))
+    @settings(max_examples=8, deadline=None)
+    def test_memo_key_isolation(self, small_trace, test_sampling,
+                                fresh_variants, order):
+        """Differently configured samplers never share a clustering."""
+        shared = PlanContext(small_trace, test_sampling, "gzip")
+        variants = _clustering_variants(test_sampling)
+        for name in order:
+            assert _variant_plan(variants[name], shared) == \
+                fresh_variants[name], name
+
+    def test_variants_cluster_differently(self, fresh_variants):
+        """Each key input really changes the plan, so the isolation
+        property above is not vacuous."""
+        base, _ = fresh_variants["base"]
+        for name, (plan, _) in fresh_variants.items():
+            if name != "base":
+                assert plan != base, name

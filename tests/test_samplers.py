@@ -18,6 +18,7 @@ import pytest
 from repro.config import CONFIG_A
 from repro.errors import HarnessError, SamplingError
 from repro.harness import DispatchPool, ExperimentRunner, ResultCache
+from repro.obs import CLUSTER_SWEEPS, KMEANS_RUNS, ObsContext
 from repro.samplers import (
     PlanContext,
     SamplerSpec,
@@ -27,7 +28,7 @@ from repro.samplers import (
     registered_methods,
     unregister_sampler,
 )
-from repro.sampling import SamplingPlan, SimulationPoint
+from repro.sampling import SamplingPlan, SimPoint, SimulationPoint
 
 #: The shipped registration order (paper methods, then related work).
 BUILTINS = (
@@ -195,6 +196,67 @@ class TestSamplerConformance:
         assert 0.0 < estimate.cpi < 10.0
         assert 0.0 <= estimate.l1_hit_rate <= 1.0
         assert 0.0 <= estimate.l2_hit_rate <= 1.0
+
+
+#: The SimPoint family: the methods that share one fine clustering.
+FINE_FAMILY = ("simpoint", "early_sp", "stratified")
+
+
+class TestSharedFineClustering:
+    @staticmethod
+    def _counters(obs, name):
+        return {
+            dict(labels)["method"]: metric.value
+            for metric_name, labels, metric in obs.metrics.samples()
+            if metric_name == name
+        }
+
+    def test_shared_context_books_one_fine_sweep(self, small_trace,
+                                                 test_sampling):
+        obs = ObsContext()
+        context = PlanContext(small_trace, test_sampling, "gzip", obs=obs)
+        for method in FINE_FAMILY:
+            get_sampler(method).build_plan(context)
+        # The first method runs the sweep; the others hit the memo.
+        assert self._counters(obs, CLUSTER_SWEEPS) == {"simpoint": 1.0}
+        n_intervals = context.fine_profile().n_intervals
+        candidates = min(test_sampling.fine_kmax, n_intervals)
+        assert self._counters(obs, KMEANS_RUNS) == {
+            "simpoint": candidates * test_sampling.kmeans_seeds,
+        }
+
+    def test_fresh_contexts_book_one_sweep_each(self, small_trace,
+                                                test_sampling):
+        obs = ObsContext()
+        for method in FINE_FAMILY:
+            context = PlanContext(small_trace, test_sampling, "gzip",
+                                  obs=obs)
+            get_sampler(method).build_plan(context)
+        assert self._counters(obs, CLUSTER_SWEEPS) == {
+            method: 1.0 for method in FINE_FAMILY
+        }
+
+    def test_all_methods_book_one_fine_and_one_coarse_sweep(
+            self, small_trace, test_sampling):
+        """Multilevel reuses COASTS's sweep, and its in-point SimPoint
+        carries no observability context, so it books nothing."""
+        obs = ObsContext()
+        context = PlanContext(small_trace, test_sampling, "gzip", obs=obs)
+        for method in registered_methods():
+            get_sampler(method).build_plan(context)
+        assert self._counters(obs, CLUSTER_SWEEPS) == {
+            "simpoint": 1.0, "coasts": 1.0,
+        }
+        coarse_runs = self._counters(obs, KMEANS_RUNS)["coasts"]
+        assert coarse_runs > 0
+        assert coarse_runs % test_sampling.kmeans_seeds == 0
+
+    def test_foreign_profile_rejected(self, small_trace, test_sampling,
+                                      small_fine_profile):
+        context = PlanContext(small_trace, test_sampling, "gzip")
+        with pytest.raises(SamplingError, match="fine profile"):
+            SimPoint(test_sampling).sample(small_fine_profile,
+                                           context=context)
 
 
 def test_serial_equals_parallel(tmp_path, test_sampling):
