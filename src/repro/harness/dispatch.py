@@ -575,7 +575,6 @@ class DispatchPool:
             "methods": runner.methods,
             "cache_dir": Path(runner.cache.directory),
             "cache_enabled": runner.cache.enabled,
-            "diagnostics": runner.diagnostics,
             "plugins": plugins,
         }
 

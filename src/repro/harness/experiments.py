@@ -9,23 +9,30 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.bbv import normalize_rows
 from ..analysis.pca import first_component
 from ..config import CONFIG_A, DEFAULT_SAMPLING, MachineConfig, SamplingConfig
+from ..detailed.results import Deviation
 from ..detailed.timing import TimingSimulator
-from ..engine.functional import FunctionalSimulator
 from ..errors import HarnessError
+from ..samplers import get_sampler
 from ..sampling.coasts import Coasts
 from ..sampling.estimate import evaluate_plan
 from ..sampling.multilevel import MultiLevelSampler
+from ..sampling.points import SamplingPlan
 from ..sampling.simpoint import SimPoint
 from ..workloads.registry import benchmark_names
 from .recovery import RunFailure
-from .runner import BenchmarkRun, ExperimentRunner
+from .runner import (
+    BASELINE_TAG,
+    BenchmarkRun,
+    ExperimentRunner,
+    simulate_plans,
+)
 from .tables import arithmetic_mean, geomean
 
 logger = logging.getLogger(__name__)
@@ -393,12 +400,10 @@ def granularity_experiment(
     benchmark: str = "lucas",
 ) -> GranularitySeries:
     """Figure 1: fine vs coarse first-PCA-component curves for *benchmark*."""
-    trace = runner.trace(benchmark)
-    functional = FunctionalSimulator(trace)
+    context = runner.context(benchmark)
+    trace = context.trace
 
-    fine_profile = functional.profile_fixed_intervals(
-        runner.sampling.fine_interval_size
-    )
+    fine_profile = context.fine_profile()
     fine_values = first_component(normalize_rows(fine_profile.bbv))
     fine_plan = SimPoint(runner.sampling).sample(fine_profile, benchmark=benchmark)
     fine_selected = tuple(p.interval_index for p in fine_plan.points)
@@ -433,6 +438,34 @@ class AblationRow:
     values: Dict[str, float]
 
 
+def _sweep(
+    runner: ExperimentRunner,
+    benchmark: str,
+    config: MachineConfig,
+    plans: Sequence[Tuple[str, SamplingPlan]],
+    values: Callable[[SamplingPlan, Deviation], Dict[str, float]],
+) -> List[AblationRow]:
+    """One row per ``(setting, plan)``, every plan evaluated from one
+    warmed detailed walk.
+
+    The walk is tagged as the runner's is (the whole-trace baseline plus
+    one tag per leaf) and counted in the runner's metrics, so a sweep
+    detail-simulates the trace exactly once however many settings it has.
+    """
+    simulator = TimingSimulator(
+        runner.trace(benchmark), config, metrics=runner.obs.metrics
+    )
+    results = simulate_plans(simulator, [plan for _, plan in plans])
+    baseline = results[BASELINE_TAG].metrics()
+    return [
+        AblationRow(setting=setting, values=values(
+            plan,
+            evaluate_plan(plan, simulator, baseline, cache=results).deviation,
+        ))
+        for setting, plan in plans
+    ]
+
+
 def ablation_coarse_kmax(
     runner: ExperimentRunner,
     benchmark: str,
@@ -442,25 +475,17 @@ def ablation_coarse_kmax(
     """Sweep COASTS' Kmax: phase count, last position, detail fraction and
     CPI deviation."""
     trace = runner.trace(benchmark)
-    simulator = TimingSimulator(trace, config)
-    baseline = simulator.simulate_full().metrics()
-    rows: List[AblationRow] = []
-    for kmax in kmaxes:
-        sampling = replace(runner.sampling, coarse_kmax=kmax)
-        plan = Coasts(sampling).sample(trace, benchmark=benchmark)
-        evaluation = evaluate_plan(plan, simulator, baseline)
-        rows.append(
-            AblationRow(
-                setting=f"kmax={kmax}",
-                values={
-                    "phases": float(plan.n_clusters),
-                    "last_position": plan.last_point_position,
-                    "detail_fraction": plan.detail_fraction,
-                    "cpi_deviation": evaluation.deviation.cpi,
-                },
-            )
-        )
-    return rows
+    plans = [
+        (f"kmax={kmax}", Coasts(replace(runner.sampling, coarse_kmax=kmax))
+         .sample(trace, benchmark=benchmark))
+        for kmax in kmaxes
+    ]
+    return _sweep(runner, benchmark, config, plans, lambda plan, dev: {
+        "phases": float(plan.n_clusters),
+        "last_position": plan.last_point_position,
+        "detail_fraction": plan.detail_fraction,
+        "cpi_deviation": dev.cpi,
+    })
 
 
 def ablation_fine_interval(
@@ -474,30 +499,22 @@ def ablation_fine_interval(
     This is the experiment behind the paper's Section III claim that finer
     granularity exposes more phases and pushes simulation points toward the
     end of the program."""
-    trace = runner.trace(benchmark)
-    functional = FunctionalSimulator(trace)
-    simulator = TimingSimulator(trace, config)
-    baseline = simulator.simulate_full().metrics()
-    rows: List[AblationRow] = []
-    for size in sizes:
-        sampling = replace(runner.sampling, fine_interval_size=size,
-                           resample_threshold=size * runner.sampling.fine_kmax)
-        profile = functional.profile_fixed_intervals(size)
-        plan = SimPoint(sampling).sample(profile, benchmark=benchmark)
-        evaluation = evaluate_plan(plan, simulator, baseline)
-        rows.append(
-            AblationRow(
-                setting=f"interval={size}",
-                values={
-                    "points": float(plan.n_points),
-                    "last_position": plan.last_point_position,
-                    "detail_fraction": plan.detail_fraction,
-                    "functional_fraction": plan.functional_fraction,
-                    "cpi_deviation": evaluation.deviation.cpi,
-                },
-            )
-        )
-    return rows
+    functional = runner.context(benchmark).functional
+    plans = [
+        (f"interval={size}", SimPoint(replace(
+            runner.sampling, fine_interval_size=size,
+            resample_threshold=size * runner.sampling.fine_kmax,
+        )).sample(functional.profile_fixed_intervals(size),
+                  benchmark=benchmark))
+        for size in sizes
+    ]
+    return _sweep(runner, benchmark, config, plans, lambda plan, dev: {
+        "points": float(plan.n_points),
+        "last_position": plan.last_point_position,
+        "detail_fraction": plan.detail_fraction,
+        "functional_fraction": plan.functional_fraction,
+        "cpi_deviation": dev.cpi,
+    })
 
 
 def ablation_resample_threshold(
@@ -507,28 +524,19 @@ def ablation_resample_threshold(
     config: MachineConfig = CONFIG_A,
 ) -> List[AblationRow]:
     """Sweep the multi-level re-sampling threshold (paper: 10M x Kmax)."""
-    trace = runner.trace(benchmark)
-    simulator = TimingSimulator(trace, config)
-    baseline = simulator.simulate_full().metrics()
-    coarse_plan = Coasts(runner.sampling).sample(trace, benchmark=benchmark)
-    rows: List[AblationRow] = []
-    for threshold in thresholds:
-        sampling = replace(runner.sampling, resample_threshold=threshold)
-        plan = MultiLevelSampler(sampling).sample(
-            trace, benchmark=benchmark, coarse_plan=coarse_plan
-        )
-        evaluation = evaluate_plan(plan, simulator, baseline)
-        rows.append(
-            AblationRow(
-                setting=f"threshold={threshold}",
-                values={
-                    "leaves": float(plan.n_leaves),
-                    "detail_fraction": plan.detail_fraction,
-                    "cpi_deviation": evaluation.deviation.cpi,
-                },
-            )
-        )
-    return rows
+    context = runner.context(benchmark)
+    coarse_plan, _ = context.plan(get_sampler("coasts"))
+    plans = [
+        (f"threshold={threshold}", MultiLevelSampler(
+            replace(runner.sampling, resample_threshold=threshold)
+        ).sample(context.trace, benchmark=benchmark, coarse_plan=coarse_plan))
+        for threshold in thresholds
+    ]
+    return _sweep(runner, benchmark, config, plans, lambda plan, dev: {
+        "leaves": float(plan.n_leaves),
+        "detail_fraction": plan.detail_fraction,
+        "cpi_deviation": dev.cpi,
+    })
 
 
 def ablation_projection_dim(
@@ -538,29 +546,17 @@ def ablation_projection_dim(
     config: MachineConfig = CONFIG_A,
 ) -> List[AblationRow]:
     """Sweep the BBV random-projection dimensionality (paper uses 15)."""
-    trace = runner.trace(benchmark)
-    functional = FunctionalSimulator(trace)
-    simulator = TimingSimulator(trace, config)
-    baseline = simulator.simulate_full().metrics()
-    profile = functional.profile_fixed_intervals(
-        runner.sampling.fine_interval_size
-    )
-    rows: List[AblationRow] = []
-    for dim in dims:
-        sampling = replace(runner.sampling, projection_dim=dim)
-        plan = SimPoint(sampling).sample(profile, benchmark=benchmark)
-        evaluation = evaluate_plan(plan, simulator, baseline)
-        rows.append(
-            AblationRow(
-                setting=f"dim={dim}",
-                values={
-                    "points": float(plan.n_points),
-                    "cpi_deviation": evaluation.deviation.cpi,
-                    "l2_deviation": evaluation.deviation.l2_hit_rate,
-                },
-            )
-        )
-    return rows
+    profile = runner.context(benchmark).fine_profile()
+    plans = [
+        (f"dim={dim}", SimPoint(replace(runner.sampling, projection_dim=dim))
+         .sample(profile, benchmark=benchmark))
+        for dim in dims
+    ]
+    return _sweep(runner, benchmark, config, plans, lambda plan, dev: {
+        "points": float(plan.n_points),
+        "cpi_deviation": dev.cpi,
+        "l2_deviation": dev.l2_hit_rate,
+    })
 
 
 def ablation_metric(
@@ -574,31 +570,20 @@ def ablation_metric(
     Reproduces the cited findings: BBVs estimate at least as well as
     working-set signatures (Dhodapkar & Smith), and loop frequency vectors
     come close while often selecting fewer phases (Lau et al.)."""
-    trace = runner.trace(benchmark)
-    functional = FunctionalSimulator(trace)
-    simulator = TimingSimulator(trace, config)
-    baseline = simulator.simulate_full().metrics()
-    profile = functional.profile_fixed_intervals(
-        runner.sampling.fine_interval_size
-    )
-    rows: List[AblationRow] = []
-    for metric in metrics:
-        plan = SimPoint(runner.sampling, metric=metric).sample(
-            profile, benchmark=benchmark, program=trace.program
-        )
-        evaluation = evaluate_plan(plan, simulator, baseline)
-        rows.append(
-            AblationRow(
-                setting=metric,
-                values={
-                    "points": float(plan.n_points),
-                    "cpi_deviation": evaluation.deviation.cpi,
-                    "l2_deviation": evaluation.deviation.l2_hit_rate,
-                    "functional_fraction": plan.functional_fraction,
-                },
-            )
-        )
-    return rows
+    context = runner.context(benchmark)
+    plans = [
+        (metric, SimPoint(runner.sampling, metric=metric).sample(
+            context.fine_profile(), benchmark=benchmark,
+            program=context.trace.program,
+        ))
+        for metric in metrics
+    ]
+    return _sweep(runner, benchmark, config, plans, lambda plan, dev: {
+        "points": float(plan.n_points),
+        "cpi_deviation": dev.cpi,
+        "l2_deviation": dev.l2_hit_rate,
+        "functional_fraction": plan.functional_fraction,
+    })
 
 
 def ablation_representative_policy(
@@ -611,8 +596,6 @@ def ablation_representative_policy(
     Quantifies DESIGN.md decision 4: earliest instances slash functional
     time at a small accuracy cost."""
     trace = runner.trace(benchmark)
-    simulator = TimingSimulator(trace, config)
-    baseline = simulator.simulate_full().metrics()
     coasts = Coasts(runner.sampling)
     boundaries = coasts.collect_boundaries(trace)
     profile = coasts.profile(trace, boundaries)
@@ -620,7 +603,7 @@ def ablation_representative_policy(
 
     from ..analysis.bic import cluster_with_bic
     from ..analysis.distance import earliest_member, nearest_to_centroid
-    from ..sampling.points import SamplingPlan, SimulationPoint
+    from ..sampling.points import SimulationPoint
 
     result, _ = cluster_with_bic(
         signatures,
@@ -630,7 +613,7 @@ def ablation_representative_policy(
         threshold=runner.sampling.bic_threshold,
     )
     insts = profile.instructions.astype(np.float64)
-    rows: List[AblationRow] = []
+    plans = []
     for policy, picks in (
         ("earliest", earliest_member(result.labels, result.k)),
         ("centroid", nearest_to_centroid(signatures, result.labels,
@@ -651,22 +634,15 @@ def ablation_representative_policy(
                     interval_index=pick,
                 )
             )
-        plan = SamplingPlan(
+        plans.append((policy, SamplingPlan(
             method=f"coasts_{policy}",
             benchmark=benchmark,
             points=tuple(sorted(points, key=lambda p: p.start)),
             total_instructions=trace.total_instructions,
             n_clusters=result.k,
-        )
-        evaluation = evaluate_plan(plan, simulator, baseline)
-        rows.append(
-            AblationRow(
-                setting=policy,
-                values={
-                    "last_position": plan.last_point_position,
-                    "functional_fraction": plan.functional_fraction,
-                    "cpi_deviation": evaluation.deviation.cpi,
-                },
-            )
-        )
-    return rows
+        )))
+    return _sweep(runner, benchmark, config, plans, lambda plan, dev: {
+        "last_position": plan.last_point_position,
+        "functional_fraction": plan.functional_fraction,
+        "cpi_deviation": dev.cpi,
+    })

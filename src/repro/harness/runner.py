@@ -15,7 +15,9 @@ For one benchmark and one machine configuration the runner:
    :class:`BenchmarkRun`, cached on disk.
 
 Plans depend only on the benchmark (profiling is architecture-independent),
-so they are memoised in-process and reused across configurations.
+so each benchmark's :class:`~repro.samplers.PlanContext` — its trace,
+profiles, clusterings and every built plan — is the runner's only
+per-benchmark state, reused across configurations.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from ..config import (
 )
 from ..detailed.results import Deviation, Metrics, SimulationResult
 from ..detailed.timing import TimingSimulator
-from ..engine.trace import Trace, build_trace
+from ..engine.trace import Trace
 from ..errors import HarnessError, InjectedFault
 from ..obs import FAULTS_INJECTED, RUN_SECONDS, STAGE_SECONDS, ObsContext
 from ..obs.diag import DIAG_METRICS, MethodDiag, record_diag_metrics
@@ -47,6 +49,7 @@ from ..samplers import PlanContext, get_sampler, registered_methods
 # simulate_point_set is not called here; benchmarks/e2e/layers.py wraps
 # it under this module's name, so the import stays.
 from ..sampling.estimate import (  # noqa: F401
+    PointRange,
     evaluate_plan,
     plan_ranges,
     simulate_point_set,
@@ -71,10 +74,28 @@ logger = logging.getLogger(__name__)
 #: The walk tag booking the whole trace: the full-run baseline.
 BASELINE_TAG = "baseline"
 
-#: Methods registered at import time, in reporting order — a convenience
-#: snapshot of :func:`repro.samplers.registered_methods` (the registry is
-#: the source of truth; samplers registered later appear there, not here).
-ALL_METHODS: Tuple[str, ...] = registered_methods()
+
+def simulate_plans(
+    simulator: TimingSimulator,
+    plans: Iterable[SamplingPlan],
+    baseline: bool = True,
+    phases: Optional[Dict[object, List[PointRange]]] = None,
+) -> Dict[object, SimulationResult]:
+    """One warmed detailed walk over every leaf of *plans*.
+
+    Each leaf range is its own tag, so the results double as the plans'
+    point cache for :func:`~repro.sampling.estimate.evaluate_plan`.
+    *baseline* adds the ``[0, total)`` :data:`BASELINE_TAG`; *phases*
+    adds extra tags (the diagnostics' ``(method, phase)`` members).
+    """
+    tagged: Dict[object, List[PointRange]] = {}
+    if baseline:
+        tagged[BASELINE_TAG] = [(0, simulator.trace.total_instructions)]
+    for plan in plans:
+        for r in plan_ranges(plan):
+            tagged[r] = [r]
+    tagged.update(phases or {})
+    return simulate_tagged_ranges(simulator, tagged)
 
 
 def timing_summary(tracer: Tracer) -> dict:
@@ -157,8 +178,8 @@ class BenchmarkRun:
     baseline: Metrics
     methods: Dict[str, MethodResult]
     #: Per-method accuracy diagnostics (per-phase error attribution and
-    #: clustering-quality telemetry); empty when the runner was built
-    #: with ``diagnostics=False``.
+    #: clustering-quality telemetry) of every method whose sampler
+    #: returns a clustering diag.
     diagnostics: Dict[str, MethodDiag] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
@@ -270,7 +291,6 @@ class ExperimentRunner:
         methods: Optional[Iterable[str]] = None,
         jobs: int = 1,
         policy: Optional[FaultPolicy] = None,
-        diagnostics: bool = True,
     ) -> None:
         self.sampling = sampling
         self.cost_model = cost_model
@@ -280,9 +300,6 @@ class ExperimentRunner:
         #: registered (at construction time) with repro.samplers.
         registered = registered_methods()
         self.methods = tuple(methods) if methods is not None else registered
-        #: Whether to run the accuracy-diagnostics stage (per-phase error
-        #: attribution; its phases ride on the run's one detailed walk).
-        self.diagnostics = diagnostics
         unknown = set(self.methods) - set(registered)
         if unknown:
             raise HarnessError(
@@ -319,32 +336,36 @@ class ExperimentRunner:
         #: keeps every telemetry hook a no-op.  Strictly out-of-band:
         #: results are identical with or without a plane.
         self.telemetry = None
-        self._traces: Dict[str, Trace] = {}
-        self._plans: Dict[str, Dict[str, SamplingPlan]] = {}
-        #: Per-benchmark clustering diagnostics captured while the plans
-        #: were built (memoised alongside ``_plans``; the per-config copy
-        #: each run completes lives on its :class:`BenchmarkRun`).
-        self._plan_diags: Dict[str, Dict[str, MethodDiag]] = {}
-        #: Per-benchmark :class:`~repro.samplers.PlanContext` memos, so
-        #: incrementally requested methods share the profiles already
-        #: collected for earlier ones.
+        #: The one per-benchmark memo: each benchmark's
+        #: :class:`~repro.samplers.PlanContext` holds its trace, profiles,
+        #: clusterings and built plans.
         self._contexts: Dict[str, PlanContext] = {}
 
     # ------------------------------------------------------------------
-    def trace(self, benchmark: str) -> Trace:
-        """The (memoised) trace of *benchmark*.
+    def context(self, benchmark: str) -> PlanContext:
+        """The (memoised) :class:`~repro.samplers.PlanContext` of
+        *benchmark*; the first call loads its trace.
 
         Suite and family benchmarks unroll at the runner's workload
         scale; ``import:`` benchmarks return their validated external
         arrays at the scale they were exported at (see
         :mod:`repro.workloads.trace_import`).
         """
-        if benchmark not in self._traces:
-            self._traces[benchmark] = load_trace(
+        context = self._contexts.get(benchmark)
+        if context is None:
+            trace = load_trace(
                 benchmark, scale=self.workload_scale,
                 metrics=self.obs.metrics,
             )
-        return self._traces[benchmark]
+            context = PlanContext(
+                trace, self.sampling, benchmark, obs=self.obs
+            )
+            self._contexts[benchmark] = context
+        return context
+
+    def trace(self, benchmark: str) -> Trace:
+        """The (memoised) trace of *benchmark*."""
+        return self.context(benchmark).trace
 
     def plans(
         self,
@@ -353,41 +374,31 @@ class ExperimentRunner:
     ) -> Dict[str, SamplingPlan]:
         """The requested sampling plans for *benchmark* (memoised).
 
-        *methods* defaults to the runner's; only plans not already
-        memoised are built (through each method's registered
-        :class:`~repro.samplers.SamplerSpec`), so incremental requests
-        never re-cluster.  The returned dict is the per-benchmark memo —
-        it accumulates every method ever requested for *benchmark*.
+        *methods* defaults to the runner's; only plans the benchmark's
+        context has not built yet are built (through each method's
+        registered :class:`~repro.samplers.SamplerSpec`), so incremental
+        requests never re-cluster, and a request with nothing missing
+        opens no stage span.
         """
         requested = tuple(methods) if methods is not None else self.methods
-        plans = self._plans.setdefault(benchmark, {})
-        diags = self._plan_diags.setdefault(benchmark, {})
-        missing = [name for name in requested if name not in plans]
-        if not missing:
-            return plans
-        trace = self.trace(benchmark)
-        context = self._contexts.get(benchmark)
-        if context is None:
-            context = PlanContext(
-                trace, self.sampling, benchmark, obs=self.obs
-            )
-            self._contexts[benchmark] = context
-        specs = [get_sampler(name) for name in missing]
+        context = self.context(benchmark)
+        specs = [
+            get_sampler(name) for name in requested
+            if name not in context.built
+        ]
         if (
             any("fine" in spec.requires for spec in specs)
             and not context.has_fine_profile
         ):
             with self._stage(benchmark, "profiling"):
                 context.fine_profile()
-        # The coarse samplers profile internally; their time lands in
-        # plan_construction (the fine BBV pass dominates profiling cost).
-        with self._stage(benchmark, "plan_construction"):
-            for spec in specs:
-                plan, diag = spec.build_plan(context)
-                plans[spec.name] = plan
-                if diag is not None:
-                    diags[spec.name] = diag
-        return plans
+        if specs:
+            # The coarse samplers profile internally; their time lands in
+            # plan_construction (the fine BBV pass dominates profiling).
+            with self._stage(benchmark, "plan_construction"):
+                for spec in specs:
+                    context.plan(spec)
+        return {name: context.built[name][0] for name in requested}
 
     @contextmanager
     def _stage(self, benchmark: str, name: str) -> Iterator[Span]:
@@ -505,18 +516,14 @@ class ExperimentRunner:
                 simulator = TimingSimulator(
                     trace, config, metrics=self.obs.metrics
                 )
-                tagged: Dict[object, List[Tuple[int, int]]] = {}
-                if cached is None:
-                    tagged[BASELINE_TAG] = [(0, trace.total_instructions)]
-                for name in compute:
-                    for r in plan_ranges(plans[name]):
-                        tagged[r] = [r]
-                for name, diag in diags.items():
-                    for phase, bounds in diag.members.items():
-                        tagged[(name, phase)] = bounds
-                # Leaf tags are their ranges, so the results double as
-                # the plans' point cache.
-                results = simulate_tagged_ranges(simulator, tagged)
+                results = simulate_plans(
+                    simulator, plans.values(), baseline=cached is None,
+                    phases={
+                        (name, phase): bounds
+                        for name, diag in diags.items()
+                        for phase, bounds in diag.members.items()
+                    },
+                )
                 baseline = (
                     results[BASELINE_TAG].metrics() if cached is None
                     else cached.baseline
@@ -533,9 +540,8 @@ class ExperimentRunner:
                         deviation=evaluation.deviation,
                     )
 
-            if self.diagnostics:
-                with self._stage(benchmark, "diagnostics"):
-                    self._diagnose(diags, plans, results, baseline, methods)
+            with self._stage(benchmark, "diagnostics"):
+                self._diagnose(diags, plans, results, baseline, methods)
 
             merged_methods = dict(cached.methods) if cached else {}
             merged_methods.update(methods)
@@ -577,15 +583,13 @@ class ExperimentRunner:
     def _diag_copies(
         self, benchmark: str, names: Iterable[str]
     ) -> Dict[str, MethodDiag]:
-        """Per-run copies of the memoised plan diagnostics of *names*
-        (empty when the runner was built with ``diagnostics=False``)."""
-        if not self.diagnostics:
-            return {}
-        base = self._plan_diags.get(benchmark, {})
+        """Per-run copies of the memoised plan diagnostics of *names*."""
+        built = self._contexts[benchmark].built
         # The memoised diag is per-benchmark; each (benchmark, config) run
         # attributes its own copy, so deep-copy before mutating.
         return {
-            name: copy.deepcopy(base[name]) for name in names if name in base
+            name: copy.deepcopy(built[name][1]) for name in names
+            if built[name][1] is not None
         }
 
     @staticmethod

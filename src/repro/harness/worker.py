@@ -189,7 +189,6 @@ def _worker_run(
         ),
         workload_scale=payload["workload_scale"],
         methods=payload["methods"],
-        diagnostics=payload.get("diagnostics", True),
     )
     context = payload.get("trace_ctx")
     if context:

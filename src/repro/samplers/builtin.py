@@ -15,7 +15,7 @@ from ..sampling.multilevel import MultiLevelSampler
 from ..sampling.ranked_set import RankedSetSampler
 from ..sampling.simpoint import SimPoint
 from ..sampling.stratified import StratifiedSampler
-from .registry import PlanContext, register_sampler
+from .registry import PlanContext, get_sampler, register_sampler
 
 
 @register_sampler(
@@ -57,7 +57,9 @@ def _build_early_sp(ctx: PlanContext):
                   "bic_threshold", "random_seed"),
 )
 def _build_coasts(ctx: PlanContext):
-    return ctx.coasts()
+    sampler = Coasts(ctx.sampling, obs=ctx.obs)
+    plan = sampler.sample(ctx.trace, benchmark=ctx.benchmark)
+    return plan, sampler.last_diagnostics
 
 
 @register_sampler(
@@ -69,7 +71,7 @@ def _build_coasts(ctx: PlanContext):
                   "bic_threshold", "random_seed"),
 )
 def _build_multilevel(ctx: PlanContext):
-    coarse_plan, coarse_diag = ctx.coasts()
+    coarse_plan, coarse_diag = ctx.plan(get_sampler("coasts"))
     sampler = MultiLevelSampler(ctx.sampling, obs=ctx.obs)
     plan = sampler.sample(
         ctx.trace, benchmark=ctx.benchmark,

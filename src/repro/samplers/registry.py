@@ -30,10 +30,10 @@ module defining its ``build_plan``, which each worker imports (see
 :func:`repro.harness.worker.plugin_modules`).
 
 :class:`PlanContext` memoises the expensive shared inputs — the fine
-fixed-interval BBV profile, its SimPoint-style clustering and the COASTS
-coarse plan — so co-scheduled methods share them bit-for-bit: the same
+fixed-interval BBV profile, its SimPoint-style clustering and every
+built plan — so co-scheduled methods share them bit-for-bit: the same
 profile object, the same fine clustering for simpoint, early_sp and
-stratified, the same coarse clustering for coasts and multilevel.
+stratified, the same COASTS plan for coasts and multilevel.
 """
 
 from __future__ import annotations
@@ -62,9 +62,10 @@ class PlanContext:
     :class:`~repro.engine.profiles.FixedIntervalProfile` object, the
     SimPoint-family samplers share one projected k-means/BIC clustering
     of it per :attr:`~repro.sampling.simpoint.SimPoint.clustering_key`
-    (:meth:`fine_clustering`), and COASTS/multilevel share one coarse
-    clustering.  Which methods run, and in what order, never changes a
-    plan.
+    (:meth:`fine_clustering`), and every sampler's ``(plan, diag)`` is
+    built once (:meth:`plan`), so multilevel refines the very COASTS plan
+    the coasts method reports.  Which methods run, and in what order,
+    never changes a plan.
     """
 
     def __init__(self, trace, sampling: SamplingConfig, benchmark: str,
@@ -78,7 +79,8 @@ class PlanContext:
         self._functional = None
         self._fine_profile = None
         self._fine_clusterings: Dict[Tuple, FineClustering] = {}
-        self._coasts: Optional[Tuple[SamplingPlan, Optional[MethodDiag]]] = None
+        #: Built ``(plan, diag)`` pairs by method name (see :meth:`plan`).
+        self.built: Dict[str, Tuple[SamplingPlan, Optional[MethodDiag]]] = {}
 
     # ------------------------------------------------------------------
     @property
@@ -124,15 +126,20 @@ class PlanContext:
             self._fine_clusterings[key] = clustering
         return clustering
 
-    def coasts(self) -> Tuple[SamplingPlan, Optional[MethodDiag]]:
-        """The (memoised) COASTS coarse plan and its diagnostics."""
-        if self._coasts is None:
-            from ..sampling.coasts import Coasts
+    def plan(
+        self, spec: SamplerSpec
+    ) -> Tuple[SamplingPlan, Optional[MethodDiag]]:
+        """*spec*'s (memoised) plan and clustering diagnostics.
 
-            sampler = Coasts(self.sampling, obs=self.obs)
-            plan = sampler.sample(self.trace, benchmark=self.benchmark)
-            self._coasts = (plan, sampler.last_diagnostics)
-        return self._coasts
+        Keyed on the method name, so a sampler built as another's input
+        (multilevel's COASTS plan) is the one reported under its own
+        name.  Only a miss calls ``spec.build_plan``.
+        """
+        built = self.built.get(spec.name)
+        if built is None:
+            plan, diag = spec.build_plan(self)
+            built = self.built[spec.name] = (plan, diag)
+        return built
 
 
 #: ``build_plan`` signature: context in, (plan, clustering diag) out.

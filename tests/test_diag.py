@@ -176,19 +176,6 @@ class TestRoundTrips:
         views = diag_views(second.obs.metrics)
         assert set(views.get("gzip", {})) == set(run.diagnostics)
 
-    def test_diagnostics_off_skips_stage(self, test_sampling):
-        runner = ExperimentRunner(
-            sampling=test_sampling,
-            cache=ResultCache(enabled=False),
-            workload_scale=TEST_SCALE,
-            diagnostics=False,
-        )
-        run = runner.run_benchmark("gzip", CONFIG_A)
-        assert run.diagnostics == {}
-        assert diag_views(runner.obs.metrics) == {}
-        (run,) = runner.obs.tracer.roots
-        assert "diagnostics" not in {c.name for c in run.children}
-
 
 class TestClusterQuality:
     def test_single_cluster_has_zero_silhouette(self):

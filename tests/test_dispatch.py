@@ -276,7 +276,6 @@ class TestTaskPayloadCodec:
             "cache_enabled": True,
             "workload_scale": TEST_SCALE,
             "methods": ("simpoint", "coasts"),
-            "diagnostics": True,
             "benchmark": "gzip",
         }
         wire = json.loads(json.dumps(encode_task_payload(payload)))

@@ -288,7 +288,6 @@ class TestEndToEndIdentity:
             cache=ResultCache(directory=tmp_path / which),
             workload_scale=TEST_SCALE,
             methods=("simpoint", "coasts"),
-            diagnostics=False,
         )
         with use_backend(which):
             run = runner.run_benchmark("gzip", CONFIG_A)

@@ -3,11 +3,18 @@
 import pytest
 
 from repro.config import CONFIG_A
+from repro.detailed.timing import TimingSimulator
 from repro.errors import HarnessError
 from repro.harness import (
     BenchmarkRun,
     ExperimentRunner,
     ResultCache,
+    ablation_coarse_kmax,
+    ablation_fine_interval,
+    ablation_metric,
+    ablation_projection_dim,
+    ablation_representative_policy,
+    ablation_resample_threshold,
     arithmetic_mean,
     format_percent,
     format_table,
@@ -18,6 +25,13 @@ from repro.harness import (
     speedup_experiment,
     statistics_experiment,
 )
+from repro.harness import experiments
+from repro.harness.runner import simulate_plans
+from repro.obs import DETAILED_INSTRUCTIONS
+from repro.sampling.estimate import evaluate_plan
+
+from .conftest import TEST_SCALE
+from .test_properties import FLOAT_RTOL
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +115,10 @@ class TestRunner:
             ExperimentRunner(sampling=test_sampling, methods=("bogus",))
 
     def test_plans_memoised(self, runner):
-        assert runner.plans("gzip") is runner.plans("gzip")
+        first, again = runner.plans("gzip"), runner.plans("gzip")
+        assert list(first) == list(runner.methods)
+        for name, plan in first.items():
+            assert again[name] is plan
 
     def test_speedup_over_full_exceeds_one(self, gzip_run):
         for method in gzip_run.methods:
@@ -210,3 +227,54 @@ class TestExperiments:
         assert series.fine_selected and series.coarse_selected
         # Figure 1's claim: the fine-grained curve is more chaotic.
         assert series.fine_variation > series.coarse_variation
+
+
+#: Every ablation sweep, with small settings for the test-scale trace.
+ABLATIONS = {
+    "coarse_kmax": (ablation_coarse_kmax, {"kmaxes": (1, 2, 3)}),
+    "fine_interval": (ablation_fine_interval, {"sizes": (500, 1000, 2000)}),
+    "resample_threshold": (ablation_resample_threshold,
+                           {"thresholds": (1000, 3000, 10000)}),
+    "projection_dim": (ablation_projection_dim, {"dims": (5, 15)}),
+    "metric": (ablation_metric, {}),
+    "representative_policy": (ablation_representative_policy, {}),
+}
+
+
+class TestAblations:
+    """Every ablation sweep evaluates all its plans in one warmed walk."""
+
+    @pytest.mark.parametrize("name", list(ABLATIONS))
+    def test_one_walk_matches_per_plan_evaluation(self, name, test_sampling,
+                                                  monkeypatch):
+        ablation, kwargs = ABLATIONS[name]
+        runner = ExperimentRunner(
+            sampling=test_sampling, cache=ResultCache(enabled=False),
+            workload_scale=TEST_SCALE,
+        )
+        trace = runner.trace("gzip")
+        swept = []
+
+        def recording(simulator, plans, **options):
+            swept.extend(plans)
+            return simulate_plans(simulator, plans, **options)
+
+        monkeypatch.setattr(experiments, "simulate_plans", recording)
+        walked = runner.obs.metrics.counter(DETAILED_INSTRUCTIONS)
+        rows = ablation(runner, "gzip", **kwargs)
+        assert walked.value == trace.total_instructions
+        assert len(swept) == len(rows) > 1
+
+        # Each row matches evaluating its plan on its own against a
+        # separate full-trace baseline run.
+        simulator = TimingSimulator(trace, CONFIG_A)
+        baseline = simulator.simulate_full().metrics()
+        for row, plan in zip(rows, swept):
+            alone = evaluate_plan(plan, simulator, baseline).deviation
+            assert row.values["cpi_deviation"] == pytest.approx(
+                alone.cpi, rel=FLOAT_RTOL, abs=FLOAT_RTOL
+            )
+            if "l2_deviation" in row.values:
+                assert row.values["l2_deviation"] == pytest.approx(
+                    alone.l2_hit_rate, rel=FLOAT_RTOL, abs=FLOAT_RTOL
+                )

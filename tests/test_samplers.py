@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from repro.config import CONFIG_A
+from repro.config import CONFIG_A, CONFIG_B
 from repro.errors import HarnessError, SamplingError
 from repro.harness import DispatchPool, ExperimentRunner, ResultCache
 from repro.obs import CLUSTER_SWEEPS, KMEANS_RUNS, ObsContext
@@ -243,13 +243,51 @@ class TestSharedFineClustering:
         obs = ObsContext()
         context = PlanContext(small_trace, test_sampling, "gzip", obs=obs)
         for method in registered_methods():
-            get_sampler(method).build_plan(context)
+            context.plan(get_sampler(method))
         assert self._counters(obs, CLUSTER_SWEEPS) == {
             "simpoint": 1.0, "coasts": 1.0,
         }
         coarse_runs = self._counters(obs, KMEANS_RUNS)["coasts"]
         assert coarse_runs > 0
         assert coarse_runs % test_sampling.kmeans_seeds == 0
+
+    @pytest.mark.parametrize("methods", [
+        ("multilevel", "coasts"), ("coasts", "multilevel"),
+    ])
+    def test_multilevel_reuses_the_coasts_plan(self, test_sampling,
+                                               methods):
+        """Whichever is built first, the pair books one coarse sweep and
+        multilevel refines the plan reported as coasts."""
+        runner = ExperimentRunner(
+            sampling=test_sampling, cache=ResultCache(enabled=False),
+            workload_scale=0.04, methods=methods,
+        )
+        runner.run_benchmark("gzip", CONFIG_A)
+        assert self._counters(runner.obs, CLUSTER_SWEEPS) == {
+            "coasts": 1.0,
+        }
+        built = runner.context("gzip").built
+
+        def points(method):
+            return [(p.start, p.end) for p in built[method][0].points]
+
+        assert points("multilevel") == points("coasts")
+
+    def test_second_config_reuses_every_plan(self, test_sampling):
+        """Config B after config A builds nothing: no sweep is booked and
+        its run span has no profiling or plan_construction stage."""
+        runner = ExperimentRunner(
+            sampling=test_sampling, cache=ResultCache(enabled=False),
+            workload_scale=0.04,
+        )
+        runner.run_benchmark("gzip", CONFIG_A)
+        sweeps = self._counters(runner.obs, CLUSTER_SWEEPS)
+        runner.run_benchmark("gzip", CONFIG_B)
+        assert self._counters(runner.obs, CLUSTER_SWEEPS) == sweeps
+        config_b = runner.obs.tracer.roots[-1]
+        assert [stage.name for stage in config_b.children] == [
+            "trace_build", "detailed_simulation", "diagnostics",
+        ]
 
     def test_foreign_profile_rejected(self, small_trace, test_sampling,
                                       small_fine_profile):
