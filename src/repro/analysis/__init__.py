@@ -1,19 +1,11 @@
 """Phase-analysis primitives: BBVs, projection, PCA, k-means, BIC.
 
 The hot kernels come in bit-identical ``vectorized`` / ``scalar``
-implementations selected through :mod:`repro.analysis.backend`; see
-that module for the selection API and the rounding argument, and
-``repro bench`` for the measured speedups.
+implementations selected through :mod:`repro.backend`; DESIGN decision
+12 gives the rounding argument and ``repro bench`` the measured
+speedups.
 """
 
-from .backend import (
-    BACKEND_ENV,
-    BACKENDS,
-    get_backend,
-    resolve_backend,
-    set_backend,
-    use_backend,
-)
 from .bbv import concat_signatures, normalize_rows, project_bbvs
 from .bic import bic_score, cluster_with_bic, select_k
 from .distance import (
@@ -33,8 +25,6 @@ from .pca import PCA, first_component
 from .projection import RandomProjection
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKENDS",
     "KMeansResult",
     "METRIC_KINDS",
     "PCA",
@@ -45,17 +35,13 @@ __all__ = [
     "concat_signatures",
     "earliest_member",
     "first_component",
-    "get_backend",
     "kmeans",
     "loop_frequency_matrix",
     "metric_matrix",
     "nearest_to_centroid",
     "normalize_rows",
     "project_bbvs",
-    "resolve_backend",
     "select_k",
-    "set_backend",
     "squared_distances",
-    "use_backend",
     "working_set_matrix",
 ]

@@ -8,28 +8,25 @@ observed score range — 90% by default, as in the SimPoint release.
 The per-cluster log-likelihood terms are evaluated batched on the
 ``vectorized`` backend and looped on the ``scalar`` one; the expressions
 are written identically in both, and both sum the term array with
-``np.sum``, so the scores are bit-identical
-(:mod:`repro.analysis.backend`).
+``np.sum``, so the scores are bit-identical (:mod:`repro.backend`).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from ..backend import get_backend
 from ..errors import ClusteringError
-from .backend import resolve_backend
 from .kmeans import KMeansResult, kmeans
 
 #: Floor on the fitted variance, guarding against degenerate clusterings.
 _VARIANCE_FLOOR = 1e-12
 
 
-def bic_score(
-    data: np.ndarray, result: KMeansResult, backend: Optional[str] = None
-) -> float:
+def bic_score(data: np.ndarray, result: KMeansResult) -> float:
     """BIC of *result* as a spherical-Gaussian mixture over *data*."""
     data = np.asarray(data, dtype=np.float64)
     n, d = data.shape
@@ -43,7 +40,7 @@ def bic_score(
     variance = max(result.inertia / (d * (n - k)), _VARIANCE_FLOOR)
     log_norm = np.log(2.0 * np.pi * variance)
     sizes = result.cluster_sizes()
-    if resolve_backend(backend) == "scalar":
+    if get_backend() == "scalar":
         terms = []
         for size in sizes:
             if size <= 0:
@@ -90,7 +87,6 @@ def cluster_with_bic(
     n_seeds: int = 5,
     threshold: float = 0.9,
     ks: Sequence[int] | None = None,
-    backend: Optional[str] = None,
 ) -> Tuple[KMeansResult, Dict[int, float]]:
     """Cluster for k = 1..kmax and return the BIC-selected clustering.
 
@@ -108,8 +104,8 @@ def cluster_with_bic(
     results: Dict[int, KMeansResult] = {}
     scores: Dict[int, float] = {}
     for k in candidates:
-        result = kmeans(data, k, seed=seed, n_seeds=n_seeds, backend=backend)
+        result = kmeans(data, k, seed=seed, n_seeds=n_seeds)
         results[k] = result
-        scores[k] = bic_score(data, result, backend=backend)
+        scores[k] = bic_score(data, result)
     chosen = select_k(scores, threshold=threshold)
     return results[chosen], scores

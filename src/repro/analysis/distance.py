@@ -1,8 +1,8 @@
 """Distance kernels shared by clustering and representative selection.
 
 Each kernel has a batched (``vectorized``) and a loop (``scalar``)
-implementation selected via :mod:`repro.analysis.backend`; the pairs are
-bit-identical (see that module's docstring for why), which is what the
+implementation selected via :mod:`repro.backend`; the pairs are
+bit-identical (DESIGN decision 12 says why), which is what the
 differential tests in ``tests/test_vectorized.py`` pin.
 
 The batched kernels avoid BLAS on purpose: squared distances come from
@@ -17,12 +17,12 @@ of the block size.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from ..backend import get_backend
 from ..errors import ClusteringError
-from .backend import resolve_backend
 
 #: Upper bound on the (rows x centers x dims) broadcast temporary, in
 #: float64 elements (~32 MiB).  Purely a memory knob: results are
@@ -39,16 +39,14 @@ def _row_block(n_centers: int, n_dims: int) -> int:
     return max(1, _BLOCK_ELEMENTS // max(1, n_centers * n_dims))
 
 
-def squared_distances(
-    data: np.ndarray, centers: np.ndarray, backend: Optional[str] = None
-) -> np.ndarray:
+def squared_distances(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Pairwise squared Euclidean distances: (n, d) x (k, d) -> (n, k)."""
     data = np.asarray(data, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
     _check_pair(data, centers)
     n, k = len(data), len(centers)
     out = np.empty((n, k), dtype=np.float64)
-    if resolve_backend(backend) == "scalar":
+    if get_backend() == "scalar":
         for i in range(n):
             for j in range(k):
                 out[i, j] = np.sum((data[i] - centers[j]) ** 2)
@@ -62,7 +60,7 @@ def squared_distances(
 
 
 def assign_points(
-    data: np.ndarray, centers: np.ndarray, backend: Optional[str] = None
+    data: np.ndarray, centers: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fused distance/assignment: nearest center per point.
 
@@ -78,7 +76,7 @@ def assign_points(
     n, k = len(data), len(centers)
     labels = np.empty(n, dtype=np.int64)
     best = np.empty(n, dtype=np.float64)
-    if resolve_backend(backend) == "scalar":
+    if get_backend() == "scalar":
         row = np.empty(k, dtype=np.float64)
         for i in range(n):
             for j in range(k):
@@ -102,7 +100,6 @@ def nearest_to_centroid(
     data: np.ndarray,
     labels: np.ndarray,
     centroids: np.ndarray,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Index of the member closest to each centroid (SimPoint's pick).
 
@@ -112,8 +109,8 @@ def nearest_to_centroid(
     labels = np.asarray(labels)
     k = len(centroids)
     picks = np.full(k, -1, dtype=np.int64)
-    distances = squared_distances(data, centroids, backend=backend)
-    if resolve_backend(backend) == "scalar":
+    distances = squared_distances(data, centroids)
+    if get_backend() == "scalar":
         for j in range(k):
             members = np.flatnonzero(labels == j)
             if len(members):
@@ -130,13 +127,11 @@ def nearest_to_centroid(
     return picks
 
 
-def earliest_member(
-    labels: np.ndarray, k: int, backend: Optional[str] = None
-) -> np.ndarray:
+def earliest_member(labels: np.ndarray, k: int) -> np.ndarray:
     """Index of the earliest member of each cluster (COASTS's pick)."""
     labels = np.asarray(labels)
     picks = np.full(k, -1, dtype=np.int64)
-    if resolve_backend(backend) == "scalar":
+    if get_backend() == "scalar":
         for j in range(k):
             members = np.flatnonzero(labels == j)
             if len(members):

@@ -6,7 +6,7 @@ BBVs, run for several random seeds per k with the best inertia kept.
 
 Both hot kernels — the k-means++ seeding sweep and the batched Lloyd
 iteration — exist in a ``vectorized`` and a ``scalar`` implementation
-(:mod:`repro.analysis.backend`).  The pairs consume the identical random
+(:mod:`repro.backend`).  The pairs consume the identical random
 stream and are bit-identical on labels, centroids and inertia: the
 batched path only uses reductions whose rounding matches the scalar loop
 (innermost-axis pairwise sums, index-order ``np.add.at`` accumulation),
@@ -17,12 +17,12 @@ seed x shape matrix; ``repro bench`` measures the resulting speedup.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from ..backend import get_backend
 from ..errors import ClusteringError
-from .backend import resolve_backend
 from .distance import assign_points
 
 
@@ -82,9 +82,7 @@ class ClusterQuality:
         return float(self.member_silhouettes.mean())
 
 
-def cluster_quality(
-    data: np.ndarray, result: KMeansResult, backend: Optional[str] = None
-) -> ClusterQuality:
+def cluster_quality(data: np.ndarray, result: KMeansResult) -> ClusterQuality:
     """Quality statistics of *result* on *data*.
 
     *data* must be the points the labels refer to (``result.labels``
@@ -102,7 +100,7 @@ def cluster_quality(
             f"data rows ({len(data)}) do not match labels ({len(labels)})"
         )
     k = result.k
-    squared = squared_distances(data, result.centroids, backend=backend)
+    squared = squared_distances(data, result.centroids)
     own_sq = squared[np.arange(len(data)), labels]
     member_distances = np.sqrt(own_sq)
 
@@ -225,7 +223,7 @@ def _lloyd(
     labels = np.zeros(len(data), dtype=np.int64)
     history = []
     for _ in range(max_iterations):
-        new_labels, distances = assign_points(data, centroids, backend=backend)
+        new_labels, distances = assign_points(data, centroids)
         history.append(float(np.sum(distances)))
         moved = not np.array_equal(new_labels, labels)
         labels = new_labels
@@ -235,7 +233,7 @@ def _lloyd(
     # Final refresh against the converged centroids, so the reported
     # labels/inertia are consistent with the reported centroids even
     # when the loop stopped at max_iterations.
-    labels, distances = assign_points(data, centroids, backend=backend)
+    labels, distances = assign_points(data, centroids)
     inertia = float(np.sum(distances))
     history.append(inertia)
     return KMeansResult(
@@ -253,13 +251,12 @@ def kmeans(
     n_seeds: int = 5,
     max_iterations: int = 100,
     tolerance: float = 1e-10,
-    backend: Optional[str] = None,
 ) -> KMeansResult:
     """Cluster *data* into *k* clusters, keeping the best of *n_seeds* runs.
 
-    ``k`` is clamped to the number of points available.  ``backend``
-    overrides the process-global kernel selection (see
-    :mod:`repro.analysis.backend`).
+    ``k`` is clamped to the number of points available.  The active
+    backend (:mod:`repro.backend`) is read once, here, and passed to the
+    private seeding and update helpers.
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or len(data) == 0:
@@ -269,7 +266,7 @@ def kmeans(
     if n_seeds <= 0:
         raise ClusteringError("n_seeds must be positive")
     k = min(k, len(data))
-    chosen = resolve_backend(backend)
+    chosen = get_backend()
 
     best: KMeansResult | None = None
     for attempt in range(n_seeds):

@@ -1,91 +1,59 @@
-"""Process-global kernel backend selection, shared by every layer.
+"""Process-global kernel backend selection: one switch for every layer.
 
 Hot kernels in this codebase come in two implementations: a batched
 ``vectorized`` numpy path (the production default) and a ``scalar``
 Python-loop path kept as the bit-identical reference the vectorized
-kernels are differentially tested against.  Each layer that follows the
-pattern (the analysis kernels, the engine's trace builder and
-profilers) owns one :class:`BackendControl` instance, giving it an
-independent process-global flag, its own environment variable and its
-own error type — while the selection semantics (env override at first
-use, ``set``/``use``/per-call ``resolve``) stay identical everywhere.
+kernels are differentially tested against (DESIGN decision 12 states
+the construction rules that make them bit-identical).  One switch
+governs them all: the analysis kernels (BBV normalisation, random
+projection, distances, k-means, BIC) and the engine's trace builder and
+functional profilers.
 
-See :mod:`repro.analysis.backend` for the bit-identity construction
-rules the vectorized kernels obey.
+Select the backend for a whole process with ``$REPRO_BACKEND`` (read
+once, at first use) or for a block with :func:`use_backend`.  An
+unknown name from either raises :class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple, Type
+from typing import Iterator, Optional, Tuple
 
-from .errors import ReproError
+from .errors import ConfigError
 
 #: Recognised backend names, fastest first; index 0 is the default.
 BACKENDS: Tuple[str, ...] = ("vectorized", "scalar")
 
+#: Environment variable selecting the backend at first use.
+BACKEND_ENV = "REPRO_BACKEND"
 
-class BackendControl:
-    """One layer's process-global vectorized/scalar switch.
+_active: Optional[str] = None
 
-    *env_var* overrides the default at first use (import-time semantics
-    without an import-time ``os.environ`` read); *error_cls* is the
-    layer's own error type, so an unknown name raises e.g.
-    ``ClusteringError`` from the analysis layer and ``TraceError`` from
-    the engine.
-    """
 
-    def __init__(
-        self,
-        env_var: str,
-        error_cls: Type[ReproError],
-        backends: Tuple[str, ...] = BACKENDS,
-    ) -> None:
-        self.env_var = env_var
-        self.error_cls = error_cls
-        self.backends = backends
-        self._active: Optional[str] = None
+def _validate(name: str) -> str:
+    if name not in BACKENDS:
+        raise ConfigError(
+            f"unknown backend {name!r} (choose from {', '.join(BACKENDS)})"
+        )
+    return name
 
-    # ------------------------------------------------------------------
-    def validate(self, name: str) -> str:
-        """*name* itself when recognised; the layer's error otherwise."""
-        if name not in self.backends:
-            raise self.error_cls(
-                f"unknown backend {name!r} (choose from "
-                f"{', '.join(self.backends)})"
-            )
-        return name
 
-    def get(self) -> str:
-        """The active backend name (env var consulted on first use)."""
-        if self._active is None:
-            self._active = self.validate(
-                os.environ.get(self.env_var, self.backends[0])
-            )
-        return self._active
+def get_backend() -> str:
+    """The active backend name (``$REPRO_BACKEND`` consulted on first use)."""
+    global _active
+    if _active is None:
+        _active = _validate(os.environ.get(BACKEND_ENV, BACKENDS[0]))
+    return _active
 
-    def set(self, name: str) -> str:
-        """Select the backend; returns the previously active one."""
-        previous = self.get()
-        self._active = self.validate(name)
-        return previous
 
-    def resolve(self, name: Optional[str]) -> str:
-        """*name* itself if given (validated), else the active backend.
-
-        Kernels call this on their ``backend=`` keyword so an explicit
-        argument always wins over the process-global selection.
-        """
-        if name is None:
-            return self.get()
-        return self.validate(name)
-
-    @contextmanager
-    def use(self, name: str) -> Iterator[str]:
-        """Context manager: run a block under *name*, then restore."""
-        previous = self.set(name)
-        try:
-            yield name
-        finally:
-            self.set(previous)
+@contextmanager
+def use_backend(name: str) -> Iterator[str]:
+    """Run a block under backend *name*, then restore the previous one."""
+    global _active
+    previous = get_backend()
+    _active = _validate(name)
+    try:
+        yield name
+    finally:
+        _active = previous

@@ -14,6 +14,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+from ..backend import use_backend
 from ..errors import HarnessError
 from ..obs import ObsContext, register_help
 from .suite import BenchCase
@@ -90,7 +91,9 @@ def run_bench(
 ) -> List[CaseResult]:
     """Run *cases*: one setup, *warmup* unmeasured + *reps* measured runs.
 
-    Per case and backend, each measured run is timed by a ``bench_rep``
+    Per case and backend, the warm-up and measured runs execute inside
+    one :func:`~repro.backend.use_backend` block (entered outside the
+    timed region), and each measured run is timed by a ``bench_rep``
     span; the returned :class:`CaseResult` carries the span durations.
     *obs* collects the spans and the :data:`BENCH_REPS` counter (a
     private context is used when omitted).
@@ -108,18 +111,20 @@ def run_bench(
                 payload = case.setup(scale)
             timings: Dict[str, BackendTiming] = {}
             for backend in case.backends:
-                for _ in range(warmup):
-                    case.run(payload, backend)
                 seconds: List[float] = []
-                for rep in range(reps):
-                    with obs.tracer.span(
-                        "bench_rep", case=case.name, backend=backend, rep=rep
-                    ) as span:
-                        case.run(payload, backend)
-                    seconds.append(float(span.duration))
-                    obs.metrics.counter(
-                        BENCH_REPS, case=case.name, backend=backend
-                    ).inc()
+                with use_backend(backend):
+                    for _ in range(warmup):
+                        case.run(payload)
+                    for rep in range(reps):
+                        with obs.tracer.span(
+                            "bench_rep", case=case.name, backend=backend,
+                            rep=rep,
+                        ) as span:
+                            case.run(payload)
+                        seconds.append(float(span.duration))
+                        obs.metrics.counter(
+                            BENCH_REPS, case=case.name, backend=backend
+                        ).inc()
                 timings[backend] = BackendTiming(
                     backend=backend, seconds=tuple(seconds)
                 )

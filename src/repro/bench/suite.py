@@ -1,13 +1,13 @@
 """The declarative microbenchmark suite.
 
 Each :class:`BenchCase` names a setup (run once, outside timing), a
-payload-consuming kernel, and the analysis backends it is measured
-under.  Cases that exercise the backend-switchable analysis kernels run
-under both ``vectorized`` and ``scalar`` so the runner can report their
-speedup ratio — the host-portable number CI asserts on.  Cases whose
-cost lives outside the analysis layer (the detailed timing walk over
-int piece bounds with per-kind statics) run vectorized-only and
-contribute wall-clock trend data.
+payload-consuming kernel, and the backends it is measured under (the
+runner selects each with :func:`repro.backend.use_backend`).  Cases that
+exercise the backend-switched analysis or engine kernels run under both
+``vectorized`` and ``scalar`` so the runner can report their speedup
+ratio — the host-portable number CI asserts on.  Cases with no scalar
+twin (the detailed timing walk over int piece bounds with per-kind
+statics) run vectorized-only and contribute wall-clock trend data.
 
 Kernel-shaped cases (k-means sweep, signature build) use fixed synthetic
 inputs modelled on SimPoint's real shapes — projected 15-dim BBVs, 4
@@ -26,7 +26,6 @@ from typing import Any, Callable, List, Optional, Tuple
 import numpy as np
 
 from ..analysis import cluster_with_bic, concat_signatures, project_bbvs
-from ..analysis.backend import use_backend
 from ..config import CONFIG_A, DEFAULT_SAMPLING, SamplingConfig
 from ..detailed.timing import TimingSimulator
 from ..engine.functional import FunctionalSimulator
@@ -66,13 +65,15 @@ class BenchCase:
     name: str
     description: str
     #: Backends the timed kernel is measured under; a ("vectorized",)
-    #: case has no scalar reference (its cost is outside the analysis
-    #: layer) and therefore no speedup ratio.
+    #: case has no scalar twin and therefore no speedup ratio.
     backends: Tuple[str, ...]
     setup: Callable[[float], Any]
-    run: Callable[[Any, str], Any]
-    #: Which backend switch the case exercises ("analysis" kernels or
-    #: the "engine" trace builder/profilers) — reported by ``--list``.
+    #: The timed kernel; it takes the payload and runs under whichever
+    #: backend the runner has selected.
+    run: Callable[[Any], Any]
+    #: Which layer's twins the case measures ("analysis" kernels, the
+    #: "engine" trace builder/profilers, or the "detailed" walk) —
+    #: reported by ``--list`` and selectable by ``--filter``.
     layer: str = "analysis"
 
 
@@ -113,8 +114,8 @@ def _setup_kmeans(scale: float) -> np.ndarray:
     return project_bbvs(raw, DEFAULT_SAMPLING.projection_dim, seed=0)
 
 
-def _run_kmeans(payload: np.ndarray, backend: str) -> None:
-    cluster_with_bic(payload, kmax=8, seed=0, n_seeds=2, backend=backend)
+def _run_kmeans(payload: np.ndarray) -> None:
+    cluster_with_bic(payload, kmax=8, seed=0, n_seeds=2)
 
 
 # ----------------------------------------------------------------------
@@ -125,10 +126,8 @@ def _setup_signatures(scale: float) -> np.ndarray:
     return rng.random((64, DEFAULT_SAMPLING.signature_segments, 256))
 
 
-def _run_signatures(payload: np.ndarray, backend: str) -> None:
-    concat_signatures(
-        payload, dim=DEFAULT_SAMPLING.projection_dim, seed=0, backend=backend
-    )
+def _run_signatures(payload: np.ndarray) -> None:
+    concat_signatures(payload, dim=DEFAULT_SAMPLING.projection_dim, seed=0)
 
 
 # ----------------------------------------------------------------------
@@ -139,13 +138,12 @@ def _setup_two_level(scale: float) -> Trace:
     return _bench_trace(scale)
 
 
-def _run_two_level(trace: Trace, backend: str) -> None:
+def _run_two_level(trace: Trace) -> None:
     sampling = _bench_sampling(trace)
-    with use_backend(backend):
-        coarse = Coasts(sampling).sample(trace, benchmark=_workload)
-        MultiLevelSampler(sampling).sample(
-            trace, benchmark=_workload, coarse_plan=coarse
-        )
+    coarse = Coasts(sampling).sample(trace, benchmark=_workload)
+    MultiLevelSampler(sampling).sample(
+        trace, benchmark=_workload, coarse_plan=coarse
+    )
 
 
 # ----------------------------------------------------------------------
@@ -164,61 +162,56 @@ def _setup_fine_plan(scale: float):
     return sampling, profile
 
 
-def _run_stratified(payload, backend: str) -> None:
+def _run_stratified(payload) -> None:
     sampling, profile = payload
-    with use_backend(backend):
-        StratifiedSampler(sampling).sample(profile, benchmark=_workload)
+    StratifiedSampler(sampling).sample(profile, benchmark=_workload)
 
 
-def _run_ranked_set(payload, backend: str) -> None:
+def _run_ranked_set(payload) -> None:
     sampling, profile = payload
-    with use_backend(backend):
-        RankedSetSampler(sampling).sample(profile, benchmark=_workload)
+    RankedSetSampler(sampling).sample(profile, benchmark=_workload)
 
 
 # ----------------------------------------------------------------------
 # detailed timing: the block-level OoO walk (int piece bounds, per-kind
 # statics) over the whole trace (the "original sim-outorder" cost every
-# speedup is quoted against).  Backend-independent: measured
+# speedup is quoted against).  It has no scalar twin: measured
 # vectorized-only.
 
 def _setup_detailed(scale: float) -> Trace:
     return _bench_trace(scale)
 
 
-def _run_detailed(trace: Trace, backend: str) -> None:
+def _run_detailed(trace: Trace) -> None:
     TimingSimulator(trace, CONFIG_A).simulate_full()
 
 
 # ----------------------------------------------------------------------
 # engine cases: the trace unroll and the functional profiling passes,
-# measured per-call under both engine backends (``repro.engine.backend``
-# is independent of the analysis switch; the ``backend=`` keyword wins
-# over the process-global selection, so the suite needs no context
-# manager here).
+# measured under both backends.
 
 def _setup_trace_build(scale: float):
     return load_workload(_workload, scale=scale)
 
 
-def _run_trace_build(workload, backend: str) -> None:
-    TraceBuilder(workload).build(backend=backend)
+def _run_trace_build(workload) -> None:
+    TraceBuilder(workload).build()
 
 
 def _setup_functional(scale: float) -> FunctionalSimulator:
     return FunctionalSimulator(_bench_trace(scale))
 
 
-def _run_coarse(sim: FunctionalSimulator, backend: str) -> None:
-    sim.profile_coarse_intervals(backend=backend)
+def _run_coarse(sim: FunctionalSimulator) -> None:
+    sim.profile_coarse_intervals()
 
 
-def _run_structures(sim: FunctionalSimulator, backend: str) -> None:
-    sim.profile_structures(backend=backend)
+def _run_structures(sim: FunctionalSimulator) -> None:
+    sim.profile_structures()
 
 
-def _run_functional(sim: FunctionalSimulator, backend: str) -> None:
-    sim.run(backend=backend)
+def _run_functional(sim: FunctionalSimulator) -> None:
+    sim.run()
 
 
 #: The suite, in reporting order.

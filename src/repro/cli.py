@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
+from .backend import get_backend
 from .bench import (
     BENCH_WORKLOAD,
     DEFAULT_BENCH_SCALE,
@@ -1202,9 +1203,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     _configure_logging(args)
     try:
-        # A malformed $REPRO_FAULTS is a usage error before any run
-        # starts, not one failed run per benchmark.
+        # A malformed $REPRO_FAULTS or $REPRO_BACKEND is a usage error
+        # before any run starts, not one failed run per benchmark.
         active_faults()
+        get_backend()
         return args.func(args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

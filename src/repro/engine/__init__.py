@@ -1,6 +1,5 @@
 """Dynamic trace generation, functional simulation and profiling."""
 
-from .backend import get_backend, resolve_backend, set_backend, use_backend
 from .functional import FunctionalSimulator
 from .profiles import (
     CoarseIntervalProfile,
@@ -31,8 +30,4 @@ __all__ = [
     "Trace",
     "TraceBuilder",
     "build_trace",
-    "get_backend",
-    "resolve_backend",
-    "set_backend",
-    "use_backend",
 ]

@@ -11,7 +11,7 @@ boundaries (tens of instructions against 10K-instruction intervals) and is
 zero for coarse intervals, whose boundaries coincide with segment boundaries.
 
 The whole-trace run and the coarse/structure profilers are
-backend-switched (:mod:`repro.engine.backend`): the vectorized default
+backend-switched (:mod:`repro.backend`): the vectorized default
 reduces each pass to a handful of weighted :func:`np.bincount` calls over
 the trace's flat arrays, laid out so every accumulator cell receives its
 additions in exactly the order the retained scalar loops add them — the
@@ -25,9 +25,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..backend import get_backend
 from ..errors import TraceError
 from ..obs import FUNCTIONAL_INSTRUCTIONS, PROFILE_PASSES, MetricsRegistry
-from .backend import resolve_backend
 from .profiles import (
     CoarseIntervalProfile,
     FixedIntervalProfile,
@@ -55,7 +55,7 @@ class FunctionalSimulator:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
 
     # ------------------------------------------------------------------
-    def run(self, backend: Optional[str] = None) -> FunctionalResult:
+    def run(self) -> FunctionalResult:
         """Execute the whole trace, returning aggregate block counts.
 
         Vectorized: one weighted bincount over the trace's flat block
@@ -64,7 +64,7 @@ class FunctionalSimulator:
         bincount replaces, kept as the differential reference.
         """
         trace = self.trace
-        if resolve_backend(backend) == "scalar":
+        if get_backend() == "scalar":
             counts = np.zeros(self.program.n_blocks, dtype=np.int64)
             for index in range(trace.n_segments):
                 seg = trace.segment_at(index)
@@ -183,7 +183,6 @@ class FunctionalSimulator:
         self,
         n_segments: int = 4,
         bounds: Optional[np.ndarray] = None,
-        backend: Optional[str] = None,
     ) -> CoarseIntervalProfile:
         """Collect BBVs per outer-loop iteration instance.
 
@@ -200,7 +199,7 @@ class FunctionalSimulator:
         bounds = np.asarray(bounds, dtype=np.int64)
         if bounds.ndim != 2 or bounds.shape[1] != 2:
             raise TraceError("bounds must be an (n, 2) array")
-        if resolve_backend(backend) == "scalar":
+        if get_backend() == "scalar":
             bbv, seg_bbv = self._coarse_scalar(bounds, n_segments)
         else:
             bbv, seg_bbv = self._coarse_vectorized(bounds, n_segments)
@@ -385,14 +384,12 @@ class FunctionalSimulator:
         return bbv, seg_bbv
 
     # ------------------------------------------------------------------
-    def profile_structures(
-        self, backend: Optional[str] = None
-    ) -> StructureProfiles:
+    def profile_structures(self) -> StructureProfiles:
         """Dynamic coverage and instance counts per cyclic structure."""
         trace = self.trace
         program = self.program
         total = trace.total_instructions
-        if resolve_backend(backend) == "scalar":
+        if get_backend() == "scalar":
             insts: Dict[int, int] = {l.loop_id: 0 for l in program.loops}
             instances: Dict[int, int] = {l.loop_id: 0 for l in program.loops}
             # Inner-loop instructions from segments tagged with a loop id;

@@ -29,10 +29,10 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..backend import get_backend
 from ..errors import TraceError
 from ..workloads.generator import Workload
 from ..workloads.spec import BenchmarkSpec
-from .backend import resolve_backend
 
 #: The per-segment columns of an array-native trace, in canonical order
 #: (``flat_blocks`` first, then the five per-segment columns).
@@ -128,7 +128,7 @@ class Trace:
 
     Construct from a list of :class:`Segment` objects (the scalar path)
     or directly from the canonical arrays via ``arrays=`` (the
-    vectorized builder and the shared-memory attach path).  Either way
+    vectorized builder).  Either way
     the canonical state is the flat arrays; ``segments`` materialises
     object views lazily.
     """
@@ -347,7 +347,7 @@ class TraceBuilder:
     """Deterministically unroll a workload's schedule into a trace.
 
     Two backends produce byte-identical traces (see
-    :mod:`repro.engine.backend`):
+    :mod:`repro.backend`):
 
     * ``vectorized`` (default): one Python pass draws the RNG stream in
       the exact order the scalar builder draws it (jitter normals, noise
@@ -367,9 +367,9 @@ class TraceBuilder:
     def __init__(self, workload: Workload) -> None:
         self.workload = workload
 
-    def build(self, backend: Optional[str] = None) -> Trace:
+    def build(self) -> Trace:
         """Unroll the schedule and return the trace."""
-        if resolve_backend(backend) == "scalar":
+        if get_backend() == "scalar":
             return self._build_scalar()
         return self._build_vectorized()
 
@@ -551,6 +551,6 @@ class TraceBuilder:
         return Trace(self.workload, arrays=arrays)
 
 
-def build_trace(workload: Workload, backend: Optional[str] = None) -> Trace:
+def build_trace(workload: Workload) -> Trace:
     """Convenience wrapper: unroll *workload* into its trace."""
-    return TraceBuilder(workload).build(backend=backend)
+    return TraceBuilder(workload).build()

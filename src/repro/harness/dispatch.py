@@ -357,8 +357,8 @@ def pool_for(
 def _worker_env() -> Dict[str, str]:
     """Environment for spawned workers: this package stays importable.
 
-    ``$REPRO_FAULTS``, ``$REPRO_CACHE_DIR`` and the backend switches
-    cross untouched; the package's ``src`` root is prepended to
+    ``$REPRO_FAULTS``, ``$REPRO_CACHE_DIR`` and the one backend switch
+    ``$REPRO_BACKEND`` (:mod:`repro.backend`) cross untouched; the package's ``src`` root is prepended to
     ``PYTHONPATH`` so ``python -m repro.harness.worker`` resolves even
     when the dispatcher itself was started via ``sys.path`` tweaks.
     """

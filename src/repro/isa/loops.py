@@ -8,7 +8,7 @@ nest.  The nest is a forest: top-level loops have ``parent is None``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from ..errors import ProgramError
 
@@ -90,11 +90,3 @@ class LoopNest:
             if block_id in loop.blocks and (best is None or loop.depth > best.depth):
                 best = loop
         return best
-
-    def depth_map(self) -> Dict[int, int]:
-        """Map block id -> nesting depth (0 for blocks outside any loop)."""
-        depths: Dict[int, int] = {}
-        for loop in self.loops:
-            for block_id in loop.blocks:
-                depths[block_id] = max(depths.get(block_id, 0), loop.depth + 1)
-        return depths

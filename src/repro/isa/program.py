@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Mapping, Tuple
+from typing import Mapping, Tuple
 
 import numpy as np
 
@@ -98,15 +98,6 @@ class Program:
         """Vector of block instruction counts, indexed by block id."""
         return np.array([b.size for b in self.blocks], dtype=np.int64)
 
-    @cached_property
-    def static_instruction_count(self) -> int:
-        """Total static instructions across all blocks."""
-        return int(self.block_sizes.sum())
-
     def region(self, region_id: int) -> MemRegion:
         """Return the region with the given id."""
         return self.regions[region_id]
-
-    def region_table(self) -> Dict[str, MemRegion]:
-        """Map region name -> region."""
-        return {r.name: r for r in self.regions}

@@ -55,10 +55,6 @@ class EventLog:
     def capacity(self) -> int:
         return self._ring.maxlen or 0
 
-    @property
-    def sink_path(self) -> Optional[Path]:
-        return self._sink_path
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._ring)

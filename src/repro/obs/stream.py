@@ -7,7 +7,7 @@ its final ``result`` message.  This module adds the in-flight view:
   registry and emits the *change* since the previous snapshot as a
   sequence-numbered delta (counters and histograms as arithmetic diffs,
   gauges as full current state).  Deltas piggyback on the dispatch
-  ``heartbeat`` message or the local pool's progress queue.
+  ``heartbeat`` message.
 * :class:`LiveRegistry` — driver side.  Folds deltas into a per-stream
   *pending* registry, gated on monotonic sequence numbers so a
   duplicated or re-ordered delta is applied exactly once (a gap marks

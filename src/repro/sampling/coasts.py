@@ -72,7 +72,8 @@ class Coasts:
         self.config = config
         #: Observability context: when present, sampling runs inside a
         #: ``sampling`` span and the clustering-quality diagnostics are
-        #: attached to it as attributes.
+        #: attached to it as attributes, and the profiling passes and
+        #: the k-means/BIC sweep book into its metrics.
         self.obs = obs
         #: Clustering-quality diagnostics of the most recent
         #: :meth:`sample`/:meth:`sample_profile` call (the harness fills
@@ -80,10 +81,15 @@ class Coasts:
         self.last_diagnostics: Optional[MethodDiag] = None
 
     # ------------------------------------------------------------------
+    def functional(self, trace: Trace) -> FunctionalSimulator:
+        """A functional simulator over *trace* whose passes book into
+        the sampler's metrics (a private registry without *obs*)."""
+        metrics = self.obs.metrics if self.obs is not None else None
+        return FunctionalSimulator(trace, metrics=metrics)
+
     def collect_boundaries(self, trace: Trace) -> BoundaryInfo:
         """Step 1: choose top-level cyclic structures, filter by coverage."""
-        functional = FunctionalSimulator(trace)
-        structures = functional.profile_structures()
+        structures = self.functional(trace).profile_structures()
         nest = trace.program.loops
         kept: List[int] = []
         discarded: List[int] = []
@@ -147,8 +153,7 @@ class Coasts:
     ) -> CoarseIntervalProfile:
         """Step 2: per-instance sub-chunk BBVs for the kept intervals."""
         boundaries = boundaries or self.collect_boundaries(trace)
-        functional = FunctionalSimulator(trace)
-        return functional.profile_coarse_intervals(
+        return self.functional(trace).profile_coarse_intervals(
             n_segments=self.config.signature_segments,
             bounds=boundaries.bounds,
         )

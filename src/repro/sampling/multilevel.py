@@ -30,22 +30,31 @@ from .points import SamplingPlan, SimulationPoint
 from .simpoint import SimPoint
 
 
+class _InPointSimPoint(SimPoint):
+    """SimPoint inside one coarse point: its sweeps are multilevel's."""
+
+    method_name = "multilevel"
+
+
 class MultiLevelSampler:
-    """COASTS + in-point fine-grained SimPoint re-sampling."""
+    """COASTS + in-point fine-grained SimPoint re-sampling.
+
+    With *obs*, the profiling passes and every k-means/BIC sweep book
+    into its metrics: COASTS's under ``coasts``, the in-point ones under
+    ``multilevel``.
+    """
 
     method_name = "multilevel"
 
     def __init__(
         self,
         config: SamplingConfig = DEFAULT_SAMPLING,
-        coarse: Optional[Coasts] = None,
-        fine: Optional[SimPoint] = None,
         obs: Optional[ObsContext] = None,
     ) -> None:
         self.config = config
         self.obs = obs
-        self.coarse = coarse or Coasts(config, obs=obs)
-        self.fine = fine or SimPoint(config)
+        self.coarse = Coasts(config, obs=obs)
+        self.fine = _InPointSimPoint(config, obs=obs)
         if self.config.resample_threshold < self.fine.interval_size:
             raise SamplingError(
                 "resample threshold smaller than the fine interval size"
@@ -74,7 +83,7 @@ class MultiLevelSampler:
         if coarse_plan is None:
             coarse_plan = self.coarse.sample(trace, benchmark=benchmark)
             coarse_diag = self.coarse.last_diagnostics
-        functional = FunctionalSimulator(trace)
+        functional = self.coarse.functional(trace)
 
         points: List[SimulationPoint] = []
         for point in coarse_plan.points:

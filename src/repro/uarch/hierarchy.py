@@ -1,18 +1,14 @@
 """Two-level memory hierarchy: split L1 I/D caches over a unified L2.
 
-The hierarchy routes distinct-line access runs through L1 and feeds each
-level's misses to the next.  ``ws_lines`` — the footprint (in lines) of the
-stream the run was drawn from — arms the analytic streaming fast path in
-each level independently (a sweep may thrash a 16K L1 while fitting in a
-1M L2).
+The hierarchy owns the three caches; its users (the instruction-level
+OoO reference) drive ``il1``, ``dl1`` and ``ul2`` directly, feeding each
+level's misses to the next.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
-
 from ..config import MachineConfig
-from .cache import STREAM_FACTOR, Cache
+from .cache import Cache
 
 
 class MemoryHierarchy:
@@ -29,35 +25,6 @@ class MemoryHierarchy:
         self.il1.reset()
         self.dl1.reset()
         self.ul2.reset()
-
-    # ------------------------------------------------------------------
-    def access_data_run(
-        self, lines: Sequence[int], ws_lines: int
-    ) -> Tuple[int, int]:
-        """Route a distinct-line data run; returns (l1d_misses, l2_misses)."""
-        l1_streaming = ws_lines >= STREAM_FACTOR * self.dl1.capacity_lines
-        l1_misses, miss_lines = self.dl1.access_run(lines, streaming=l1_streaming)
-        if not miss_lines:
-            return l1_misses, 0
-        l2_streaming = ws_lines >= STREAM_FACTOR * self.ul2.capacity_lines
-        l2_misses, _ = self.ul2.access_run(miss_lines, streaming=l2_streaming)
-        return l1_misses, l2_misses
-
-    def access_instruction_lines(
-        self, lines: Sequence[int]
-    ) -> Tuple[int, int]:
-        """Fetch instruction lines; returns (l1i_misses, l2_misses)."""
-        l1_misses, miss_lines = self.il1.access_run(lines)
-        if not miss_lines:
-            return l1_misses, 0
-        l2_misses, _ = self.ul2.access_run(miss_lines)
-        return l1_misses, l2_misses
-
-    # ------------------------------------------------------------------
-    def data_line_ids(self, addresses: Sequence[int]) -> List[int]:
-        """Translate byte addresses to D-cache line ids."""
-        line = self.config.dcache.line_size
-        return [int(a) // line for a in addresses]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -50,11 +50,6 @@ class InnerLayout:
     loop_id: int
     region_id: int
 
-    @property
-    def body_instructions(self) -> int:
-        """Instructions executed by one iteration of the loop body."""
-        return self.spec.body_blocks * self.spec.block_size
-
 
 @dataclass(frozen=True)
 class RegimeLayout:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.backend import get_backend
 from repro.bench import (
     BENCH_SCHEMA_VERSION,
     BENCH_SUITE,
@@ -27,8 +28,8 @@ def _fake_case(name="fake", backends=("vectorized", "scalar")):
         calls["setup"] += 1
         return {"scale": scale}
 
-    def run(payload, backend):
-        calls["run"].append(backend)
+    def run(payload):
+        calls["run"].append(get_backend())
 
     case = BenchCase(
         name=name, description="a fake case", backends=tuple(backends),

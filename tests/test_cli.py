@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import backend as backend_mod
 from repro.cli import EXIT_PARTIAL, EXPERIMENTS, build_parser, exit_code_for, main
 from repro.errors import (
     ConfigError,
@@ -136,6 +137,17 @@ class TestExitCodes:
         assert code == 2
         assert "unknown stage 'baseline'" in captured.err
         assert "detailed_simulation" in captured.err
+        assert captured.out == ""
+
+    def test_bad_backend_rejected_before_any_run(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(backend_mod, "_active", None)
+        monkeypatch.setenv(backend_mod.BACKEND_ENV, "turbo")
+        code = main(["--scale", "0.04", "suite", "--quick", "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "unknown backend 'turbo'" in captured.err
         assert captured.out == ""
 
     def test_partial_suite_renders_table_and_exits_partial(

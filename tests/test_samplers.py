@@ -18,7 +18,8 @@ import pytest
 from repro.config import CONFIG_A, CONFIG_B
 from repro.errors import HarnessError, SamplingError
 from repro.harness import DispatchPool, ExperimentRunner, ResultCache
-from repro.obs import CLUSTER_SWEEPS, KMEANS_RUNS, ObsContext
+from repro.engine import FunctionalSimulator
+from repro.obs import CLUSTER_SWEEPS, KMEANS_RUNS, PROFILE_PASSES, ObsContext
 from repro.samplers import (
     PlanContext,
     SamplerSpec,
@@ -238,35 +239,68 @@ class TestSharedFineClustering:
 
     def test_all_methods_book_one_fine_and_one_coarse_sweep(
             self, small_trace, test_sampling):
-        """Multilevel reuses COASTS's sweep, and its in-point SimPoint
-        carries no observability context, so it books nothing."""
+        """Multilevel reuses COASTS's sweep; its in-point SimPoint books
+        one sweep per re-sampled point under ``multilevel``."""
         obs = ObsContext()
         context = PlanContext(small_trace, test_sampling, "gzip", obs=obs)
         for method in registered_methods():
             context.plan(get_sampler(method))
+        multilevel_plan, _ = context.built["multilevel"]
+        resampled = sum(p.is_resampled for p in multilevel_plan.points)
         assert self._counters(obs, CLUSTER_SWEEPS) == {
-            "simpoint": 1.0, "coasts": 1.0,
+            "simpoint": 1.0, "coasts": 1.0, "multilevel": float(resampled),
         }
         coarse_runs = self._counters(obs, KMEANS_RUNS)["coasts"]
         assert coarse_runs > 0
         assert coarse_runs % test_sampling.kmeans_seeds == 0
+
+    def test_multilevel_books_every_sweep_and_pass(
+            self, small_trace, test_sampling, monkeypatch):
+        """Every in-point sweep and every profiling pass that runs is
+        counted: one structure and one coarse pass for COASTS, then one
+        fixed-interval pass and one sweep per re-sampled point."""
+        made = []
+        for name in ("run", "profile_fixed_intervals",
+                     "profile_coarse_intervals", "profile_structures"):
+            original = getattr(FunctionalSimulator, name)
+
+            def spy(self, *args, _name=name, _original=original, **kwargs):
+                made.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(FunctionalSimulator, name, spy)
+        obs = ObsContext()
+        context = PlanContext(small_trace, test_sampling, "gzip", obs=obs)
+        plan, _ = context.plan(get_sampler("multilevel"))
+        resampled = sum(p.is_resampled for p in plan.points)
+        assert resampled > 0
+        assert self._counters(obs, CLUSTER_SWEEPS) == {
+            "coasts": 1.0, "multilevel": float(resampled),
+        }
+        passes = sum(
+            metric.value for metric_name, _, metric in obs.metrics.samples()
+            if metric_name == PROFILE_PASSES
+        )
+        assert passes == len(made) == 2 + resampled
 
     @pytest.mark.parametrize("methods", [
         ("multilevel", "coasts"), ("coasts", "multilevel"),
     ])
     def test_multilevel_reuses_the_coasts_plan(self, test_sampling,
                                                methods):
-        """Whichever is built first, the pair books one coarse sweep and
-        multilevel refines the plan reported as coasts."""
+        """Whichever is built first, the pair books one coarse sweep (plus
+        multilevel's in-point sweeps) and multilevel refines the plan
+        reported as coasts."""
         runner = ExperimentRunner(
             sampling=test_sampling, cache=ResultCache(enabled=False),
             workload_scale=0.04, methods=methods,
         )
         runner.run_benchmark("gzip", CONFIG_A)
-        assert self._counters(runner.obs, CLUSTER_SWEEPS) == {
-            "coasts": 1.0,
-        }
         built = runner.context("gzip").built
+        resampled = sum(p.is_resampled for p in built["multilevel"][0].points)
+        assert self._counters(runner.obs, CLUSTER_SWEEPS) == {
+            "coasts": 1.0, "multilevel": float(resampled),
+        }
 
         def points(method):
             return [(p.start, p.end) for p in built[method][0].points]

@@ -3,35 +3,33 @@
 The contract is **bit-identity**, not approximate equality: every
 assertion here uses ``np.array_equal`` / ``==`` on floats.  The
 vectorized kernels are built exclusively from numpy operations whose
-per-element rounding matches the scalar loops (see
-:mod:`repro.analysis.backend`), so any drift is a real kernel bug, not
-tolerable noise.
+per-element rounding matches the scalar loops (DESIGN decision 12), so
+any drift is a real kernel bug, not tolerable noise.  Each kernel runs
+once per backend, selected with the one switch, :func:`use_backend`.
 """
+
+import importlib
 
 import numpy as np
 import pytest
 
+from repro import backend as backend_mod
 from repro.analysis import (
-    BACKEND_ENV,
-    BACKENDS,
     assign_points,
     bic_score,
     cluster_with_bic,
     concat_signatures,
     earliest_member,
-    get_backend,
     kmeans,
     nearest_to_centroid,
     normalize_rows,
     project_bbvs,
-    resolve_backend,
-    set_backend,
     squared_distances,
-    use_backend,
 )
-from repro.analysis import backend as backend_mod
+from repro.backend import BACKEND_ENV, BACKENDS, get_backend, use_backend
 from repro.config import SamplingConfig
-from repro.errors import ClusteringError
+from repro.engine import FunctionalSimulator
+from repro.errors import ClusteringError, ConfigError
 from repro.sampling.coasts import Coasts
 from repro.sampling.multilevel import MultiLevelSampler
 
@@ -52,6 +50,12 @@ def _dataset(n, d, seed):
     return np.random.default_rng(seed).random((n, d))
 
 
+def _under(backend, kernel, *args, **kwargs):
+    """``kernel(*args, **kwargs)`` with *backend* selected."""
+    with use_backend(backend):
+        return kernel(*args, **kwargs)
+
+
 def _dataset_with_duplicates(n, d, seed):
     """Half the rows duplicated — exercises zero-distance seeding."""
     rng = np.random.default_rng(seed)
@@ -66,8 +70,8 @@ class TestDistanceKernels:
     def test_squared_distances_bit_identical(self, n, d, k, seed):
         data = _dataset(n, d, seed)
         centers = _dataset(k, d, seed + 100)
-        fast = squared_distances(data, centers, backend="vectorized")
-        slow = squared_distances(data, centers, backend="scalar")
+        fast = _under("vectorized", squared_distances, data, centers)
+        slow = _under("scalar", squared_distances, data, centers)
         assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("n,d,k", SHAPES)
@@ -75,8 +79,10 @@ class TestDistanceKernels:
     def test_assign_points_bit_identical(self, n, d, k, seed):
         data = _dataset(n, d, seed)
         centers = _dataset(k, d, seed + 100)
-        fast_labels, fast_best = assign_points(data, centers, backend="vectorized")
-        slow_labels, slow_best = assign_points(data, centers, backend="scalar")
+        fast_labels, fast_best = _under(
+            "vectorized", assign_points, data, centers
+        )
+        slow_labels, slow_best = _under("scalar", assign_points, data, centers)
         assert np.array_equal(fast_labels, slow_labels)
         assert np.array_equal(fast_best, slow_best)
 
@@ -85,7 +91,7 @@ class TestDistanceKernels:
         data = np.array([[0.5, 0.5], [1.0, 0.0]])
         centers = np.array([[0.5, 0.5], [0.5, 0.5]])
         for backend in BACKENDS:
-            labels, _ = assign_points(data, centers, backend=backend)
+            labels, _ = _under(backend, assign_points, data, centers)
             assert np.array_equal(labels, [0, 0])
 
     @pytest.mark.parametrize("seed", SEEDS)
@@ -94,8 +100,10 @@ class TestDistanceKernels:
         centroids = _dataset(5, 6, seed + 7)
         # Labels leave cluster 3 empty so the -1 branch is exercised.
         labels = np.random.default_rng(seed).integers(0, 3, size=40)
-        fast = nearest_to_centroid(data, labels, centroids, backend="vectorized")
-        slow = nearest_to_centroid(data, labels, centroids, backend="scalar")
+        fast = _under(
+            "vectorized", nearest_to_centroid, data, labels, centroids
+        )
+        slow = _under("scalar", nearest_to_centroid, data, labels, centroids)
         assert np.array_equal(fast, slow)
         assert fast[3] == -1 and fast[4] == -1
 
@@ -103,14 +111,14 @@ class TestDistanceKernels:
     def test_earliest_member_bit_identical(self, seed):
         rng = np.random.default_rng(seed)
         labels = rng.integers(-1, 6, size=50)  # includes invalid -1 labels
-        fast = earliest_member(labels, 6, backend="vectorized")
-        slow = earliest_member(labels, 6, backend="scalar")
+        fast = _under("vectorized", earliest_member, labels, 6)
+        slow = _under("scalar", earliest_member, labels, 6)
         assert np.array_equal(fast, slow)
 
     def test_earliest_member_empty_labels(self):
         for backend in BACKENDS:
-            picks = earliest_member(np.array([], dtype=np.int64), 3,
-                                    backend=backend)
+            empty = np.array([], dtype=np.int64)
+            picks = _under(backend, earliest_member, empty, 3)
             assert np.array_equal(picks, [-1, -1, -1])
 
     def test_blocking_does_not_change_results(self, monkeypatch):
@@ -120,10 +128,10 @@ class TestDistanceKernels:
 
         data = _dataset(64, 7, 3)
         centers = _dataset(5, 7, 4)
-        whole = squared_distances(data, centers, backend="vectorized")
+        whole = _under("vectorized", squared_distances, data, centers)
         monkeypatch.setattr(distance_mod, "_BLOCK_ELEMENTS", 16)
-        blocked = squared_distances(data, centers, backend="vectorized")
-        labels, best = assign_points(data, centers, backend="vectorized")
+        blocked = _under("vectorized", squared_distances, data, centers)
+        labels, best = _under("vectorized", assign_points, data, centers)
         assert np.array_equal(whole, blocked)
         assert np.array_equal(best, whole[np.arange(64), labels])
 
@@ -137,8 +145,8 @@ class TestKMeansDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_kmeans_bit_identical(self, n, d, k, seed):
         data = _dataset(n, d, seed)
-        fast = kmeans(data, k, seed=seed, n_seeds=2, backend="vectorized")
-        slow = kmeans(data, k, seed=seed, n_seeds=2, backend="scalar")
+        fast = _under("vectorized", kmeans, data, k, seed=seed, n_seeds=2)
+        slow = _under("scalar", kmeans, data, k, seed=seed, n_seeds=2)
         assert np.array_equal(fast.labels, slow.labels)
         assert np.array_equal(fast.centroids, slow.centroids)
         assert fast.inertia == slow.inertia
@@ -147,8 +155,8 @@ class TestKMeansDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_kmeans_on_duplicates_bit_identical(self, seed):
         data = _dataset_with_duplicates(24, 4, seed)
-        fast = kmeans(data, 5, seed=seed, n_seeds=2, backend="vectorized")
-        slow = kmeans(data, 5, seed=seed, n_seeds=2, backend="scalar")
+        fast = _under("vectorized", kmeans, data, 5, seed=seed, n_seeds=2)
+        slow = _under("scalar", kmeans, data, 5, seed=seed, n_seeds=2)
         assert np.array_equal(fast.labels, slow.labels)
         assert np.array_equal(fast.centroids, slow.centroids)
         assert fast.inertia == slow.inertia
@@ -156,25 +164,25 @@ class TestKMeansDifferential:
     def test_kmeans_all_identical_points(self):
         data = np.full((10, 3), 0.25)
         for backend in BACKENDS:
-            result = kmeans(data, 4, seed=0, n_seeds=1, backend=backend)
+            result = _under(backend, kmeans, data, 4, seed=0, n_seeds=1)
             assert result.inertia == 0.0
             assert not np.isnan(result.centroids).any()
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_bic_scores_bit_identical(self, seed):
         data = _dataset(60, 5, seed)
-        result = kmeans(data, 4, seed=seed, n_seeds=1, backend="vectorized")
-        assert bic_score(data, result, backend="vectorized") == \
-            bic_score(data, result, backend="scalar")
+        result = _under("vectorized", kmeans, data, 4, seed=seed, n_seeds=1)
+        assert _under("vectorized", bic_score, data, result) == \
+            _under("scalar", bic_score, data, result)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_cluster_with_bic_bit_identical(self, seed):
         data = _dataset(50, 6, seed)
-        fast, fast_scores = cluster_with_bic(
-            data, kmax=5, seed=seed, n_seeds=2, backend="vectorized"
+        fast, fast_scores = _under(
+            "vectorized", cluster_with_bic, data, kmax=5, seed=seed, n_seeds=2
         )
-        slow, slow_scores = cluster_with_bic(
-            data, kmax=5, seed=seed, n_seeds=2, backend="scalar"
+        slow, slow_scores = _under(
+            "scalar", cluster_with_bic, data, kmax=5, seed=seed, n_seeds=2
         )
         assert fast_scores == slow_scores
         assert fast.k == slow.k
@@ -187,41 +195,42 @@ class TestSignatureDifferential:
     def test_normalize_rows_bit_identical(self, seed):
         data = _dataset(20, 8, seed)
         data[3] = 0.0  # a zero row must stay zero on both paths
-        fast = normalize_rows(data, backend="vectorized")
-        slow = normalize_rows(data, backend="scalar")
+        fast = _under("vectorized", normalize_rows, data)
+        slow = _under("scalar", normalize_rows, data)
         assert np.array_equal(fast, slow)
         assert np.array_equal(fast[3], np.zeros(8))
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_project_bbvs_bit_identical(self, seed):
         raw = _dataset(30, 64, seed)
-        fast = project_bbvs(raw, 10, seed=seed, backend="vectorized")
-        slow = project_bbvs(raw, 10, seed=seed, backend="scalar")
+        fast = _under("vectorized", project_bbvs, raw, 10, seed=seed)
+        slow = _under("scalar", project_bbvs, raw, 10, seed=seed)
         assert np.array_equal(fast, slow)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_concat_signatures_bit_identical(self, seed):
         segments = _dataset(12, 4 * 32, seed).reshape(12, 4, 32)
-        fast = concat_signatures(segments, dim=6, seed=seed,
-                                 backend="vectorized")
-        slow = concat_signatures(segments, dim=6, seed=seed,
-                                 backend="scalar")
+        fast = _under(
+            "vectorized", concat_signatures, segments, dim=6, seed=seed
+        )
+        slow = _under("scalar", concat_signatures, segments, dim=6, seed=seed)
         assert fast.shape == (12, 24)
         assert np.array_equal(fast, slow)
 
 
 class TestBackendSelection:
+    """The one switch (:mod:`repro.backend`) for every layer's twins."""
+
     def test_default_is_vectorized(self):
         assert get_backend() == "vectorized"
-        assert resolve_backend(None) == get_backend()
 
-    def test_set_backend_returns_previous(self):
-        previous = set_backend("scalar")
-        try:
-            assert previous == "vectorized"
-            assert get_backend() == "scalar"
-        finally:
-            set_backend(previous)
+    def test_environment_variable_selects_backend(self, monkeypatch):
+        monkeypatch.setattr(backend_mod, "_active", None)
+        monkeypatch.setenv(BACKEND_ENV, "scalar")
+        assert get_backend() == "scalar"
+        # Read once, at first use: a later change has no effect.
+        monkeypatch.setenv(BACKEND_ENV, "vectorized")
+        assert get_backend() == "scalar"
 
     def test_use_backend_restores_on_exit(self):
         before = get_backend()
@@ -236,36 +245,55 @@ class TestBackendSelection:
                 raise RuntimeError("boom")
         assert get_backend() == before
 
-    def test_explicit_argument_beats_global(self):
-        data = _dataset(10, 3, 0)
-        with use_backend("scalar"):
-            # Still runs (and validates) the requested backend.
-            assert resolve_backend("vectorized") == "vectorized"
-            result = kmeans(data, 2, seed=0, n_seeds=1, backend="vectorized")
-        assert result.k == 2
-
-    def test_environment_variable_selects_backend(self, monkeypatch):
-        monkeypatch.setattr(backend_mod.CONTROL, "_active", None)
-        monkeypatch.setenv(BACKEND_ENV, "scalar")
-        assert get_backend() == "scalar"
-
     def test_bad_environment_variable_rejected(self, monkeypatch):
-        monkeypatch.setattr(backend_mod.CONTROL, "_active", None)
+        monkeypatch.setattr(backend_mod, "_active", None)
         monkeypatch.setenv(BACKEND_ENV, "turbo")
-        with pytest.raises(ClusteringError):
+        with pytest.raises(ConfigError, match="turbo"):
             get_backend()
 
     @pytest.mark.parametrize("bad", ["", "Vectorized", "numpy", "turbo"])
     def test_unknown_backend_rejected_everywhere(self, bad):
-        with pytest.raises(ClusteringError):
-            set_backend(bad)
-        with pytest.raises(ClusteringError):
-            resolve_backend(bad)
-        with pytest.raises(ClusteringError):
+        before = get_backend()
+        with pytest.raises(ConfigError, match="unknown backend"):
             with use_backend(bad):
                 pass
-        with pytest.raises(ClusteringError):
-            kmeans(np.zeros((3, 2)), 2, backend=bad)
+        assert get_backend() == before
+
+    def test_one_switch_drives_analysis_and_engine(
+        self, monkeypatch, small_trace
+    ):
+        # The package re-exports the function under the module's name.
+        kmeans_mod = importlib.import_module("repro.analysis.kmeans")
+
+        seen = []
+        seeding = kmeans_mod._kmeanspp_init
+
+        def spy_seeding(data, k, rng, backend):
+            seen.append(("kmeans", backend))
+            return seeding(data, k, rng, backend)
+
+        monkeypatch.setattr(kmeans_mod, "_kmeanspp_init", spy_seeding)
+        for twin in ("scalar", "vectorized"):
+            original = getattr(FunctionalSimulator, f"_coarse_{twin}")
+
+            def spy_coarse(self, *args, _twin=twin, _original=original):
+                seen.append(("coarse", _twin))
+                return _original(self, *args)
+
+            monkeypatch.setattr(
+                FunctionalSimulator, f"_coarse_{twin}", spy_coarse
+            )
+        functional = FunctionalSimulator(small_trace)
+        data = _dataset(10, 3, 0)
+        with use_backend("scalar"):
+            kmeans(data, 2, n_seeds=1)
+            functional.profile_coarse_intervals()
+        kmeans(data, 2, n_seeds=1)
+        functional.profile_coarse_intervals()
+        assert seen == [
+            ("kmeans", "scalar"), ("coarse", "scalar"),
+            ("kmeans", "vectorized"), ("coarse", "vectorized"),
+        ]
 
 
 class TestEndToEndPlanIdentity:
