@@ -70,7 +70,6 @@ from .obs import (
     RunManifest,
     TelemetryPlane,
     TelemetryServer,
-    diag_views,
     diff_records,
     follow_events,
     format_diag_report,
@@ -85,6 +84,7 @@ from .obs import (
     record_from_bench,
     record_from_manifest,
     render_folded,
+    run_diagnostics,
     trace_report_json,
     write_folded,
     write_prometheus,
@@ -799,7 +799,7 @@ def _cmd_obs_flame(args: argparse.Namespace) -> int:
 
 def _cmd_obs_diag(args: argparse.Namespace) -> int:
     dump = read_trace_jsonl(_require_trace(args.trace))
-    views = diag_views(dump.metrics)
+    views = run_diagnostics(dump.spans())
     print(format_diag_report(
         views, benchmark=args.benchmark, method=args.method
     ))
@@ -1154,9 +1154,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     diag = obs_sub.add_parser(
         "diag",
-        help="render per-benchmark error budgets (per-phase error "
-             "attribution and clustering-quality telemetry) from a "
-             "--trace-out JSONL file",
+        help="render per-run error budgets (per-phase error "
+             "attribution and clustering-quality telemetry, one table per "
+             "benchmark, config and method) from a --trace-out JSONL file",
     )
     diag.add_argument("trace", help="path to a --trace-out JSONL file")
     diag.add_argument("--benchmark", default=None,

@@ -490,10 +490,11 @@ class ExperimentRunner:
                             config=config.name,
                         )
                     run = self._select_methods(cached)
-                    # Gauges, not counters, so re-recording on every hit
-                    # is idempotent and a cached run still surfaces its
-                    # diagnostics in --metrics-out / `obs diag`.
-                    record_diag_metrics(self.obs.metrics, run.diagnostics)
+                    # A cached run still carries its diagnostics on its
+                    # run span (for `obs diag`) and in its gauges.
+                    record_diag_metrics(
+                        self.obs.metrics, span, config.name, run.diagnostics
+                    )
                     return run
                 logger.debug(
                     "[%s] %s: partial cache hit (computing %s)",
@@ -557,7 +558,9 @@ class ExperimentRunner:
             )
             self.cache.put(key, merged.to_dict())
             run = self._select_methods(merged)
-            record_diag_metrics(self.obs.metrics, run.diagnostics)
+            record_diag_metrics(
+                self.obs.metrics, span, config.name, run.diagnostics
+            )
             # Fault-injection hook: tests corrupt the just-published entry
             # to prove torn cache files are quarantined, not trusted
             # (no-op unless $REPRO_FAULTS configures a `corrupt` fault).

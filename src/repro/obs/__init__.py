@@ -1,7 +1,7 @@
 """Observability: span tracing, metrics, exporters, run manifests.
 
 The measurement substrate under every performance claim the harness
-makes.  Four pieces:
+makes.  Five pieces:
 
 * :mod:`repro.obs.spans` — hierarchical span tracer (context-manager
   API, monotonic clocks, parent/child nesting, cross-process
@@ -11,7 +11,10 @@ makes.  Four pieces:
 * :mod:`repro.obs.export` — JSONL event log (``--trace-out``),
   Prometheus text exposition (``--metrics-out``), and the human
   ``repro obs report`` tree/table view;
-* :mod:`repro.obs.manifest` — per-invocation provenance records.
+* :mod:`repro.obs.manifest` — per-invocation provenance records;
+* :mod:`repro.obs.diag` — per-phase error attribution and
+  clustering-quality telemetry, published on each ``run`` span and
+  rendered by ``repro obs diag``.
 
 The live telemetry plane (PR 10) adds four more:
 
@@ -34,9 +37,9 @@ from .diag import (
     MethodDiag,
     PhaseDiag,
     build_method_diag,
-    diag_views,
     format_diag_report,
     record_diag_metrics,
+    run_diagnostics,
 )
 from .events import (
     EventLog,
@@ -174,7 +177,6 @@ __all__ = [
     "WORKER_CRASHES",
     "build_method_diag",
     "copy_registry",
-    "diag_views",
     "diff_records",
     "folded_stacks",
     "follow_events",
@@ -195,6 +197,7 @@ __all__ = [
     "register_help",
     "render_folded",
     "render_prometheus",
+    "run_diagnostics",
     "trace_records",
     "trace_report_json",
     "write_folded",

@@ -27,10 +27,12 @@ came from*.  This module is the schema and math for that:
   predictors of sampling error; gcc's pathological giant coarse point
   (EXPERIMENTS.md) lights up here as an ``oversized`` flag.
 
-Everything is recorded as ``repro_diag_*`` gauges on the run's metrics
-registry, so a ``--trace-out`` file is self-contained:
-``repro obs diag trace.jsonl`` rebuilds the error-budget tables from the
-metric records alone.
+Each run publishes its diagnostics once, as ``MethodDiag.to_dict()``
+on its ``run`` span, so a ``--trace-out`` file is self-contained:
+``repro obs diag trace.jsonl`` rebuilds the error-budget tables from
+the run spans, one per (benchmark, config, method).  Only each
+method's total error and residual are also gauges, for live
+``/metrics``.
 
 This module deliberately imports nothing from the sampling or harness
 layers (they import *it*); the samplers construct :class:`MethodDiag`
@@ -46,52 +48,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .metrics import register_help
 
 # ----------------------------------------------------------------------
-# well-known diagnostic metric names (all gauges: re-recording a run's
-# diagnostics must be idempotent, so counters are wrong here)
+# the two per-method gauges (gauges, not counters: re-publishing a run's
+# diagnostics on a cache hit or a retry must be idempotent)
 # ----------------------------------------------------------------------
-DIAG_PHASE_ERROR = "repro_diag_phase_error"
-DIAG_RESIDUAL = "repro_diag_residual"
 DIAG_TOTAL_ERROR = "repro_diag_total_error"
-DIAG_PHASE_WEIGHT = "repro_diag_phase_weight"
-DIAG_PHASE_INSTRUCTIONS = "repro_diag_phase_instructions"
-DIAG_PHASE_MEMBERS = "repro_diag_phase_members"
-DIAG_POINT_SIZE = "repro_diag_point_size"
-DIAG_REP_DISTANCE = "repro_diag_rep_distance"
-DIAG_MEAN_DISTANCE = "repro_diag_mean_distance"
-DIAG_CLUSTER_VARIANCE = "repro_diag_cluster_variance"
-DIAG_SILHOUETTE = "repro_diag_silhouette"
-DIAG_REP_VALUE = "repro_diag_rep_value"
-DIAG_PHASE_VALUE = "repro_diag_phase_value"
-DIAG_OVERSIZED = "repro_diag_oversized"
-DIAG_RESAMPLED = "repro_diag_resampled"
-DIAG_COVERAGE_DISCARDED = "repro_diag_coverage_discarded"
-DIAG_RESAMPLE_THRESHOLD = "repro_diag_resample_threshold"
-DIAG_N_CLUSTERS = "repro_diag_n_clusters"
-DIAG_N_INTERVALS = "repro_diag_n_intervals"
+DIAG_RESIDUAL = "repro_diag_residual"
 
-for _name, _help in (
-    (DIAG_PHASE_ERROR, "Per-phase absolute error vs the baseline."),
-    (DIAG_RESIDUAL, "Total error minus attributed per-phase error."),
-    (DIAG_TOTAL_ERROR, "Whole-run absolute error vs the baseline."),
-    (DIAG_PHASE_WEIGHT, "Fraction of intervals assigned to the phase."),
-    (DIAG_PHASE_INSTRUCTIONS, "Instructions attributed to the phase."),
-    (DIAG_PHASE_MEMBERS, "Interval count of the phase's cluster."),
-    (DIAG_POINT_SIZE, "Representative point size in instructions."),
-    (DIAG_REP_DISTANCE, "Representative-to-centroid distance."),
-    (DIAG_MEAN_DISTANCE, "Mean member-to-centroid distance."),
-    (DIAG_CLUSTER_VARIANCE, "Signature variance within the cluster."),
-    (DIAG_SILHOUETTE, "Silhouette score of the clustering."),
-    (DIAG_REP_VALUE, "Metric value measured at the representative."),
-    (DIAG_PHASE_VALUE, "Metric value attributed to the whole phase."),
-    (DIAG_OVERSIZED, "Phases whose point exceeded the size budget."),
-    (DIAG_RESAMPLED, "Phases re-sampled after a coverage check."),
-    (DIAG_COVERAGE_DISCARDED, "Intervals discarded by coverage checks."),
-    (DIAG_RESAMPLE_THRESHOLD, "Coverage threshold that triggers resampling."),
-    (DIAG_N_CLUSTERS, "Clusters in the sampling plan."),
-    (DIAG_N_INTERVALS, "Intervals in the profiled trace."),
-):
-    register_help(_name, _help)
-del _name, _help
+register_help(
+    DIAG_TOTAL_ERROR, "Signed whole-run deviation vs the baseline."
+)
+register_help(
+    DIAG_RESIDUAL, "Total deviation minus the per-phase contributions."
+)
 
 #: The accuracy metrics attribution covers, in reporting order.
 DIAG_METRICS: Tuple[str, ...] = ("cpi", "l1", "l2")
@@ -382,165 +350,55 @@ def build_method_diag(
 
 
 # ----------------------------------------------------------------------
-# registry recording and reconstruction
+# publishing (run span + gauges) and reading back from spans
 # ----------------------------------------------------------------------
-def record_diag_metrics(registry, diags: Dict[str, MethodDiag]) -> None:
-    """Write one benchmark's diagnostics as ``repro_diag_*`` gauges.
+def record_diag_metrics(
+    registry, span, config: str, diags: Dict[str, MethodDiag]
+) -> None:
+    """Publish one run's diagnostics on its ``run`` *span* and *registry*.
 
-    *registry* is a :class:`~repro.obs.metrics.MetricsRegistry` (duck
-    typed to avoid an import cycle with callers).  All instruments are
-    gauges, so recording the same run twice (cache hits, retries) is
-    idempotent.
+    The span gets a ``diagnostics`` attribute, ``{method:
+    MethodDiag.to_dict()}`` — the one serialised form.  Worker span
+    trees carry it to the driver and into ``--trace-out``, where
+    :func:`run_diagnostics` reads it back.  *registry* (a
+    :class:`~repro.obs.metrics.MetricsRegistry`, duck typed) gets each
+    method's total error and residual per metric, so live ``/metrics``
+    shows accuracy.  Publishing the same run twice is idempotent.
     """
+    span.set(diagnostics={
+        name: diag.to_dict() for name, diag in diags.items()
+    })
     for diag in diags.values():
-        ident = {"benchmark": diag.benchmark, "method": diag.method}
-        registry.gauge(DIAG_N_CLUSTERS, **ident).set(diag.n_clusters)
-        registry.gauge(DIAG_N_INTERVALS, **ident).set(diag.n_intervals)
-        registry.gauge(DIAG_COVERAGE_DISCARDED, **ident).set(
-            diag.coverage_discarded
-        )
-        registry.gauge(DIAG_RESAMPLE_THRESHOLD, **ident).set(
-            diag.resample_threshold
-        )
+        labels = {
+            "benchmark": diag.benchmark, "config": config,
+            "method": diag.method,
+        }
         for name in DIAG_METRICS:
             if name in diag.total_error:
-                registry.gauge(DIAG_TOTAL_ERROR, metric=name, **ident).set(
+                registry.gauge(DIAG_TOTAL_ERROR, metric=name, **labels).set(
                     diag.total_error[name]
                 )
             if name in diag.residual:
-                registry.gauge(DIAG_RESIDUAL, metric=name, **ident).set(
+                registry.gauge(DIAG_RESIDUAL, metric=name, **labels).set(
                     diag.residual[name]
                 )
-        for row in diag.phases:
-            labels = dict(ident, phase=row.phase)
-            registry.gauge(DIAG_PHASE_WEIGHT, **labels).set(row.weight)
-            registry.gauge(DIAG_PHASE_MEMBERS, **labels).set(row.n_members)
-            registry.gauge(DIAG_PHASE_INSTRUCTIONS, **labels).set(
-                row.instructions
-            )
-            registry.gauge(DIAG_POINT_SIZE, **labels).set(row.point_size)
-            registry.gauge(DIAG_REP_DISTANCE, **labels).set(row.rep_distance)
-            registry.gauge(DIAG_MEAN_DISTANCE, **labels).set(
-                row.mean_distance
-            )
-            registry.gauge(DIAG_CLUSTER_VARIANCE, **labels).set(row.variance)
-            registry.gauge(DIAG_SILHOUETTE, **labels).set(row.silhouette)
-            registry.gauge(DIAG_OVERSIZED, **labels).set(
-                1.0 if row.oversized else 0.0
-            )
-            registry.gauge(DIAG_RESAMPLED, **labels).set(
-                1.0 if row.resampled else 0.0
-            )
-            for name in DIAG_METRICS:
-                if name in row.contributions:
-                    registry.gauge(
-                        DIAG_PHASE_ERROR, metric=name, **labels
-                    ).set(row.contributions[name])
-                if name in row.rep_values:
-                    registry.gauge(
-                        DIAG_REP_VALUE, metric=name, **labels
-                    ).set(row.rep_values[name])
-                if name in row.phase_values:
-                    registry.gauge(
-                        DIAG_PHASE_VALUE, metric=name, **labels
-                    ).set(row.phase_values[name])
 
 
-def diag_views(registry) -> Dict[str, Dict[str, MethodDiag]]:
-    """Rebuild ``{benchmark: {method: MethodDiag}}`` from recorded gauges.
+def run_diagnostics(spans) -> Dict[Tuple[str, str], Dict[str, MethodDiag]]:
+    """``{(benchmark, config): {method: MethodDiag}}`` from ``run`` spans.
 
-    The inverse of :func:`record_diag_metrics`, up to the transient
-    ``members`` field.  Accepts anything with a ``samples()`` iterator
-    (a live registry or a parsed :class:`~repro.obs.export.TraceDump`'s
-    ``metrics``).
+    *spans* is any iterable of :class:`~repro.obs.spans.Span` (a live
+    tracer's or a parsed trace's).  A later span of the same run (a
+    retry, a cache hit, a partial hit) adds or replaces methods.
     """
-    views: Dict[str, Dict[str, MethodDiag]] = {}
-
-    def method_of(labels: Dict[str, str]) -> Optional[MethodDiag]:
-        benchmark = labels.get("benchmark")
-        method = labels.get("method")
-        if benchmark is None or method is None:
-            return None
-        per_bench = views.setdefault(benchmark, {})
-        if method not in per_bench:
-            per_bench[method] = MethodDiag(
-                method=method, benchmark=benchmark, n_clusters=0,
-                n_intervals=0, coverage_discarded=0.0, resample_threshold=0,
-            )
-        return per_bench[method]
-
-    def phase_of(diag: MethodDiag, labels: Dict[str, str]) -> PhaseDiag:
-        phase = int(labels["phase"])
-        row = diag.phase_by_id(phase)
-        if row is None:
-            row = PhaseDiag(
-                phase=phase, weight=0.0, n_members=0, instructions=0,
-                point_size=0, rep_index=-1, rep_distance=0.0,
-                mean_distance=0.0, variance=0.0, silhouette=0.0,
-            )
-            diag.phases.append(row)
-        return row
-
-    per_phase_scalar = {
-        DIAG_PHASE_WEIGHT: "weight",
-        DIAG_REP_DISTANCE: "rep_distance",
-        DIAG_MEAN_DISTANCE: "mean_distance",
-        DIAG_CLUSTER_VARIANCE: "variance",
-        DIAG_SILHOUETTE: "silhouette",
-    }
-    per_phase_int = {
-        DIAG_PHASE_MEMBERS: "n_members",
-        DIAG_PHASE_INSTRUCTIONS: "instructions",
-        DIAG_POINT_SIZE: "point_size",
-    }
-    per_phase_flag = {
-        DIAG_OVERSIZED: "oversized",
-        DIAG_RESAMPLED: "resampled",
-    }
-    per_phase_metric = {
-        DIAG_PHASE_ERROR: "contributions",
-        DIAG_REP_VALUE: "rep_values",
-        DIAG_PHASE_VALUE: "phase_values",
-    }
-    per_method_int = {
-        DIAG_N_CLUSTERS: "n_clusters",
-        DIAG_N_INTERVALS: "n_intervals",
-        DIAG_RESAMPLE_THRESHOLD: "resample_threshold",
-    }
-    per_method_metric = {
-        DIAG_TOTAL_ERROR: "total_error",
-        DIAG_RESIDUAL: "residual",
-    }
-
-    for name, label_items, metric in registry.samples():
-        if not name.startswith("repro_diag_"):
+    views: Dict[Tuple[str, str], Dict[str, MethodDiag]] = {}
+    for span in spans:
+        if span.name != "run" or "diagnostics" not in span.attributes:
             continue
-        labels = dict(label_items)
-        diag = method_of(labels)
-        if diag is None:
-            continue
-        value = metric.value
-        if name in per_method_int:
-            setattr(diag, per_method_int[name], int(value))
-        elif name == DIAG_COVERAGE_DISCARDED:
-            diag.coverage_discarded = value
-        elif name in per_method_metric:
-            getattr(diag, per_method_metric[name])[labels["metric"]] = value
-        elif name in per_phase_scalar:
-            setattr(phase_of(diag, labels), per_phase_scalar[name], value)
-        elif name in per_phase_int:
-            setattr(phase_of(diag, labels), per_phase_int[name], int(value))
-        elif name in per_phase_flag:
-            setattr(
-                phase_of(diag, labels), per_phase_flag[name], value > 0.5
-            )
-        elif name in per_phase_metric:
-            getattr(phase_of(diag, labels), per_phase_metric[name])[
-                labels["metric"]
-            ] = value
-    for per_bench in views.values():
-        for diag in per_bench.values():
-            diag.phases.sort(key=lambda row: row.phase)
+        key = (span.attributes["benchmark"], span.attributes["config"])
+        per_run = views.setdefault(key, {})
+        for method, payload in span.attributes["diagnostics"].items():
+            per_run[method] = MethodDiag.from_dict(payload)
     return views
 
 
@@ -552,15 +410,17 @@ def _pct(value: float) -> str:
 
 
 def format_diag_report(
-    views: Dict[str, Dict[str, MethodDiag]],
+    views: Dict[Tuple[str, str], Dict[str, MethodDiag]],
     benchmark: Optional[str] = None,
     method: Optional[str] = None,
 ) -> str:
-    """Render per-benchmark error-budget tables, worst phase first."""
+    """Render one error-budget table per (benchmark, config, method) of
+    :func:`run_diagnostics` *views*, worst phase first."""
     lines: List[str] = []
-    benchmarks = sorted(views) if benchmark is None else [benchmark]
-    for bench in benchmarks:
-        methods = views.get(bench, {})
+    for bench, config in sorted(views):
+        if benchmark is not None and bench != benchmark:
+            continue
+        methods = views[bench, config]
         names = sorted(methods) if method is None else [method]
         for name in names:
             diag = methods.get(name)
@@ -568,17 +428,18 @@ def format_diag_report(
                 continue
             if lines:
                 lines.append("")
-            lines.extend(_format_method(diag))
+            lines.extend(_format_method(diag, config))
     if not lines:
-        lines.append("no repro_diag_* metrics found (run the suite with "
-                     "--trace-out and diagnostics enabled)")
+        lines.append("no run diagnostics in this trace (its run spans "
+                     "carry none; record a run, suite or experiment with "
+                     "--trace-out)")
     return "\n".join(lines)
 
 
-def _format_method(diag: MethodDiag) -> List[str]:
+def _format_method(diag: MethodDiag, config: str) -> List[str]:
     lines = [
-        f"{diag.benchmark} / {diag.method}: {diag.n_clusters} phase(s) over "
-        f"{diag.n_intervals} interval(s), "
+        f"{diag.benchmark} / {diag.method} ({config}): {diag.n_clusters} "
+        f"phase(s) over {diag.n_intervals} interval(s), "
         f"coverage discarded {diag.coverage_discarded:.2%}, "
         f"re-sample threshold {diag.resample_threshold}",
     ]

@@ -340,9 +340,9 @@ def format_trace_report(
                 f"  {name}{label_text} = {_format_value(metric.value)}"
             )
 
-    # Gauges come in wide families (one series per benchmark/method/
-    # phase — the diag instruments alone are hundreds), so the report
-    # aggregates per name; `repro obs diag` renders the detail.
+    # Gauges come in families (one series per benchmark, config and
+    # method), so the report aggregates per name; `repro obs diag`
+    # renders the per-phase detail from the run spans.
     gauges: Dict[str, List[float]] = {}
     for name, labels, metric in dump.metrics.samples():
         if metric.kind == "gauge":

@@ -20,7 +20,8 @@ its final ``result`` message.  This module adds the in-flight view:
   resolved or discarded, so ``snapshot()`` equals the post-hoc merged
   registry exactly.
 * :class:`ProgressBoard` — the ``/progress`` state: runs done/total and
-  per-worker lease state, maintained by the pool drivers.
+  per-worker lease state, maintained by the suite driver (runs) and the
+  dispatcher (leases).
 * :class:`TelemetryPlane` — the bundle a runner carries when live
   telemetry is enabled (``--serve`` / ``--events-out``): live registry,
   progress board, flight recorder.
@@ -132,7 +133,7 @@ class MetricsDeltaEncoder:
 
 
 class _Stream:
-    """One in-flight delta stream (a lease / a pool submission)."""
+    """One in-flight delta stream (one dispatch lease)."""
 
     __slots__ = ("pending", "last_seq", "broken")
 

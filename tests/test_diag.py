@@ -16,16 +16,23 @@ import pytest
 
 from repro.analysis.bbv import normalize_rows
 from repro.analysis.kmeans import KMeansResult, cluster_quality, kmeans
-from repro.config import CONFIG_A
+from repro.config import CONFIG_A, CONFIG_B
 from repro.errors import ClusteringError
 from repro.harness import ExperimentRunner, ResultCache
-from repro.obs import MetricsRegistry
+from repro.obs import (
+    MetricsRegistry,
+    Span,
+    read_trace_jsonl,
+    write_trace_jsonl,
+)
 from repro.obs.diag import (
     DIAG_METRICS,
+    DIAG_RESIDUAL,
+    DIAG_TOTAL_ERROR,
     MethodDiag,
-    diag_views,
     format_diag_report,
     record_diag_metrics,
+    run_diagnostics,
 )
 
 from .conftest import TEST_SCALE
@@ -100,18 +107,20 @@ class TestGccPathology:
 
     def test_report_renders_flags_and_residual(self, gcc_run):
         _, run = gcc_run
-        views = {"gcc": run.diagnostics}
+        views = {("gcc", CONFIG_A.name): run.diagnostics}
         report = format_diag_report(views, benchmark="gcc")
         assert "GIANT-COARSE-POINT" in report
         assert "coverage/aggregation" in report
-        assert "gcc / coasts" in report
+        assert f"gcc / coasts ({CONFIG_A.name})" in report
         # Worst phase first: the first table row carries the largest
         # absolute CPI contribution.
         coasts = run.diagnostics["coasts"]
         worst = coasts.sorted_phases()[0]
         table = [
             line for line in
-            format_diag_report({"gcc": {"coasts": coasts}}).splitlines()
+            format_diag_report(
+                {("gcc", CONFIG_A.name): {"coasts": coasts}}
+            ).splitlines()
             if line.strip() and line.strip()[0].isdigit()
         ]
         assert table[0].split()[0] == str(worst.phase)
@@ -125,39 +134,33 @@ class TestRoundTrips:
             rebuilt = MethodDiag.from_dict(payload)
             assert rebuilt.to_dict() == diag.to_dict()
 
-    def test_registry_round_trip(self, gcc_run):
-        """record_diag_metrics -> diag_views reconstructs the tables."""
-        _, run = gcc_run
-        registry = MetricsRegistry()
-        record_diag_metrics(registry, run.diagnostics)
-        views = diag_views(registry)
-        assert set(views) == {"gcc"}
-        assert set(views["gcc"]) == set(run.diagnostics)
+    def test_trace_round_trip(self, gcc_run, tmp_path):
+        """The run span's diagnostics survive --trace-out exactly."""
+        runner, run = gcc_run
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(path, runner.obs.tracer, runner.obs.metrics)
+        views = run_diagnostics(read_trace_jsonl(path).spans())
+        assert set(views) == {("gcc", CONFIG_A.name)}
+        rebuilt = views["gcc", CONFIG_A.name]
+        assert set(rebuilt) == set(run.diagnostics)
         for name, original in run.diagnostics.items():
-            rebuilt = views["gcc"][name]
-            assert rebuilt.n_clusters == original.n_clusters
-            assert rebuilt.total_error == pytest.approx(original.total_error)
-            assert rebuilt.residual == pytest.approx(original.residual)
-            assert [row.phase for row in rebuilt.phases] == \
-                [row.phase for row in sorted(original.phases,
-                                             key=lambda r: r.phase)]
-            for row in rebuilt.phases:
-                source = original.phase_by_id(row.phase)
-                assert row.contributions == pytest.approx(
-                    source.contributions
-                )
-                assert row.oversized == source.oversized
+            assert rebuilt[name].to_dict() == original.to_dict(), name
 
     def test_recording_is_idempotent(self, gcc_run):
         _, run = gcc_run
         registry = MetricsRegistry()
-        record_diag_metrics(registry, run.diagnostics)
-        once = registry.to_dict()
-        record_diag_metrics(registry, run.diagnostics)
-        assert registry.to_dict() == once
+        span = Span("run")
+        record_diag_metrics(registry, span, CONFIG_A.name, run.diagnostics)
+        once = (registry.to_dict(), json.dumps(span.attributes))
+        record_diag_metrics(registry, span, CONFIG_A.name, run.diagnostics)
+        assert (registry.to_dict(), json.dumps(span.attributes)) == once
+        # Per method only: each run's total error and residual.
+        assert {name for name, _, _ in registry.samples()} == \
+            {DIAG_TOTAL_ERROR, DIAG_RESIDUAL}
+        assert len(registry) == 2 * len(run.diagnostics) * len(DIAG_METRICS)
 
-    def test_cache_hit_still_records_diag_gauges(self, tmp_path,
-                                                 test_sampling):
+    def test_cache_hit_run_span_carries_diagnostics(self, tmp_path,
+                                                    test_sampling):
         cache_dir = tmp_path / "cache"
         first = ExperimentRunner(
             sampling=test_sampling,
@@ -173,8 +176,60 @@ class TestRoundTrips:
         run = second.run_benchmark("gzip", CONFIG_A)
         assert second.cache.hits == 1
         assert run.diagnostics  # survived the disk round-trip
-        views = diag_views(second.obs.metrics)
-        assert set(views.get("gzip", {})) == set(run.diagnostics)
+        (span,) = second.obs.tracer.spans()
+        assert span.name == "run" and span.attributes["cache_hit"]
+        assert span.attributes["diagnostics"] == {
+            name: diag.to_dict() for name, diag in run.diagnostics.items()
+        }
+        assert second.obs.metrics.value(
+            DIAG_TOTAL_ERROR, benchmark="gzip", config=CONFIG_A.name,
+            method="coasts", metric="cpi",
+        ) == run.diagnostics["coasts"].total_error["cpi"]
+
+
+class TestConfigs:
+    def test_one_table_per_config(self, tmp_path, test_sampling):
+        """A trace holding one benchmark under both configs renders a
+        table per config, each with that run's own totals."""
+        runner = ExperimentRunner(
+            sampling=test_sampling,
+            cache=ResultCache(enabled=False),
+            workload_scale=TEST_SCALE,
+        )
+        runs = {
+            config.name: runner.run_benchmark("gzip", config)
+            for config in (CONFIG_A, CONFIG_B)
+        }
+        path = tmp_path / "trace.jsonl"
+        write_trace_jsonl(path, runner.obs.tracer, runner.obs.metrics)
+        views = run_diagnostics(read_trace_jsonl(path).spans())
+        assert set(views) == {("gzip", name) for name in runs}
+        for config, run in runs.items():
+            for name, diag in run.diagnostics.items():
+                assert views["gzip", config][name].to_dict() == \
+                    diag.to_dict(), (config, name)
+                assert runner.obs.metrics.value(
+                    DIAG_TOTAL_ERROR, benchmark="gzip", config=config,
+                    method=name, metric="cpi",
+                ) == diag.total_error["cpi"]
+        # The configs really differ, so neither table hides the other.
+        assert runs[CONFIG_A.name].diagnostics["coasts"].total_error != \
+            runs[CONFIG_B.name].diagnostics["coasts"].total_error
+        report = format_diag_report(views, method="coasts").splitlines()
+        headers = [
+            line.split(":")[0] for line in report if line.startswith("gzip")
+        ]
+        assert headers == [f"gzip / coasts ({name})" for name in sorted(runs)]
+        totals = [line for line in report
+                  if line.startswith("total signed deviation")]
+        for config, line in zip(sorted(runs), totals):
+            error = runs[config].diagnostics["coasts"].total_error
+            assert line == (
+                "total signed deviation: "
+                f"CPI {100 * error['cpi']:+.3f}%, "
+                f"L1 {100 * error['l1']:+.3f}%, "
+                f"L2 {100 * error['l2']:+.3f}%"
+            )
 
 
 class TestClusterQuality:

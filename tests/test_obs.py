@@ -35,6 +35,7 @@ from repro.obs import (
     format_trace_report,
     read_trace_jsonl,
     render_prometheus,
+    run_diagnostics,
     write_trace_jsonl,
 )
 
@@ -339,6 +340,13 @@ class TestHarnessInstrumentation:
                 and not name.startswith("repro_dispatch_")
             }
 
+        def diag_dicts(runner):
+            return {
+                key: {name: diag.to_dict() for name, diag in diags.items()}
+                for key, diags in
+                run_diagnostics(runner.obs.tracer.spans()).items()
+            }
+
         serial = _runner(test_sampling, tmp_path / "serial")
         serial.run_suite(CONFIG_A, names=list(SUITE_NAMES), journal=False)
         parallel = _runner(test_sampling, tmp_path / "parallel", jobs=2)
@@ -346,6 +354,9 @@ class TestHarnessInstrumentation:
                            journal=False)
         assert counter_totals(parallel) == counter_totals(serial)
         assert parallel.obs.metrics.value(FUNCTIONAL_INSTRUCTIONS) > 0
+        # The worker run spans carry the same diagnostics to the driver.
+        assert diag_dicts(parallel) == diag_dicts(serial)
+        assert len(diag_dicts(serial)) == len(SUITE_NAMES)
         # One lease per run, and none on the serial path.
         assert parallel.obs.metrics.value("repro_dispatch_leases_total") \
             == len(SUITE_NAMES)
