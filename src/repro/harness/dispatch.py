@@ -533,7 +533,7 @@ class DispatchPool:
         queue: Set[int] = set(range(len(tasks)))
         # Live telemetry plane (None unless --serve/--events-out): lease
         # ids double as metrics stream ids — unique per grant, so a
-        # reclaimed-and-stolen task's partial deltas can never collide
+        # reclaimed-and-stolen task's last snapshot can never collide
         # with its re-run's stream.
         plane = getattr(runner, "telemetry", None)
         table = LeaseTable(
@@ -553,7 +553,7 @@ class DispatchPool:
 
         def _settle_obs(lease_id: str, payload: Optional[dict]) -> None:
             """Fold a committed obs payload, atomically retiring the
-            lease's streamed deltas so live scrapes never double count."""
+            lease's streamed snapshot so live scrapes never double count."""
             if plane is not None:
                 plane.live.resolve(
                     lease_id, merge=lambda: runner.obs.merge_dict(payload)
@@ -836,12 +836,13 @@ class DispatchPool:
             elif kind == "heartbeat":
                 lease_id = message.get("lease", "")
                 renewed = table.renew(lease_id, time.monotonic())
-                # Piggybacked metrics delta: fold exactly once, and only
-                # for a live, non-partitioned lease — deltas of a
-                # reclaimed lease are stale by definition (their run will
-                # recommit elsewhere), and a partition eats its messages.
-                if renewed and plane is not None and "seq" in message:
-                    plane.live.fold(lease_id, message)
+                # Piggybacked metrics snapshot: it replaces the lease's
+                # previous one, and only for a live, non-partitioned
+                # lease — a reclaimed lease's snapshot is stale by
+                # definition (its run will recommit elsewhere), and a
+                # partition eats its messages.
+                if renewed and plane is not None and "metrics" in message:
+                    plane.live.update(lease_id, message["metrics"])
             elif kind == "result":
                 _handle_result(worker, message)
             else:

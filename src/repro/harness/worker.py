@@ -7,7 +7,8 @@ them locally.  The worker speaks a versioned JSONL protocol over
 stdin/stdout (one JSON object per line):
 
 * worker → dispatcher: ``hello`` (once, at startup), ``heartbeat``
-  (periodically while a task executes), ``result`` (one per task,
+  (periodically while a task executes, carrying a snapshot of the
+  task's metrics registry once it exists), ``result`` (one per task,
   carrying the serialised run or error plus the worker's observability
   shipment).
 * dispatcher → worker: ``task`` (a run spec under a lease), ``shutdown``.
@@ -55,14 +56,16 @@ from ..config import (
     SamplingConfig,
 )
 from ..errors import DispatchError, HarnessError, ReproError
+from ..obs.stream import copy_registry
 from .cache import ResultCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runner import ExperimentRunner
 
 #: Version of the dispatcher <-> worker JSONL protocol.  Bump on any
-#: incompatible change to message shapes or task payload encoding.
-PROTOCOL_VERSION = 1
+#: incompatible change to message shapes or task payload encoding
+#: (2: heartbeats carry whole-registry metrics snapshots).
+PROTOCOL_VERSION = 2
 
 #: Exit code for protocol violations (unparseable/incompatible input).
 PROTOCOL_EXIT_CODE = 65  # EX_DATAERR
@@ -269,30 +272,26 @@ def _execute_task(
 
     stop = threading.Event()
 
-    # The heartbeat thread piggybacks incremental metrics snapshots:
-    # once _worker_run hands us its runner (via the sink), every beat
-    # carries the delta since the previous one under a monotonic
-    # sequence number, so the dispatcher's LiveRegistry can fold each
-    # exactly once.  A dropped/withheld heartbeat loses nothing — the
-    # final result payload carries the authoritative registry.
+    # The heartbeat thread piggybacks metrics snapshots: once
+    # _worker_run hands us its runner (via the sink), every beat carries
+    # the task registry's whole to_dict() — the same form as the
+    # result's obs["metrics"] — and the dispatcher's LiveRegistry keeps
+    # the latest per lease.  A dropped/withheld heartbeat loses nothing:
+    # the next beat restores the stream, and the final result payload
+    # carries the authoritative registry.
     tap: Dict[str, Any] = {}
 
     def _runner_sink(runner: Any) -> None:
-        from ..obs.stream import MetricsDeltaEncoder
-
-        tap["encoder"] = MetricsDeltaEncoder(runner.obs.metrics)
+        tap["registry"] = runner.obs.metrics
 
     def _heartbeat() -> None:
         while not stop.wait(heartbeat_interval):
             if drop_heartbeats:
                 continue
             beat: Dict[str, Any] = {"type": "heartbeat", "lease": lease}
-            encoder = tap.get("encoder")
-            if encoder is not None:
-                delta = encoder.next_delta()
-                if delta is not None:
-                    beat["seq"] = delta["seq"]
-                    beat["metrics"] = delta["metrics"]
+            registry = tap.get("registry")
+            if registry is not None:
+                beat["metrics"] = copy_registry(registry).to_dict()
             outbox.send(beat)
 
     beater = threading.Thread(target=_heartbeat, daemon=True)

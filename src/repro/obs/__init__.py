@@ -16,11 +16,12 @@ makes.  Five pieces:
   clustering-quality telemetry, published on each ``run`` span and
   rendered by ``repro obs diag``.
 
-The live telemetry plane (PR 10) adds four more:
+The live telemetry plane adds four more:
 
-* :mod:`repro.obs.stream` — delta-encoded metrics streaming with
-  exactly-once folding (:class:`LiveRegistry`) plus the progress board
-  and the :class:`TelemetryPlane` bundle;
+* :mod:`repro.obs.stream` — live metrics from streamed whole-registry
+  snapshots, the last per lease winning until its commit resolves it
+  (:class:`LiveRegistry`), plus the progress board and the
+  :class:`TelemetryPlane` bundle;
 * :mod:`repro.obs.serve` — the ``/metrics`` / ``/healthz`` /
   ``/progress`` / ``/events`` HTTP endpoints behind ``--serve``;
 * :mod:`repro.obs.events` — the bounded flight-recorder ring behind
@@ -99,7 +100,6 @@ from .metrics import (
     RUN_TIMEOUTS,
     RUNS_COMPLETED,
     STAGE_SECONDS,
-    TELEMETRY_DELTAS,
     TELEMETRY_DROPPED,
     TRACE_SHM_FALLBACKS,
     WORKER_CRASHES,
@@ -113,9 +113,7 @@ from .metrics import (
 from .serve import TelemetryServer
 from .spans import Span, Tracer
 from .stream import (
-    DEFAULT_STREAM_INTERVAL,
     LiveRegistry,
-    MetricsDeltaEncoder,
     ProgressBoard,
     TelemetryPlane,
     copy_registry,
@@ -128,7 +126,6 @@ __all__ = [
     "CLUSTER_SWEEPS",
     "Counter",
     "DEFAULT_BUCKETS",
-    "DEFAULT_STREAM_INTERVAL",
     "DETAILED_CALLS",
     "DETAILED_INSTRUCTIONS",
     "DISPATCH_HEARTBEATS",
@@ -151,7 +148,6 @@ __all__ = [
     "LiveRegistry",
     "MANIFEST_VERSION",
     "MethodDiag",
-    "MetricsDeltaEncoder",
     "MetricsRegistry",
     "ObsContext",
     "PhaseDiag",
@@ -167,7 +163,6 @@ __all__ = [
     "RunManifest",
     "STAGE_SECONDS",
     "Span",
-    "TELEMETRY_DELTAS",
     "TELEMETRY_DROPPED",
     "TRACE_SHM_FALLBACKS",
     "TelemetryPlane",

@@ -60,7 +60,6 @@ DISPATCH_LEASE_SECONDS = "repro_dispatch_lease_seconds"
 JOURNAL_TORN = "repro_journal_torn_total"
 TRACE_IMPORT_REJECTED = "repro_trace_import_rejected_total"
 RETRY_BACKOFF_SECONDS = "repro_retry_backoff_seconds"
-TELEMETRY_DELTAS = "repro_telemetry_deltas_total"
 TELEMETRY_DROPPED = "repro_telemetry_dropped_total"
 
 # ----------------------------------------------------------------------
@@ -100,9 +99,8 @@ _METRIC_HELP: Dict[str, str] = {
     JOURNAL_TORN: "Torn trailing journal lines healed during resume.",
     TRACE_IMPORT_REJECTED: "External trace records rejected by the importer.",
     RETRY_BACKOFF_SECONDS: "Backoff slept between retry attempts.",
-    TELEMETRY_DELTAS: "Streamed metrics deltas folded into the live registry.",
-    TELEMETRY_DROPPED: "Streamed metrics deltas discarded (duplicate, gap, "
-                       "or stale stream).",
+    TELEMETRY_DROPPED: "Streamed metrics snapshots discarded (malformed, "
+                       "or for a settled stream).",
 }
 
 

@@ -4,7 +4,7 @@
 thread next to the suite driver and exposes:
 
 * ``/metrics`` — Prometheus text rendered from the live registry
-  (authoritative state plus in-flight streamed deltas), scrapeable
+  (authoritative state plus in-flight streamed snapshots), scrapeable
   mid-run;
 * ``/healthz`` — ``{"status": "ok", "phase": running|done}``;
 * ``/progress`` — runs done/total, per-worker lease state, and the
@@ -39,7 +39,6 @@ from .metrics import (
     RUN_FAILURES,
     RUN_RETRIES,
     RUNS_COMPLETED,
-    TELEMETRY_DELTAS,
     TELEMETRY_DROPPED,
 )
 from .stream import TelemetryPlane
@@ -55,7 +54,6 @@ PROGRESS_COUNTERS = {
     "reclaims": DISPATCH_RECLAIMS,
     "steals": DISPATCH_STEALS,
     "stale_commits": DISPATCH_STALE_COMMITS,
-    "telemetry_deltas": TELEMETRY_DELTAS,
     "telemetry_dropped": TELEMETRY_DROPPED,
 }
 

@@ -1,21 +1,18 @@
-"""Live metrics streaming: delta encoding, exactly-once folding.
+"""Live metrics streaming: whole-registry snapshots, resolved on commit.
 
-Post-hoc observability (PR 3/5) ships each worker's whole registry in
-its final ``result`` message.  This module adds the in-flight view:
+Each worker ships its whole registry in its final ``result`` message
+(``obs["metrics"]``).  This module adds the in-flight view:
 
-* :class:`MetricsDeltaEncoder` — worker side.  Walks the worker's
-  registry and emits the *change* since the previous snapshot as a
-  sequence-numbered delta (counters and histograms as arithmetic diffs,
-  gauges as full current state).  Deltas piggyback on the dispatch
-  ``heartbeat`` message.
-* :class:`LiveRegistry` — driver side.  Folds deltas into a per-stream
-  *pending* registry, gated on monotonic sequence numbers so a
-  duplicated or re-ordered delta is applied exactly once (a gap marks
-  the stream broken and stops folding — the committed final payload
-  reconciles the totals).  When a task's final payload arrives the
-  stream is *resolved*: under one lock the pending deltas are dropped
+* :class:`LiveRegistry` — parent side.  Every dispatch heartbeat carries
+  the task registry's whole ``MetricsRegistry.to_dict()`` (the same form
+  as the committed payload); the latest one per stream (one dispatch
+  lease) replaces the previous one as that stream's *pending* registry.
+  A lease's heartbeats travel in order on one worker pipe, and a
+  dropped heartbeat costs only staleness — the next snapshot restores
+  the stream.  When a task's final payload arrives the stream is
+  *resolved*: under one lock the pending snapshot is dropped
   and the authoritative payload merged, so a killed worker's partial
-  deltas never double-count against its committed result and scraped
+  snapshot never double-counts against its committed result and scraped
   counters stay monotone.  At suite completion every stream has been
   resolved or discarded, so ``snapshot()`` equals the post-hoc merged
   registry exactly.
@@ -33,25 +30,18 @@ and every entry point is a no-op when no plane is attached.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
+from ..errors import ObservabilityError
 from .context import ObsContext
 from .events import EventLog
-from .metrics import (
-    TELEMETRY_DELTAS,
-    TELEMETRY_DROPPED,
-    LabelItems,
-    MetricsRegistry,
-)
-
-#: Seconds between streamed snapshots (heartbeat piggyback / queue push).
-DEFAULT_STREAM_INTERVAL = 0.25
+from .metrics import TELEMETRY_DROPPED, MetricsRegistry
 
 
 def copy_registry(registry: MetricsRegistry, retries: int = 8) -> MetricsRegistry:
     """A deep copy of *registry*, tolerant of concurrent writers.
 
-    The worker's main thread mutates its registry while the streaming
+    The worker's main thread mutates its registry while the heartbeat
     thread serialises it; ``dict`` iteration during an insert raises
     ``RuntimeError``, so retry — instrument updates are tiny and a
     quiet window always arrives.
@@ -64,164 +54,41 @@ def copy_registry(registry: MetricsRegistry, retries: int = 8) -> MetricsRegistr
     return MetricsRegistry.from_dict(registry.to_dict())
 
 
-class MetricsDeltaEncoder:
-    """Worker-side incremental snapshots of one registry.
-
-    Each call to :meth:`next_delta` returns ``{"seq": n, "metrics":
-    [...]}`` describing only what changed since the previous call (or
-    ``None`` when nothing did).  Sequence numbers start at 1 and
-    increase by exactly 1 — the driver's :class:`LiveRegistry` uses
-    them to apply each delta exactly once.
-    """
-
-    def __init__(self, registry: MetricsRegistry) -> None:
-        self._registry = registry
-        self._seq = 0
-        self._counters: Dict[Tuple[str, LabelItems], float] = {}
-        self._hists: Dict[Tuple[str, LabelItems], Tuple[List[int], float, int]] = {}
-        self._gauges: Dict[Tuple[str, LabelItems], Tuple[float, bool]] = {}
-
-    @property
-    def seq(self) -> int:
-        return self._seq
-
-    def next_delta(self) -> Optional[dict]:
-        """The change since the last call, or ``None`` if quiescent."""
-        snapshot = copy_registry(self._registry)
-        items: List[dict] = []
-        for name, labels, metric in snapshot.samples():
-            key = (name, labels)
-            if metric.kind == "counter":
-                prev = self._counters.get(key, 0.0)
-                if metric.value != prev:
-                    items.append({
-                        "name": name, "kind": "counter",
-                        "labels": dict(labels),
-                        "value": metric.value - prev,
-                    })
-                    self._counters[key] = metric.value
-            elif metric.kind == "histogram":
-                prev_counts, prev_sum, prev_count = self._hists.get(
-                    key, ([0] * len(metric.counts), 0.0, 0)
-                )
-                if metric.count != prev_count:
-                    items.append({
-                        "name": name, "kind": "histogram",
-                        "labels": dict(labels),
-                        "bounds": list(metric.bounds),
-                        "counts": [a - b for a, b in
-                                   zip(metric.counts, prev_counts)],
-                        "sum": metric.sum - prev_sum,
-                        "count": metric.count - prev_count,
-                    })
-                    self._hists[key] = (
-                        list(metric.counts), metric.sum, metric.count
-                    )
-            else:  # gauge: ship full state, the fold replaces
-                state = (metric.value, metric.updated)
-                if self._gauges.get(key) != state:
-                    items.append({
-                        "name": name, "kind": "gauge",
-                        "labels": dict(labels), "agg": metric.agg,
-                        "value": metric.value, "updated": metric.updated,
-                    })
-                    self._gauges[key] = state
-        if not items:
-            return None
-        self._seq += 1
-        return {"seq": self._seq, "metrics": items}
-
-
-class _Stream:
-    """One in-flight delta stream (one dispatch lease)."""
-
-    __slots__ = ("pending", "last_seq", "broken")
-
-    def __init__(self) -> None:
-        self.pending = MetricsRegistry()
-        self.last_seq = 0
-        self.broken = False
-
-
 class LiveRegistry:
-    """Driver-side fold of the authoritative registry plus in-flight
-    streamed deltas; the source behind a live ``/metrics`` scrape."""
+    """Parent-side view of the authoritative registry plus the latest
+    streamed snapshot of every in-flight lease; the source behind a live
+    ``/metrics`` scrape."""
 
     def __init__(self, base: MetricsRegistry) -> None:
         #: The runner's own registry — only committed payloads land
-        #: here (via the pools' existing merge paths).
+        #: here (through :meth:`resolve`'s *merge*).
         self.base = base
         self._lock = threading.RLock()
-        self._streams: Dict[str, _Stream] = {}
-        #: Streams already settled — a straggler delta that was still in
-        #: flight when its task committed must not resurrect the stream
-        #: (its content is covered by the committed payload).
+        self._streams: Dict[str, MetricsRegistry] = {}
+        #: Streams already settled — a straggler snapshot that was still
+        #: in flight when its task committed must not resurrect the
+        #: stream (its content is covered by the committed payload).
         self._closed: set = set()
-        self.deltas_folded = 0
-        self.deltas_dropped = 0
 
     # ------------------------------------------------------------------
-    def fold(self, stream_id: str, payload: dict) -> bool:
-        """Apply one streamed delta; returns True if it was folded.
+    def update(self, stream_id: str, metrics: Any) -> bool:
+        """Replace a stream's pending registry with one streamed
+        snapshot (a ``MetricsRegistry.to_dict()``); True if kept.
 
-        Exactly-once: a delta is applied iff its ``seq`` is exactly one
-        past the stream's last applied sequence number.  Duplicates and
-        re-ordered deltas are dropped; a gap poisons the stream (its
-        pending state is cleared and further deltas ignored) because
-        partial sums would be wrong — the committed final payload
-        restores exactness at :meth:`resolve` time.
+        A malformed payload or one for a settled stream is dropped and
+        counted; the stream keeps its previous snapshot.
         """
         try:
-            seq = int(payload["seq"])
-            metrics = payload.get("metrics") or ()
-        except (KeyError, TypeError, ValueError):
-            self._dropped()
-            return False
+            pending = MetricsRegistry.from_dict(metrics)
+        except (KeyError, TypeError, ValueError, AttributeError,
+                ObservabilityError):
+            pending = None
         with self._lock:
-            if stream_id in self._closed:
-                self._dropped()
+            if pending is None or stream_id in self._closed:
+                self.base.counter(TELEMETRY_DROPPED).inc()
                 return False
-            stream = self._streams.setdefault(stream_id, _Stream())
-            if seq <= stream.last_seq:
-                self._dropped()
-                return False
-            if seq != stream.last_seq + 1:
-                stream.broken = True
-                stream.pending = MetricsRegistry()
-            stream.last_seq = seq
-            if stream.broken:
-                self._dropped()
-                return False
-            self._fold_items(stream.pending, metrics)
-            self.deltas_folded += 1
-            self.base.counter(TELEMETRY_DELTAS).inc()
+            self._streams[stream_id] = pending
             return True
-
-    def _dropped(self) -> None:
-        self.deltas_dropped += 1
-        self.base.counter(TELEMETRY_DROPPED).inc()
-
-    @staticmethod
-    def _fold_items(pending: MetricsRegistry, items) -> None:
-        for item in items:
-            name, labels = item["name"], item.get("labels", {})
-            kind = item.get("kind", "counter")
-            if kind == "counter":
-                pending.counter(name, **labels).inc(float(item["value"]))
-            elif kind == "gauge":
-                gauge = pending.gauge(
-                    name, agg=item.get("agg", "last"), **labels
-                )
-                gauge.load(item)
-            else:
-                hist = pending.histogram(
-                    name, buckets=tuple(item["bounds"]), **labels
-                )
-                hist.counts = [
-                    a + b for a, b in zip(hist.counts, item["counts"])
-                ]
-                hist.sum += float(item["sum"])
-                hist.count += int(item["count"])
 
     # ------------------------------------------------------------------
     def resolve(
@@ -230,10 +97,10 @@ class LiveRegistry:
         """Settle a stream against its committed final payload.
 
         Atomically (w.r.t. :meth:`snapshot`) drops the stream's pending
-        deltas and runs *merge* — the pool's existing fold of the final
-        obs payload into the base registry.  The final payload is a
-        superset of the streamed deltas, so a scrape never observes a
-        counter going backwards.
+        snapshot and runs *merge* — the fold of the final obs payload
+        into the base registry.  The final payload is a superset of
+        every streamed snapshot, so a scrape never observes a counter
+        going backwards.
         """
         with self._lock:
             self._streams.pop(stream_id, None)
@@ -242,7 +109,7 @@ class LiveRegistry:
                 merge()
 
     def discard(self, stream_id: str) -> None:
-        """Drop a stream's partial deltas (reclaimed lease, dead
+        """Drop a stream's partial snapshot (reclaimed lease, dead
         worker) — the retried attempt streams under a fresh id."""
         with self._lock:
             self._streams.pop(stream_id, None)
@@ -254,12 +121,12 @@ class LiveRegistry:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> MetricsRegistry:
-        """Authoritative state plus all in-flight deltas, as a fresh
+        """Authoritative state plus every in-flight snapshot, as a fresh
         registry (safe to render off-thread)."""
         with self._lock:
             snap = copy_registry(self.base)
-            for stream in self._streams.values():
-                snap.merge(stream.pending)
+            for pending in self._streams.values():
+                snap.merge(pending)
             return snap
 
 

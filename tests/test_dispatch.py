@@ -10,8 +10,11 @@ plus an in-stage ``kill``) — and must never leave an orphaned worker
 process behind.  ``run_suite(jobs=N)`` maps onto the same dispatcher.
 """
 
+import io
 import json
 import os
+import shlex
+import sys
 import time
 
 import pytest
@@ -32,6 +35,7 @@ from repro.harness import (
     pool_for,
 )
 from repro.harness.faults import FAULTS_ENV
+from repro.harness.worker import PROTOCOL_EXIT_CODE, PROTOCOL_VERSION, serve
 from repro.obs import (
     DISPATCH_HEARTBEATS,
     DISPATCH_LEASES,
@@ -286,6 +290,28 @@ class TestTaskPayloadCodec:
         assert decoded["cache_dir"] == tmp_path / "cache"
         assert decoded["methods"] == ("simpoint", "coasts")
         assert decoded["benchmark"] == "gzip"
+
+
+class TestProtocolVersion:
+    def test_worker_rejects_an_older_task(self):
+        stdout = io.StringIO()
+        task = json.dumps({"v": PROTOCOL_VERSION - 1, "type": "task"})
+        assert serve(io.StringIO(task + "\n"), stdout) == PROTOCOL_EXIT_CODE
+        hello = json.loads(stdout.getvalue().splitlines()[0])
+        assert hello["v"] == PROTOCOL_VERSION == 2
+
+    def test_dispatcher_rejects_an_older_worker(
+            self, tmp_path, test_sampling):
+        # A v1 worker's heartbeat shape differs: the campaign must stop,
+        # not misread it.
+        hello = json.dumps({"v": PROTOCOL_VERSION - 1, "type": "hello"})
+        launcher = shlex.join([sys.executable, "-c", f"print({hello!r})"])
+        runner = _runner(test_sampling, tmp_path)
+        pool = DispatchPool(workers=1, launcher=launcher, lease_timeout=5.0)
+        with pytest.raises(DispatchError, match="speaks protocol 1"):
+            runner.run_suite(CONFIG_A, names=SUITE_NAMES, pool=pool,
+                             journal=False)
+        _assert_no_orphans(pool)
 
 
 # ----------------------------------------------------------------------

@@ -1,22 +1,28 @@
-"""Tests for the live telemetry plane (PR 10).
+"""Tests for the live telemetry plane.
 
-Covers the worker-side delta encoder and the driver-side exactly-once
-fold (duplicates dropped, gaps poison, resolve reconciles against the
-committed payload), stitched span identity across the task-payload
-codec, HELP text in the Prometheus exposition, the flight recorder, the
-folded-stack exporter, the HTTP endpoints — and the two headline pins:
-a running campaign can be scraped mid-flight, and at completion the
-live registry equals the post-hoc merged registry byte for byte, with
-and without injected dispatch faults.
+Covers the parent-side live registry (the last streamed snapshot per
+lease wins, a malformed one is dropped and counted, resolve reconciles
+against the committed payload), stitched span identity across the
+task-payload codec, HELP text in the Prometheus exposition, the flight
+recorder, the folded-stack exporter, the HTTP endpoints — and the two
+headline pins: a running campaign can be scraped mid-flight, and at
+completion the live registry equals the post-hoc merged registry byte
+for byte, with and without injected dispatch faults.
 """
 
 import json
+import shlex
+import sys
 import threading
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
 from repro.config import CONFIG_A
 from repro.harness import (
     DispatchPool,
@@ -28,15 +34,14 @@ from repro.harness.faults import FAULTS_ENV
 from repro.obs import (
     EventLog,
     LiveRegistry,
-    MetricsDeltaEncoder,
     MetricsRegistry,
     ObsContext,
     Span,
-    TELEMETRY_DELTAS,
     TELEMETRY_DROPPED,
     TelemetryPlane,
     TelemetryServer,
     Tracer,
+    copy_registry,
     folded_stacks,
     format_event,
     help_text,
@@ -81,99 +86,122 @@ def _get(url):
 
 
 # ----------------------------------------------------------------------
-# delta encoder
+# live registry: the last snapshot per stream wins, resolved on commit
 # ----------------------------------------------------------------------
-class TestMetricsDeltaEncoder:
-    def test_quiescent_registry_yields_none(self):
-        encoder = MetricsDeltaEncoder(MetricsRegistry())
-        assert encoder.next_delta() is None
-        assert encoder.seq == 0
+#: Gauge names with their fixed aggregation (a gauge's agg is part of
+#: its identity: merging two aggs of one name is an error).
+_GAUGE_AGGS = {"repro_g_last": "last", "repro_g_max": "max",
+               "repro_g_sum": "sum"}
 
-    def test_counter_deltas_are_arithmetic_diffs(self):
-        registry = MetricsRegistry()
-        encoder = MetricsDeltaEncoder(registry)
-        registry.counter("repro_x_total").inc(3)
-        first = encoder.next_delta()
-        assert first["seq"] == 1
-        (item,) = first["metrics"]
-        assert item == {"name": "repro_x_total", "kind": "counter",
-                        "labels": {}, "value": 3.0}
-        registry.counter("repro_x_total").inc(2)
-        second = encoder.next_delta()
-        assert second["seq"] == 2
-        assert second["metrics"][0]["value"] == 2.0
-        assert encoder.next_delta() is None  # nothing changed since
+_labels = st.sampled_from([{}, {"benchmark": "gzip"}, {"benchmark": "lucas"}])
 
-    def test_histogram_deltas_diff_buckets_sum_count(self):
-        registry = MetricsRegistry()
-        encoder = MetricsDeltaEncoder(registry)
-        hist = registry.histogram("repro_s", buckets=(0.1, 1.0))
-        hist.observe(0.05)
-        encoder.next_delta()
-        hist.observe(0.5)
-        delta = encoder.next_delta()
-        (item,) = delta["metrics"]
-        assert item["kind"] == "histogram"
-        assert item["count"] == 1
-        assert item["sum"] == pytest.approx(0.5)
-        assert sum(item["counts"]) == 1
-
-    def test_gauge_ships_full_state(self):
-        registry = MetricsRegistry()
-        encoder = MetricsDeltaEncoder(registry)
-        registry.gauge("repro_g", agg="max").set(4.0)
-        (item,) = encoder.next_delta()["metrics"]
-        assert item["kind"] == "gauge"
-        assert item["agg"] == "max"
-        assert item["value"] == 4.0
+#: One step of a worker's life: an instrument update or a heartbeat
+#: (``delivered`` False = the beat was dropped on the way).
+_steps = st.one_of(
+    st.tuples(st.just("counter"), _labels,
+              st.floats(min_value=0, max_value=1e6, allow_nan=False)),
+    st.tuples(st.just("gauge"), st.sampled_from(sorted(_GAUGE_AGGS)),
+              _labels, st.floats(min_value=-1e6, max_value=1e6,
+                                 allow_nan=False)),
+    st.tuples(st.just("histogram"), _labels,
+              st.floats(min_value=0, max_value=2.0, allow_nan=False)),
+    st.tuples(st.just("beat"), st.booleans()),
+)
 
 
-# ----------------------------------------------------------------------
-# live registry: exactly-once folding
-# ----------------------------------------------------------------------
+def _apply(registry, step):
+    kind = step[0]
+    if kind == "counter":
+        registry.counter("repro_x_total", **step[1]).inc(step[2])
+    elif kind == "gauge":
+        registry.gauge(step[1], agg=_GAUGE_AGGS[step[1]], **step[2]) \
+            .set(step[3])
+    else:
+        registry.histogram("repro_s", buckets=(0.1, 1.0), **step[1]) \
+            .observe(step[2])
+
+
+def _snapshot(value):
+    """A serialised registry holding one ``repro_x_total`` counter."""
+    return {"metrics": [
+        {"name": "repro_x_total", "kind": "counter", "labels": {},
+         "value": value},
+    ]}
+
+
+def _merged(*registries):
+    merged = MetricsRegistry()
+    for registry in registries:
+        merged.merge(registry)
+    return merged
+
+
 class TestLiveRegistry:
-    def _delta(self, seq, value):
-        return {"seq": seq, "metrics": [
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(_steps, max_size=6), st.lists(_steps, max_size=30))
+    def test_last_delivered_snapshot_wins_then_resolve_equals_post_hoc(
+            self, committed, steps):
+        # A base registry that already holds committed state, one worker
+        # registry streaming snapshots on heartbeats (any subset of them
+        # dropped), then the commit of the worker's final payload.
+        base = MetricsRegistry()
+        for step in committed:
+            if step[0] != "beat":
+                _apply(base, step)
+        base_before = MetricsRegistry.from_dict(base.to_dict())
+        live = LiveRegistry(base)
+        worker = MetricsRegistry()
+        delivered = None
+        for step in steps:
+            if step[0] == "beat":
+                if step[1]:
+                    delivered = copy_registry(worker).to_dict()
+                    assert live.update("s", delivered)
+            else:
+                _apply(worker, step)
+            # Before commit: the base plus the last delivered snapshot.
+            expected = base_before if delivered is None else _merged(
+                base_before, MetricsRegistry.from_dict(delivered))
+            assert (render_prometheus(live.snapshot())
+                    == render_prometheus(expected))
+        final = worker.to_dict()
+        live.resolve("s", merge=lambda: base.merge_dict(final))
+        post_hoc = _merged(base_before, MetricsRegistry.from_dict(final))
+        assert (render_prometheus(live.snapshot())
+                == render_prometheus(post_hoc))
+        assert live.pending_streams() == []
+        assert base.value(TELEMETRY_DROPPED) == 0.0
+
+    def test_last_snapshot_wins(self):
+        live = LiveRegistry(MetricsRegistry())
+        assert live.update("s", _snapshot(2.0))
+        assert live.update("s", _snapshot(5.0))  # replaces, never sums
+        assert live.update("t", _snapshot(1.0))
+        assert live.snapshot().value("repro_x_total") == 6.0
+        assert live.pending_streams() == ["s", "t"]
+
+    def test_malformed_snapshot_dropped_and_counted(self):
+        live = LiveRegistry(MetricsRegistry())
+        assert live.update("s", _snapshot(3.0))
+        bad = {"metrics": [
             {"name": "repro_x_total", "kind": "counter", "labels": {},
-             "value": value},
+             "value": 4.0},
+            {"kind": "counter", "value": 1},  # no name
         ]}
-
-    def test_fold_applies_in_sequence(self):
-        live = LiveRegistry(MetricsRegistry())
-        assert live.fold("s", self._delta(1, 2.0))
-        assert live.fold("s", self._delta(2, 3.0))
-        assert live.snapshot().value("repro_x_total") == 5.0
-        assert live.deltas_folded == 2
-
-    def test_duplicate_and_reordered_deltas_dropped(self):
-        live = LiveRegistry(MetricsRegistry())
-        assert live.fold("s", self._delta(1, 2.0))
-        assert not live.fold("s", self._delta(1, 2.0))  # duplicate
-        assert not live.fold("s", {"seq": 0, "metrics": []})  # stale
-        assert live.snapshot().value("repro_x_total") == 2.0
-        assert live.deltas_dropped == 2
-        assert live.base.value(TELEMETRY_DROPPED) == 2.0
-
-    def test_gap_poisons_the_stream(self):
-        live = LiveRegistry(MetricsRegistry())
-        live.fold("s", self._delta(1, 2.0))
-        assert not live.fold("s", self._delta(3, 9.0))  # gap: 2 missing
-        # Partial sums would be wrong: pending state is cleared and
-        # later deltas ignored until resolve reconciles.
-        assert live.snapshot().value("repro_x_total") == 0.0
-        assert not live.fold("s", self._delta(4, 1.0))
-
-    def test_malformed_delta_dropped(self):
-        live = LiveRegistry(MetricsRegistry())
-        assert not live.fold("s", {"metrics": []})
-        assert not live.fold("s", {"seq": "nope"})
-        assert live.deltas_dropped == 2
+        for payload in (bad, {"metrics": [{"name": "x", "kind": "nope"}]},
+                        {"metrics": [{"name": "x", "kind": "gauge",
+                                      "agg": "median", "value": 1.0}]},
+                        [1, 2], "garbage"):
+            assert not live.update("s", payload)
+        # The stream keeps its previous snapshot; nothing half-applied.
+        assert live.snapshot().value("repro_x_total") == 3.0
+        assert live.base.value(TELEMETRY_DROPPED) == 5.0
 
     def test_resolve_replaces_pending_with_committed_payload(self):
         base = MetricsRegistry()
         live = LiveRegistry(base)
-        live.fold("s", self._delta(1, 2.0))
-        # The committed payload is a superset of the streamed deltas.
+        live.update("s", _snapshot(2.0))
+        # The committed payload is a superset of every streamed snapshot.
         final = MetricsRegistry()
         final.counter("repro_x_total").inc(5.0)
         live.resolve("s", merge=lambda: base.merge(final))
@@ -183,36 +211,40 @@ class TestLiveRegistry:
 
     def test_straggler_after_resolve_cannot_resurrect_stream(self):
         live = LiveRegistry(MetricsRegistry())
-        live.fold("s", self._delta(1, 2.0))
+        live.update("s", _snapshot(2.0))
         live.resolve("s")
-        assert not live.fold("s", self._delta(2, 7.0))
+        assert not live.update("s", _snapshot(7.0))
         assert live.snapshot().value("repro_x_total") == 0.0
+        assert live.base.value(TELEMETRY_DROPPED) == 1.0
 
     def test_discard_drops_partial_deltas(self):
         live = LiveRegistry(MetricsRegistry())
-        live.fold("s", self._delta(1, 2.0))
+        live.update("s", _snapshot(2.0))
         live.discard("s")
         assert live.snapshot().value("repro_x_total") == 0.0
-        assert not live.fold("s", self._delta(2, 1.0))
+        assert not live.update("s", _snapshot(1.0))
+        assert live.pending_streams() == []
 
     def test_completion_equality_after_stream_and_resolve(self):
-        # End-to-end encoder -> fold -> resolve: the live snapshot at
-        # completion must equal the post-hoc merged registry exactly.
+        # End-to-end heartbeat snapshots -> update -> resolve: the live
+        # snapshot at completion equals the post-hoc merged registry
+        # exactly, dropped-snapshot bookkeeping included.
         worker = MetricsRegistry()
-        encoder = MetricsDeltaEncoder(worker)
         base = MetricsRegistry()
         live = LiveRegistry(base)
         for step in range(3):
             worker.counter("repro_x_total").inc(step + 1)
             worker.histogram("repro_s", buckets=(0.1, 1.0)).observe(0.2)
-            live.fold("s", encoder.next_delta())
+            live.update("s", worker.to_dict())
+        live.update("s", {"metrics": [{"kind": "counter"}]})  # dropped
         final = MetricsRegistry.from_dict(worker.to_dict())
         live.resolve("s", merge=lambda: base.merge(final))
-        # Folded-delta bookkeeping lands on the base registry itself, so
-        # the committed state and the live view agree to the byte.
+        # Dropped-snapshot bookkeeping lands on the base registry itself,
+        # so the committed state and the live view agree to the byte.
         post_hoc = MetricsRegistry.from_dict(base.to_dict())
         assert (render_prometheus(live.snapshot())
                 == render_prometheus(post_hoc))
+        assert post_hoc.value(TELEMETRY_DROPPED) == 1.0
 
 
 # ----------------------------------------------------------------------
@@ -315,8 +347,7 @@ class TestHelpText:
 
     def test_known_constants_have_real_help(self):
         for name in ("repro_runs_completed_total", "repro_cache_hits_total",
-                     "repro_dispatch_leases_total",
-                     TELEMETRY_DELTAS, TELEMETRY_DROPPED):
+                     "repro_dispatch_leases_total", TELEMETRY_DROPPED):
             assert "no help registered" not in help_text(name)
 
 
@@ -469,10 +500,7 @@ class TestTelemetryServer:
         server = TelemetryServer(plane)
         port = server.start()
         try:
-            plane.live.fold("s", {"seq": 1, "metrics": [
-                {"name": "repro_x_total", "kind": "counter", "labels": {},
-                 "value": 4.0},
-            ]})
+            plane.live.update("s", _snapshot(4.0))
             body = _get(f"http://127.0.0.1:{port}/metrics")
             assert "repro_x_total 4" in body
             progress = json.loads(_get(f"http://127.0.0.1:{port}/progress"))
@@ -589,3 +617,44 @@ class TestLiveCampaign:
         assert completions == sorted(completions)  # monotone
         assert any(progress["phase"] == "running"
                    for _, progress in scrapes)
+
+
+class TestMalformedHeartbeat:
+    def test_bad_metrics_payload_is_dropped_not_fatal(
+            self, tmp_path, test_sampling, monkeypatch):
+        # Workers that open every task with a heartbeat whose metrics
+        # payload the registry codec rejects: the dispatcher drops and
+        # counts it, and the campaign finishes as if it never came.
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        serial = _runner(test_sampling, tmp_path / "serial")
+        serial_payload = _payload(serial.run_suite(CONFIG_A,
+                                                   names=SUITE_NAMES))
+        script = tmp_path / "bad_heartbeat_worker.py"
+        script.write_text(
+            "import sys\n"
+            f"sys.path.insert(0, {str(Path(repro.__file__).parents[1])!r})\n"
+            "from repro.harness import worker\n"
+            "_execute = worker._execute_task\n"
+            "def _execute_task(message, outbox):\n"
+            "    outbox.send({'type': 'heartbeat', 'lease': message['lease'],\n"
+            "                 'metrics': {'metrics': [\n"
+            "                     {'name': 'repro_x_total', 'kind': 'counter',\n"
+            "                      'labels': {}, 'value': 3.0},\n"
+            "                     {'kind': 'counter', 'value': 1}]}})\n"
+            "    return _execute(message, outbox)\n"
+            "worker._execute_task = _execute_task\n"
+            "sys.exit(worker.main())\n"
+        )
+        runner = _runner(test_sampling, tmp_path / "dispatched")
+        plane = _attach_plane(runner)
+        launcher = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+        outcome = runner.run_suite(
+            CONFIG_A, names=SUITE_NAMES,
+            pool=DispatchPool(workers=2, launcher=launcher),
+        )
+        assert outcome.ok
+        assert _payload(outcome) == serial_payload
+        assert runner.obs.metrics.value(TELEMETRY_DROPPED) == len(SUITE_NAMES)
+        assert runner.obs.metrics.value("repro_x_total") == 0.0
+        assert (render_prometheus(plane.live.snapshot())
+                == render_prometheus(runner.obs.metrics))
