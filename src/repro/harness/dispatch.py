@@ -44,9 +44,7 @@ import time
 from pathlib import Path
 from queue import Empty, Queue
 from threading import Thread
-from typing import (
-    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple,
-)
+from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
 
 from ..errors import DispatchError, HarnessError
 from ..obs import (
@@ -57,30 +55,16 @@ from ..obs import (
     DISPATCH_RECLAIMS,
     DISPATCH_STALE_COMMITS,
     DISPATCH_STEALS,
-    RETRY_BACKOFF_SECONDS,
-    RUN_FAILURES,
-    RUN_RETRIES,
-    RUN_TIMEOUTS,
-    RUNS_COMPLETED,
     WORKER_CRASHES,
     MetricsRegistry,
 )
-from .recovery import (
-    DEFAULT_POLICY,
-    FaultPolicy,
-    RunFailure,
-    SuiteOutcome,
-    assemble_outcome,
-)
+from .recovery import TaskLedger
 from .worker import PROTOCOL_VERSION, encode_task_payload, plugin_modules
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .runner import BenchmarkRun, ExperimentRunner
+    from .runner import ExperimentRunner
 
 logger = logging.getLogger(__name__)
-
-#: One suite task: a benchmark name under a machine configuration.
-Task = Tuple[str, object]
 
 #: Default lease timeout: a lease with no heartbeat for this long is
 #: reclaimed and its task re-queued.
@@ -499,38 +483,28 @@ class DispatchPool:
         )
 
     # ------------------------------------------------------------------
-    def run_tasks(
-        self,
-        runner: "ExperimentRunner",
-        tasks: Sequence[Task],
-        policy: FaultPolicy = DEFAULT_POLICY,
-        progress: bool = False,
-        on_run: Optional[Callable[[int, "BenchmarkRun"], None]] = None,
-        on_failure: Optional[Callable[[int, RunFailure], None]] = None,
-    ) -> SuiteOutcome:
-        """Run *tasks* on the fleet under *policy*.
+    def run_tasks(self, runner: "ExperimentRunner", ledger: TaskLedger) -> None:
+        """Run *ledger*'s pending tasks on the fleet.
 
-        Completed runs come back in task order inside a
-        :class:`SuiteOutcome`, failures (after the retry budget)
-        alongside; ``on_run``/``on_failure`` fire as each task settles
-        (the suite journal hooks in here).
+        The fleet only executes tasks and reports each attempt to the
+        ledger, which owns retries, failures and the outcome; worker
+        crashes, lease expiry and the per-run timeout each report one
+        failed attempt.
         """
         from . import faults
         from .runner import BenchmarkRun
 
-        if not tasks:
-            return SuiteOutcome(())
+        pending = len(ledger.pending())
+        if not pending:
+            return
+        tasks = ledger.tasks
+        policy = ledger.policy
         plugins = plugin_modules(runner.methods)
         metrics = runner.obs.metrics
         logger.info(
-            "dispatching %d runs over %s", len(tasks), self.describe()
+            "dispatching %d runs over %s", pending, self.describe()
         )
 
-        results: Dict[int, "BenchmarkRun"] = {}
-        failures: Dict[int, RunFailure] = {}
-        attempts: Dict[int, int] = {i: 0 for i in range(len(tasks))}
-        eligible: Dict[int, float] = {i: 0.0 for i in range(len(tasks))}
-        queue: Set[int] = set(range(len(tasks)))
         # Live telemetry plane (None unless --serve/--events-out): lease
         # ids double as metrics stream ids — unique per grant, so a
         # reclaimed-and-stolen task's last snapshot can never collide
@@ -565,8 +539,10 @@ class DispatchPool:
         fleet: Dict[int, _WorkerProc] = {}
         spawn_state = {"serial": 0, "failures": 0}
         # Crash-looping tasks are bounded by the retry budget; this cap
-        # only backstops a launcher that keeps dying *between* tasks.
-        max_spawns = self.workers + len(tasks) * policy.max_attempts + 8
+        # only backstops a launcher that keeps dying *between* tasks.  It
+        # counts this call's spawns: a reused pool's spawned_pids keeps
+        # every earlier campaign's workers too.
+        max_spawns = self.workers + pending * policy.max_attempts + 8
 
         payload_base = {
             "sampling": runner.sampling,
@@ -579,13 +555,12 @@ class DispatchPool:
         }
 
         def _spawn() -> None:
-            if len(self.spawned_pids) >= max_spawns:
-                raise DispatchError(
-                    f"spawned {len(self.spawned_pids)} workers for "
-                    f"{len(tasks)} tasks; launcher or workers are "
-                    f"crash-looping"
-                )
             wid = spawn_state["serial"]
+            if wid >= max_spawns:
+                raise DispatchError(
+                    f"spawned {wid} workers for {pending} tasks; "
+                    f"launcher or workers are crash-looping"
+                )
             spawn_state["serial"] += 1
             worker = _WorkerProc(wid, self.command(), inbox)
             fleet[wid] = worker
@@ -603,56 +578,10 @@ class DispatchPool:
             )
 
         def _ensure_fleet() -> None:
-            outstanding = len(queue) + table.active_count()
+            outstanding = len(ledger.pending()) + table.active_count()
             target = min(self.workers, outstanding) if outstanding else 0
             while _usable() < target:
                 _spawn()
-
-        def _finalize_failure(index: int, failure: RunFailure) -> None:
-            logger.warning("run failed: %s", failure.describe())
-            metrics.counter(RUN_FAILURES).inc()
-            if policy.fail_fast:
-                raise HarnessError(f"fail_fast: {failure.describe()}")
-            failures[index] = failure
-            if on_failure is not None:
-                on_failure(index, failure)
-
-        def _attempt_failed(
-            index: int,
-            error_type: str,
-            message: str,
-            tb: str = "",
-            stage: Optional[str] = None,
-        ) -> None:
-            attempts[index] += 1
-            benchmark, config = tasks[index]
-            if attempts[index] < policy.max_attempts:
-                delay = policy.backoff_seconds(attempts[index])
-                logger.info(
-                    "[%s] %s attempt %d failed (%s); retrying in %.2fs",
-                    config.name, benchmark, attempts[index], error_type,
-                    delay,
-                )
-                metrics.counter(RUN_RETRIES).inc()
-                metrics.histogram(RETRY_BACKOFF_SECONDS).observe(delay)
-                if plane is not None:
-                    plane.events.emit(
-                        "retry", benchmark=benchmark, config=config.name,
-                        attempt=attempts[index], error=error_type,
-                    )
-                eligible[index] = time.monotonic() + delay
-                queue.add(index)
-            else:
-                _finalize_failure(index, RunFailure(
-                    benchmark=benchmark,
-                    config_name=config.name,
-                    attempts=attempts[index],
-                    max_attempts=policy.max_attempts,
-                    error_type=error_type,
-                    error_message=message,
-                    traceback=tb,
-                    stage=stage,
-                ))
 
         def _suspend_holder(lease: Lease) -> None:
             """Detach a reclaimed lease from its (still live) worker."""
@@ -666,47 +595,40 @@ class DispatchPool:
             idle = sorted(
                 (w.wid, w) for w in fleet.values() if w.state == w.IDLE
             )
-            ready = sorted(i for i in queue if eligible[i] <= now)
-            for (_, worker), index in zip(idle, ready):
+            for (_, worker), index in zip(idle, ledger.ready(now)):
                 benchmark, config = tasks[index]
+                attempt = ledger.attempts[index]
                 partitioned = faults.dispatch_fault(
-                    "partition", benchmark, attempts[index]
+                    "partition", benchmark, attempt
                 )
                 if partitioned:
                     logger.warning(
                         "injected partition on %s lease (attempt %d)",
-                        benchmark, attempts[index],
+                        benchmark, attempt,
                     )
                 lease = table.grant(
                     index, worker.wid, now, partitioned=partitioned
                 )
-                if progress:
-                    suffix = (
-                        f" (attempt {attempts[index] + 1})"
-                        if attempts[index] else ""
-                    )
-                    logger.info("[%s] %s ...%s", config.name, benchmark,
-                                suffix)
                 message = {
                     "v": PROTOCOL_VERSION,
                     "type": "task",
                     "lease": lease.lease_id,
                     "benchmark": benchmark,
-                    "attempt": attempts[index],
+                    "attempt": attempt,
                     "lease_timeout": self.lease_timeout,
                     "heartbeat_interval": self.heartbeat_interval,
                     "payload": encode_task_payload(dict(
                         payload_base, benchmark=benchmark, config=config,
                         worker=f"w{worker.wid}",
                         trace_ctx=runner.obs.tracer.export_context(
-                            f"{benchmark}:{config.name}:a{attempts[index]}"
+                            f"{benchmark}:{config.name}:a{attempt}"
                         ),
                     )),
                 }
                 if worker.send(message):
+                    ledger.start(index)
                     worker.state = worker.BUSY
                     worker.lease_id = lease.lease_id
-                    queue.discard(index)
                     _note_worker(
                         worker.wid, "busy", benchmark=benchmark,
                         lease=lease.lease_id,
@@ -734,8 +656,8 @@ class DispatchPool:
                 _drop_stream(lease_id)
                 if lease is not None:
                     metrics.counter(WORKER_CRASHES).inc()
-                    _attempt_failed(
-                        lease.index, "WorkerCrash",
+                    ledger.failed(
+                        lease.index, time.monotonic(), "WorkerCrash",
                         f"dispatch worker died mid-lease "
                         f"(exit {worker.proc.returncode})",
                     )
@@ -785,26 +707,15 @@ class DispatchPool:
             # which is the dispatcher's work: the worker would otherwise
             # sit idle through it.
             _assign(now)
-            index = lease.index
-            benchmark, config = tasks[index]
             if status == "ok":
                 _settle_obs(lease_id, message.get("obs"))
-                metrics.counter(RUNS_COMPLETED).inc()
-                results[index] = BenchmarkRun.from_dict(message["run"])
-                if on_run is not None:
-                    on_run(index, results[index])
-                if progress:
-                    logger.info("[%s] %s done", config.name, benchmark)
+                ledger.succeeded(
+                    lease.index, BenchmarkRun.from_dict(message["run"])
+                )
             else:
                 info = message.get("info", {})
-                _settle_obs(lease_id, info.get("obs"))
-                _attempt_failed(
-                    index,
-                    info.get("error_type", "ReproError"),
-                    info.get("error_message", ""),
-                    info.get("traceback", ""),
-                    info.get("stage"),
-                )
+                _settle_obs(lease_id, info.pop("obs", None))
+                ledger.failed(lease.index, now, **info)
 
         def _handle_line(wid: int, line: Optional[str]) -> None:
             worker = fleet[wid]
@@ -859,8 +770,8 @@ class DispatchPool:
                     "reclaiming", lease.lease_id, tasks[lease.index][0],
                     self.lease_timeout,
                 )
-                _attempt_failed(
-                    lease.index, "LeaseExpired",
+                ledger.failed(
+                    lease.index, now, "LeaseExpired",
                     f"lease expired after {self.lease_timeout}s without "
                     f"heartbeat",
                 )
@@ -881,9 +792,8 @@ class DispatchPool:
                 holder = fleet.get(lease.worker)
                 if holder is not None and holder.state != holder.DEAD:
                     holder.kill()
-                metrics.counter(RUN_TIMEOUTS).inc()
-                _attempt_failed(
-                    lease.index, "RunTimeout",
+                ledger.failed(
+                    lease.index, now, "RunTimeout",
                     f"run exceeded per-run timeout of {policy.timeout}s",
                 )
 
@@ -938,7 +848,7 @@ class DispatchPool:
                 _drain_late(line)
 
         try:
-            while queue or table.active_count():
+            while ledger.pending() or table.active_count():
                 _ensure_fleet()
                 now = time.monotonic()
                 _assign(now)
@@ -957,4 +867,3 @@ class DispatchPool:
                 _sweep(time.monotonic())
         finally:
             _shutdown_fleet()
-        return assemble_outcome(tasks, results, failures)

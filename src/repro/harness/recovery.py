@@ -1,4 +1,4 @@
-"""Fault tolerance for suite execution: policies, failures, journaling.
+"""Fault tolerance for suite execution: policies, the task ledger, journaling.
 
 One failed (benchmark, config) pipeline must not abort a whole campaign.
 This module supplies the pieces the serial and dispatched suite drivers
@@ -7,6 +7,13 @@ share:
 * :class:`FaultPolicy` — bounded retries with deterministic exponential
   backoff, an optional per-run timeout, and a ``fail_fast`` toggle that
   restores abort-on-first-failure semantics.
+* :class:`TaskLedger` — the one implementation of that policy: a pure
+  state machine (callers pass ``now``; metrics and events are passive
+  sinks) owning each task's attempt count, retry eligibility time,
+  result or final failure, and the suite's outcome.  Both drivers only
+  execute tasks and report what happened: :func:`run_tasks_serial`
+  in-process, :meth:`repro.harness.dispatch.DispatchPool.run_tasks` on
+  the worker fleet.
 * :class:`RunFailure` — the structured record of a run that exhausted
   its attempts (exception class/message, traceback, failing stage from
   the timing instrumentation, attempt accounting).
@@ -41,7 +48,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
-    TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Callable, Dict, Iterator, List, Mapping, Optional,
+    Sequence, Set, Tuple,
 )
 
 from ..config import MachineConfig
@@ -180,22 +188,28 @@ class RunFailure:
         max_attempts: int,
         tb: Optional[str] = None,
     ) -> "RunFailure":
-        """Build a failure record from a caught exception.
-
-        The failing stage comes from the marker the runner attaches to
-        exceptions that escape a stage span (see
-        :meth:`ExperimentRunner._stage`).
-        """
+        """Build a failure record from a caught exception."""
         return RunFailure(
             benchmark=benchmark,
             config_name=config_name,
             attempts=attempts,
             max_attempts=max_attempts,
-            error_type=type(error).__name__,
-            error_message=str(error),
-            traceback=tb if tb is not None else traceback_module.format_exc(),
-            stage=getattr(error, "_repro_stage", None),
+            **error_report(error, tb),
         )
+
+
+def error_report(error: BaseException, tb: Optional[str] = None) -> dict:
+    """The :class:`RunFailure` error fields of *error*, while handling it.
+
+    The stage is the marker the runner attaches to exceptions escaping a
+    stage span (:meth:`ExperimentRunner._stage`).
+    """
+    return {
+        "error_type": type(error).__name__,
+        "error_message": str(error),
+        "traceback": tb if tb is not None else traceback_module.format_exc(),
+        "stage": getattr(error, "_repro_stage", None),
+    }
 
 
 # ----------------------------------------------------------------------
@@ -251,31 +265,165 @@ class SuiteOutcome(Sequence):
         return "\n".join(lines)
 
 
-def assemble_outcome(
-    tasks: Sequence[Tuple[str, MachineConfig]],
-    results: Dict[int, "BenchmarkRun"],
-    failures: Dict[int, RunFailure],
-) -> SuiteOutcome:
-    """Build the outcome, insisting every task is accounted for.
+# ----------------------------------------------------------------------
+# the task ledger (pure, property-testable)
+# ----------------------------------------------------------------------
+class TaskLedger:
+    """Attempts, retry schedule, results and failures of one suite's tasks.
 
-    A task index that produced neither a run nor a failure means the
-    driver lost a result — an internal invariant violation that used to
-    silently shorten the suite; it is now an explicit error.
+    The one implementation of :class:`FaultPolicy`, shared by both suite
+    drivers.  Pure like :class:`~repro.harness.dispatch.LeaseTable`:
+    callers pass ``now``; ``metrics`` and ``events`` are passive sinks.
+    A driver marks a :meth:`ready` task with :meth:`start`, executes it
+    and reports :meth:`succeeded` or :meth:`failed`; every counter, event,
+    log line, hook and :class:`RunFailure` of the policy is booked here.
+    A task is pending, running or settled; a report for a task that is
+    not running is refused, so each task settles exactly once.
+    *restored* seeds runs a ``--resume`` restored: settled from the
+    start, with no hook fired and no counter moved.
     """
-    missing = [
-        f"{tasks[i][0]} ({tasks[i][1].name})"
-        for i in range(len(tasks))
-        if i not in results and i not in failures
-    ]
-    if missing:
-        raise HarnessError(
-            f"suite driver lost {len(missing)} run(s) without recording "
-            f"a result or failure: {', '.join(missing)}"
+
+    def __init__(
+        self,
+        tasks: Sequence[Tuple[str, MachineConfig]],
+        policy: FaultPolicy = DEFAULT_POLICY,
+        metrics: Optional[MetricsRegistry] = None,
+        events: Optional[object] = None,
+        progress: bool = False,
+        on_run: Optional[Callable[[int, "BenchmarkRun"], None]] = None,
+        on_failure: Optional[Callable[[int, RunFailure], None]] = None,
+        restored: Optional[Mapping[int, "BenchmarkRun"]] = None,
+    ) -> None:
+        self.tasks = list(tasks)
+        self.policy = policy
+        self.metrics = metrics
+        self.events = events
+        self.progress = progress
+        self.on_run = on_run
+        self.on_failure = on_failure
+        self.results: Dict[int, "BenchmarkRun"] = dict(restored or {})
+        self.failures: Dict[int, RunFailure] = {}
+        #: Failed attempts per task: the next attempt's 0-based number,
+        #: as ``$REPRO_FAULTS`` counts it.
+        self.attempts = [0] * len(self.tasks)
+        self._eligible = [0.0] * len(self.tasks)
+        self._pending = set(range(len(self.tasks))) - set(self.results)
+        self._running: Set[int] = set()
+
+    def _count(self, name: str) -> None:
+        if self.metrics is not None:
+            self.metrics.counter(name).inc()
+
+    def pending(self) -> List[int]:
+        """Tasks waiting for an attempt (including backoff), in order."""
+        return sorted(self._pending)
+
+    def ready(self, now: float) -> List[int]:
+        """Pending tasks whose retry backoff has elapsed at *now*."""
+        return sorted(i for i in self._pending if self._eligible[i] <= now)
+
+    def start(self, index: int) -> int:
+        """Mark an attempt of task *index* running; returns its number."""
+        if index not in self._pending:
+            raise HarnessError(f"task {index} is not pending; cannot start")
+        self._pending.remove(index)
+        self._running.add(index)
+        attempt = self.attempts[index]
+        if self.progress:
+            benchmark, config = self.tasks[index]
+            suffix = f" (attempt {attempt + 1})" if attempt else ""
+            logger.info("[%s] %s ...%s", config.name, benchmark, suffix)
+        return attempt
+
+    def _finish(self, index: int) -> Tuple[str, MachineConfig]:
+        if index not in self._running:
+            raise HarnessError(
+                f"task {index} reported without a running attempt"
+            )
+        self._running.remove(index)
+        return self.tasks[index]
+
+    def succeeded(self, index: int, run: "BenchmarkRun") -> None:
+        """Settle task *index* with its completed *run*."""
+        benchmark, config = self._finish(index)
+        self._count(RUNS_COMPLETED)
+        self.results[index] = run
+        if self.on_run is not None:
+            self.on_run(index, run)
+        if self.progress:
+            logger.info("[%s] %s done", config.name, benchmark)
+
+    def failed(
+        self,
+        index: int,
+        now: float,
+        error_type: str = "ReproError",
+        error_message: str = "",
+        traceback: str = "",
+        stage: Optional[str] = None,
+    ) -> Optional[float]:
+        """Charge task *index* one failed attempt with the given error.
+
+        Returns the backoff when the task will be retried (it is
+        :meth:`ready` again from ``now + delay``), else ``None``: it
+        settled as a failure — or, under ``fail_fast``,
+        :class:`HarnessError` raises.
+        """
+        benchmark, config = self._finish(index)
+        self.attempts[index] += 1
+        attempts = self.attempts[index]
+        if error_type == RunTimeout.__name__:
+            self._count(RUN_TIMEOUTS)
+        if attempts < self.policy.max_attempts:
+            delay = self.policy.backoff_seconds(attempts)
+            logger.info(
+                "[%s] %s attempt %d failed (%s); retrying in %.2fs",
+                config.name, benchmark, attempts, error_type, delay,
+            )
+            self._count(RUN_RETRIES)
+            if self.metrics is not None:
+                self.metrics.histogram(RETRY_BACKOFF_SECONDS).observe(delay)
+            if self.events is not None:
+                self.events.emit(
+                    "retry", benchmark=benchmark, config=config.name,
+                    attempt=attempts, error=error_type,
+                )
+            self._eligible[index] = now + delay
+            self._pending.add(index)
+            return delay
+        failure = RunFailure(
+            benchmark, config.name, attempts, self.policy.max_attempts,
+            error_type, error_message, traceback, stage,
         )
-    return SuiteOutcome(
-        runs=[results[i] for i in range(len(tasks)) if i in results],
-        failures=[failures[i] for i in sorted(failures)],
-    )
+        logger.warning("run failed: %s", failure.describe())
+        self._count(RUN_FAILURES)
+        if self.policy.fail_fast:
+            raise HarnessError(f"fail_fast: {failure.describe()}")
+        self.failures[index] = failure
+        if self.on_failure is not None:
+            self.on_failure(index, failure)
+        return None
+
+    def outcome(self) -> SuiteOutcome:
+        """Runs and failures in task order; every task must have settled.
+
+        An unsettled task means the driver lost a result — an invariant
+        violation, raised rather than silently shortening the suite.
+        """
+        missing = [
+            f"{benchmark} ({config.name})"
+            for index, (benchmark, config) in enumerate(self.tasks)
+            if index not in self.results and index not in self.failures
+        ]
+        if missing:
+            raise HarnessError(
+                f"suite driver lost {len(missing)} run(s) without "
+                f"recording a result or failure: {', '.join(missing)}"
+            )
+        return SuiteOutcome(
+            runs=[self.results[i] for i in sorted(self.results)],
+            failures=[self.failures[i] for i in sorted(self.failures)],
+        )
 
 
 # ----------------------------------------------------------------------
@@ -311,81 +459,39 @@ def run_deadline(seconds: Optional[float]) -> Iterator[None]:
 
 
 # ----------------------------------------------------------------------
-# serial execution with retries
+# serial execution
 # ----------------------------------------------------------------------
-def run_tasks_serial(
-    runner: "ExperimentRunner",
-    tasks: Sequence[Tuple[str, MachineConfig]],
-    policy: FaultPolicy = DEFAULT_POLICY,
-    progress: bool = False,
-    on_run: Optional[Callable[[int, "BenchmarkRun"], None]] = None,
-    on_failure: Optional[Callable[[int, RunFailure], None]] = None,
-) -> SuiteOutcome:
-    """Run *tasks* in-process with per-run isolation, retries and timeout.
+def run_tasks_serial(runner: "ExperimentRunner", ledger: TaskLedger) -> None:
+    """Run *ledger*'s pending tasks in-process, one after another.
 
-    Mirrors the dispatcher's recovery semantics on one process:
-    each task gets up to ``policy.max_attempts`` attempts with
-    deterministic backoff between them; a task that exhausts its budget
-    becomes a :class:`RunFailure` (or raises, under ``fail_fast``).
+    Each task is retried in place — sleeping the backoff the ledger
+    returns — until the ledger settles it, so serial span order is suite
+    order.  Library errors (including injected faults and the
+    ``run_deadline`` timeout) are failed attempts; anything else —
+    KeyboardInterrupt, MemoryError, genuine bugs outside the library's
+    error contract — propagates.
     """
     from . import faults
 
-    metrics = runner.obs.metrics
-    results: Dict[int, "BenchmarkRun"] = {}
-    failures: Dict[int, RunFailure] = {}
-    for index, (benchmark, config) in enumerate(tasks):
-        for attempt in range(policy.max_attempts):
-            if attempt:
-                delay = policy.backoff_seconds(attempt)
-                metrics.histogram(RETRY_BACKOFF_SECONDS).observe(delay)
-                time.sleep(delay)
-            if progress:
-                suffix = f" (attempt {attempt + 1})" if attempt else ""
-                logger.info("[%s] %s ...%s", config.name, benchmark, suffix)
-            faults.set_attempt(attempt)
+    for index in ledger.pending():
+        benchmark, config = ledger.tasks[index]
+        while True:
+            faults.set_attempt(ledger.start(index))
+            run = delay = None
             try:
-                with run_deadline(policy.timeout):
+                with run_deadline(ledger.policy.timeout):
                     run = runner.run_benchmark(benchmark, config)
             except ReproError as error:
-                # Library errors (including injected faults and serial
-                # timeouts) are retryable run failures; anything else —
-                # KeyboardInterrupt, MemoryError, genuine bugs outside
-                # the library's error contract — still propagates.
-                if isinstance(error, RunTimeout):
-                    metrics.counter(RUN_TIMEOUTS).inc()
-                failure = RunFailure.from_exception(
-                    benchmark, config.name, error,
-                    attempts=attempt + 1,
-                    max_attempts=policy.max_attempts,
+                delay = ledger.failed(
+                    index, time.monotonic(), **error_report(error)
                 )
-                logger.warning("run failed: %s", failure.describe())
-                if attempt + 1 < policy.max_attempts:
-                    metrics.counter(RUN_RETRIES).inc()
-                    plane = getattr(runner, "telemetry", None)
-                    if plane is not None:
-                        plane.events.emit(
-                            "retry", benchmark=benchmark,
-                            config=config.name, attempt=attempt + 1,
-                            error=failure.error_type,
-                        )
-                    continue
-                metrics.counter(RUN_FAILURES).inc()
-                if policy.fail_fast:
-                    raise HarnessError(
-                        f"fail_fast: {failure.describe()}"
-                    ) from error
-                failures[index] = failure
-                if on_failure is not None:
-                    on_failure(index, failure)
-                break
             finally:
                 faults.set_attempt(0)
-            results[index] = run
-            metrics.counter(RUNS_COMPLETED).inc()
-            if on_run is not None:
-                on_run(index, run)
-            break
-    return assemble_outcome(tasks, results, failures)
+            if run is not None:
+                ledger.succeeded(index, run)
+            if delay is None:
+                break
+            time.sleep(delay)
 
 
 # ----------------------------------------------------------------------

@@ -66,6 +66,7 @@ from .recovery import (
     RunFailure,
     SuiteJournal,
     SuiteOutcome,
+    TaskLedger,
     run_tasks_serial,
 )
 
@@ -732,15 +733,6 @@ class ExperimentRunner:
             else:
                 suite_journal.reset()
 
-        remaining = [
-            task for index, task in enumerate(tasks) if index not in preloaded
-        ]
-        if pool is None:
-            pool = pool_for(
-                jobs, len(remaining), launcher=self.launcher,
-                lease_timeout=self.lease_timeout,
-            )
-
         plane = self.telemetry
 
         def _journal_run(_: int, run: BenchmarkRun) -> None:
@@ -765,6 +757,19 @@ class ExperimentRunner:
                     config=failure.config_name, error=failure.error_type,
                 )
 
+        ledger = TaskLedger(
+            tasks, policy, metrics=self.obs.metrics,
+            events=plane.events if plane is not None else None,
+            progress=progress, on_run=_journal_run,
+            on_failure=_journal_failure, restored=preloaded,
+        )
+        remaining = len(ledger.pending())
+        if pool is None:
+            pool = pool_for(
+                jobs, remaining, launcher=self.launcher,
+                lease_timeout=self.lease_timeout,
+            )
+
         if plane is not None:
             plane.progress.begin_suite(
                 len(tasks), resumed=len(preloaded)
@@ -783,41 +788,21 @@ class ExperimentRunner:
                 "suite",
                 config=config.name,
                 jobs=pool.workers if remaining and pool is not None else 1,
-                benchmarks=len(remaining),
+                benchmarks=remaining,
                 resumed=len(preloaded),
             ):
-                if remaining and pool is not None:
-                    executed = pool.run_tasks(
-                        self, remaining, policy=policy, progress=progress,
-                        on_run=_journal_run, on_failure=_journal_failure,
-                    )
-                elif remaining:
-                    executed = run_tasks_serial(
-                        self, remaining, policy=policy, progress=progress,
-                        on_run=_journal_run, on_failure=_journal_failure,
-                    )
+                if pool is not None:
+                    pool.run_tasks(self, ledger)
                 else:
-                    executed = SuiteOutcome(())
+                    run_tasks_serial(self, ledger)
         finally:
             if plane is not None:
                 plane.progress.end_suite()
                 plane.events.emit("suite_end", config=config.name)
 
-        # Reassemble in suite order: journal-restored runs plus whatever
-        # just executed (tasks are unique (benchmark, config) pairs).
-        runs_by_name = {run.benchmark: run for run in executed.runs}
-        failures_by_name = {f.benchmark: f for f in executed.failures}
-        runs: List[BenchmarkRun] = []
-        failures = []
-        for index, (name, _) in enumerate(tasks):
-            if index in preloaded:
-                runs.append(preloaded[index])
-            elif name in runs_by_name:
-                runs.append(runs_by_name[name])
-            elif name in failures_by_name:
-                failures.append(failures_by_name[name])
-        self.failures.extend(failures)
-        return SuiteOutcome(runs, failures)
+        outcome = ledger.outcome()
+        self.failures.extend(outcome.failures)
+        return outcome
 
     def _resolve_journal(
         self, journal: object, config: MachineConfig, names: List[str]

@@ -58,6 +58,7 @@ from ..config import (
 from ..errors import DispatchError, HarnessError, ReproError
 from ..obs.stream import copy_registry
 from .cache import ResultCache
+from .recovery import error_report
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runner import ExperimentRunner
@@ -207,13 +208,10 @@ def _worker_run(
     except ReproError as error:
         return (
             "error",
-            {
-                "error_type": type(error).__name__,
-                "error_message": str(error),
-                "traceback": traceback_module.format_exc(),
-                "stage": getattr(error, "_repro_stage", None),
-                "obs": _worker_obs(runner, worker=worker_label),
-            },
+            dict(
+                error_report(error),
+                obs=_worker_obs(runner, worker=worker_label),
+            ),
         )
     finally:
         faults.set_attempt(0)

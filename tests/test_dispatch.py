@@ -394,6 +394,23 @@ class TestDispatchedSuite:
         assert metrics.value(DISPATCH_STALE_COMMITS) == 0.0
         assert len(pool.spawned_pids) == 2
 
+    def test_reused_pool_budgets_spawns_per_call(
+            self, tmp_path, test_sampling, monkeypatch, serial_payload):
+        # spawned_pids keeps every worker a pool ever started, so a pool
+        # reused across suites must not charge earlier campaigns' workers
+        # to this one's crash-loop budget.  Fourteen stand-in pids are
+        # what seven earlier two-task suites leave behind.
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        runner = _runner(test_sampling, tmp_path / "reused", max_retries=1)
+        pool = DispatchPool(workers=2, lease_timeout=10.0)
+        pool.spawned_pids.extend([os.getpid()] * 14)
+        outcome = runner.run_suite(CONFIG_A, names=SUITE_NAMES, pool=pool)
+        assert outcome.ok
+        assert _payload(outcome) == serial_payload
+        assert len(pool.spawned_pids) == 16
+        del pool.spawned_pids[:14]
+        _assert_no_orphans(pool)
+
     def test_local_pool_backend_matches_serial(
             self, tmp_path, test_sampling, monkeypatch, serial_payload):
         # jobs=2 runs on a pool of local dispatch workers; a single task

@@ -10,12 +10,15 @@ to clean serial ones — retries re-run a pure function.
 """
 
 import json
+import logging
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import CONFIG_A
 from repro.errors import (
@@ -27,6 +30,7 @@ from repro.errors import (
 from repro.harness import (
     ExperimentRunner,
     FaultPolicy,
+    LeaseTable,
     ResultCache,
     RunFailure,
     SuiteJournal,
@@ -37,7 +41,7 @@ from repro.harness import (
     suite_fingerprint,
 )
 from repro.harness.faults import FAULTS_ENV, STAGE_ORDER, FaultSpec
-from repro.harness.recovery import assemble_outcome, run_deadline
+from repro.harness.recovery import TaskLedger, run_deadline
 
 from .conftest import TEST_SCALE
 
@@ -206,14 +210,220 @@ class TestSuiteOutcome:
             outcome.raise_if_failed()
 
     def test_assemble_outcome_rejects_lost_runs(self):
+        # The ledger's outcome insists every task settled.
         tasks = [("gzip", CONFIG_A), ("mcf", CONFIG_A)]
+        ledger = TaskLedger(tasks, FaultPolicy(max_retries=0),
+                            restored={0: "run"})
         with pytest.raises(HarnessError, match="mcf"):
-            assemble_outcome(tasks, {0: "run"}, {})
-        outcome = assemble_outcome(tasks, {0: "run"}, {
-            1: RunFailure("mcf", "config_a", 1, 1, "E", "m", "tb", None),
-        })
+            ledger.outcome()
+        ledger.start(1)
+        assert ledger.failed(1, 0.0, "E") is None
+        outcome = ledger.outcome()
         assert list(outcome) == ["run"]
         assert len(outcome.failures) == 1
+
+
+#: The error type each ``$REPRO_FAULTS`` kind reaches the ledger as:
+#: ``raise`` fails the attempt in place, ``hang`` trips the per-run
+#: deadline, ``kill``/``worker_exit`` end the worker mid-lease, and
+#: ``heartbeat_drop``/``partition`` let the lease expire.
+LEDGER_ERRORS = {
+    "raise": "InjectedFault",
+    "hang": "RunTimeout",
+    "kill": "WorkerCrash",
+    "worker_exit": "WorkerCrash",
+    "heartbeat_drop": "LeaseExpired",
+    "partition": "LeaseExpired",
+}
+
+
+class _Recorded:
+    """A ledger plus everything its sinks and hooks saw."""
+
+    def __init__(self, tasks, policy):
+        from repro.obs import EventLog, MetricsRegistry
+
+        self.metrics = MetricsRegistry()
+        self.events = EventLog()
+        self.runs = []
+        self.failed = []
+        self.ledger = TaskLedger(
+            tasks, policy, metrics=self.metrics, events=self.events,
+            on_run=lambda index, run: self.runs.append(index),
+            on_failure=lambda index, failure: self.failed.append(index),
+        )
+
+    def summary(self):
+        from repro.obs import (
+            RETRY_BACKOFF_SECONDS,
+            RUN_FAILURES,
+            RUN_RETRIES,
+            RUN_TIMEOUTS,
+            RUNS_COMPLETED,
+        )
+
+        outcome = self.ledger.outcome()
+        histogram = self.metrics.histogram(RETRY_BACKOFF_SECONDS)
+        retries = sorted(
+            (e["benchmark"], e["attempt"], e["error"])
+            for e in self.events.tail(filters={"kind": "retry"})
+        )
+        return {
+            "runs": list(outcome),
+            "failures": list(outcome.failures),
+            "counters": [self.metrics.value(name) for name in (
+                RUNS_COMPLETED, RUN_RETRIES, RUN_FAILURES, RUN_TIMEOUTS,
+            )],
+            "backoff": (histogram.count, histogram.sum),
+            "retry_events": retries,
+            "on_run": sorted(self.runs),
+            "on_failure": sorted(self.failed),
+        }
+
+
+def _error(schedule, attempt):
+    return (LEDGER_ERRORS[schedule[attempt]],
+            f"{schedule[attempt]} on attempt {attempt}")
+
+
+def _replay_serial(recorded, schedules):
+    """In-order replay: each task retried in place until it settles."""
+    ledger, now = recorded.ledger, 0.0
+    for index in ledger.pending():
+        while True:
+            attempt = ledger.start(index)
+            if attempt >= len(schedules[index]):
+                ledger.succeeded(index, f"run-{index}")
+                break
+            delay = ledger.failed(index, now, *_error(schedules[index], attempt))
+            if delay is None:
+                break
+            now += delay
+
+
+class TestTaskLedgerProperty:
+    """Any interleaving of per-task fault schedules settles like serial.
+
+    Subprocess-free: a dispatcher-style driver composes the ledger with a
+    :class:`LeaseTable`, starting ready tasks and reporting attempts in a
+    drawn order, with late results from reclaimed leases mixed in.
+    """
+
+    @settings(deadline=None, max_examples=300)
+    @given(
+        max_retries=st.integers(min_value=0, max_value=3),
+        backoff_base=st.sampled_from([0.0, 0.25, 0.5]),
+        fail_fast=st.booleans(),
+        schedules=st.lists(
+            st.lists(st.sampled_from(sorted(LEDGER_ERRORS)), max_size=5),
+            min_size=1, max_size=4,
+        ),
+        data=st.data(),
+    )
+    def test_interleaved_reports_settle_like_serial(
+            self, max_retries, backoff_base, fail_fast, schedules, data):
+        policy = FaultPolicy(max_retries=max_retries, fail_fast=fail_fast,
+                             backoff_base=backoff_base)
+        tasks = [(f"bench{i}", CONFIG_A) for i in range(len(schedules))]
+        recorded = _Recorded(tasks, policy)
+        ledger = recorded.ledger
+        table = LeaseTable(lease_timeout=10.0, heartbeat_interval=2.0,
+                           metrics=recorded.metrics)
+        now = 0.0
+        running = {}   # task index -> active lease id
+        reclaimed = []  # lease ids whose worker may still send a result
+        started = [0] * len(tasks)
+        not_before = [0.0] * len(tasks)  # end of each task's backoff
+        late = 0
+        while ledger.pending() or running or reclaimed:
+            choices = (
+                [("start", i) for i in ledger.ready(now)]
+                + [("report", i) for i in sorted(running)]
+                + [("late", lease_id) for lease_id in reclaimed]
+            )
+            if not choices:
+                now += 1.0  # every backoff here is <= 4 s
+                continue
+            action, target = data.draw(st.sampled_from(choices))
+            now += data.draw(st.sampled_from([0.0, 0.1, 0.6]))
+            if action == "start":
+                attempt = ledger.attempts[target]
+                schedule = schedules[target]
+                partitioned = (attempt < len(schedule)
+                               and schedule[attempt] == "partition")
+                lease = table.grant(target, target, now, partitioned)
+                assert ledger.start(target) == attempt
+                assert now >= not_before[target]
+                started[target] += 1
+                assert started[target] <= policy.max_attempts
+                running[target] = lease.lease_id
+                continue
+            if action == "late":
+                # A reclaimed lease's worker comes back with a result:
+                # the lease table gates it out before it can reach the
+                # ledger, and the ledger would refuse it anyway.
+                reclaimed.remove(target)
+                assert table.settle(target, ok=True, now=now) is None
+                late += 1
+                continue
+            lease_id = running.pop(target)
+            attempt = ledger.attempts[target]
+            schedule = schedules[target]
+            if attempt >= len(schedule):
+                assert table.settle(lease_id, ok=True, now=now) is not None
+                ledger.succeeded(target, f"run-{target}")
+                continue
+            kind = schedule[attempt]
+            if kind == "partition":
+                # The partition eats the result; the lease stays active
+                # until the monitor reclaims it.
+                assert table.settle(lease_id, ok=True, now=now) is None
+            if LEDGER_ERRORS[kind] == "InjectedFault":
+                assert table.settle(lease_id, ok=False, now=now) is not None
+            else:
+                assert table.reclaim(lease_id) is not None
+                reclaimed.append(lease_id)
+            exhausted = attempt + 1 >= policy.max_attempts
+            if fail_fast and exhausted:
+                # The first exhausted task aborts the campaign.
+                with pytest.raises(HarnessError, match=f"bench{target} "):
+                    ledger.failed(target, now, *_error(schedule, attempt))
+                assert recorded.failed == [] and ledger.failures == {}
+                return
+            delay = ledger.failed(target, now, *_error(schedule, attempt))
+            assert (delay is None) == exhausted
+            if delay is not None:
+                assert delay == policy.backoff_seconds(attempt + 1)
+                not_before[target] = now + delay
+
+        from repro.obs import DISPATCH_STALE_COMMITS
+
+        assert recorded.metrics.value(DISPATCH_STALE_COMMITS) == late
+        exhausted = [i for i, s in enumerate(schedules)
+                     if len(s) >= policy.max_attempts]
+        assert not (fail_fast and exhausted)
+        # Every task settled exactly once, hooks included, and a stale
+        # report for a settled task is refused.
+        outcome = ledger.outcome()
+        assert sorted(ledger.results) == sorted(recorded.runs) == sorted(
+            set(range(len(tasks))) - set(exhausted))
+        assert sorted(ledger.failures) == sorted(recorded.failed) == exhausted
+        for index in range(len(tasks)):
+            with pytest.raises(HarnessError, match="without a running"):
+                ledger.succeeded(index, "late")
+        assert all(f.attempts == policy.max_attempts
+                   for f in outcome.failures)
+        # Outcome, counters, backoff histogram and retry events equal
+        # an in-order replay of the same schedules.
+        serial = _Recorded(tasks, policy)
+        _replay_serial(serial, schedules)
+        assert recorded.summary() == serial.summary()
+        retried = sum(min(len(s), max_retries) for s in schedules)
+        timeouts = sum(s[:policy.max_attempts].count("hang")
+                       for s in schedules)
+        assert serial.summary()["counters"] == [
+            len(tasks) - len(exhausted), retried, len(exhausted), timeouts,
+        ]
 
 
 class TestRunDeadline:
@@ -331,28 +541,71 @@ class TestParallelRecovery:
 
 
 class TestBackoffHistogram:
-    def test_serial_retry_waits_are_observed(
-            self, tmp_path, test_sampling, monkeypatch):
-        from repro.obs import RETRY_BACKOFF_SECONDS
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_retry_accounting_is_driver_independent(
+            self, tmp_path, test_sampling, monkeypatch, jobs):
+        # gzip fails once and is retried to success; lucas fails both
+        # attempts.  The serial loop and the dispatcher report to the
+        # same ledger, so they must book exactly the same numbers.
+        from repro.obs import (
+            RETRY_BACKOFF_SECONDS,
+            RUN_FAILURES,
+            RUN_RETRIES,
+            RUNS_COMPLETED,
+            EventLog,
+            TelemetryPlane,
+        )
 
+        monkeypatch.setenv(
+            FAULTS_ENV, "raise:gzip:detailed_simulation:0;raise:lucas:*:*"
+        )
+        runner = _runner(test_sampling, tmp_path, jobs=jobs, max_retries=1)
+        runner.telemetry = TelemetryPlane(runner.obs, events=EventLog())
+        outcome = runner.run_suite(CONFIG_A, names=("gzip", "lucas"))
+        assert [run.benchmark for run in outcome] == ["gzip"]
+        assert [f.benchmark for f in outcome.failures] == ["lucas"]
+        metrics = runner.obs.metrics
+        assert metrics.value(RUN_RETRIES) == 2.0
+        assert metrics.value(RUN_FAILURES) == 1.0
+        assert metrics.value(RUNS_COMPLETED) == 1.0
+        assert metrics.histogram(RETRY_BACKOFF_SECONDS).count == 2
+        retries = sorted(
+            (e["benchmark"], e["config"], e["attempt"], e["error"])
+            for e in runner.telemetry.events.tail(filters={"kind": "retry"})
+        )
+        assert retries == [
+            ("gzip", "config_a", 1, "InjectedFault"),
+            ("lucas", "config_a", 1, "InjectedFault"),
+        ]
+
+
+class TestFailedAttemptLogging:
+    """One log policy for both drivers: a retried attempt logs at INFO,
+    only a final failure at WARNING."""
+
+    def _ledger_records(self, caplog, level):
+        return [r for r in caplog.records
+                if r.name == "repro.harness.recovery" and r.levelno == level]
+
+    def test_transient_failure_logs_no_warning(
+            self, tmp_path, test_sampling, monkeypatch, caplog):
         monkeypatch.setenv(FAULTS_ENV, "raise:gzip:detailed_simulation:0")
         runner = _runner(test_sampling, tmp_path, max_retries=1)
-        outcome = runner.run_suite(CONFIG_A, names=("gzip",))
-        assert outcome.ok
-        histogram = runner.obs.metrics.histogram(RETRY_BACKOFF_SECONDS)
-        assert histogram.count == 1
-        assert histogram.sum == 0.0  # backoff_base=0 in these tests
+        with caplog.at_level(logging.INFO, logger="repro"):
+            assert runner.run_suite(CONFIG_A, names=("gzip",)).ok
+        assert self._ledger_records(caplog, logging.WARNING) == []
+        (retry,) = self._ledger_records(caplog, logging.INFO)
+        assert "retrying in" in retry.getMessage()
 
-    def test_parallel_retry_waits_are_observed(
-            self, tmp_path, test_sampling, monkeypatch):
-        from repro.obs import RETRY_BACKOFF_SECONDS
-
-        monkeypatch.setenv(FAULTS_ENV, "raise:gzip:detailed_simulation:0")
-        runner = _runner(test_sampling, tmp_path, jobs=2, max_retries=1)
-        outcome = runner.run_suite(CONFIG_A, names=("gzip", "lucas"))
-        assert outcome.ok
-        histogram = runner.obs.metrics.histogram(RETRY_BACKOFF_SECONDS)
-        assert histogram.count == 1
+    def test_permanent_failure_logs_one_warning(
+            self, tmp_path, test_sampling, monkeypatch, caplog):
+        monkeypatch.setenv(FAULTS_ENV, "raise:gzip:detailed_simulation:*")
+        runner = _runner(test_sampling, tmp_path, max_retries=1)
+        with caplog.at_level(logging.INFO, logger="repro"):
+            outcome = runner.run_suite(CONFIG_A, names=("gzip",))
+        assert len(outcome.failures) == 1
+        (warning,) = self._ledger_records(caplog, logging.WARNING)
+        assert warning.getMessage().startswith("run failed: gzip")
 
 
 class TestCorruptCacheInjection:
