@@ -14,7 +14,7 @@ from .distance import (
     nearest_to_centroid,
     squared_distances,
 )
-from .kmeans import KMeansResult, kmeans
+from .kmeans import KMeansResult, kmeans, kmeans_sweep
 from .metrics import (
     METRIC_KINDS,
     loop_frequency_matrix,
@@ -36,6 +36,7 @@ __all__ = [
     "earliest_member",
     "first_component",
     "kmeans",
+    "kmeans_sweep",
     "loop_frequency_matrix",
     "metric_matrix",
     "nearest_to_centroid",

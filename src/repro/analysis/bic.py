@@ -14,13 +14,14 @@ are written identically in both, and both sum the term array with
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterator, Sequence
 
 import numpy as np
 
 from ..backend import get_backend
 from ..errors import ClusteringError
-from .kmeans import KMeansResult, kmeans
+from .kmeans import KMeansResult, kmeans_sweep
 
 #: Floor on the fitted variance, guarding against degenerate clusterings.
 _VARIANCE_FLOOR = 1e-12
@@ -80,6 +81,24 @@ def select_k(scores: Dict[int, float], threshold: float = 0.9) -> int:
     return min(eligible)
 
 
+@dataclass(frozen=True)
+class BicSweep:
+    """A BIC sweep's chosen clustering, its scores and its work tallies.
+
+    Unpacks as ``(result, scores)``; ``iterations`` and
+    ``distance_evals`` are the sweep's exact work counts
+    (:class:`~repro.analysis.kmeans.KMeansSweep`).
+    """
+
+    result: KMeansResult
+    scores: Dict[int, float]
+    iterations: int
+    distance_evals: int
+
+    def __iter__(self) -> Iterator:
+        return iter((self.result, self.scores))
+
+
 def cluster_with_bic(
     data: np.ndarray,
     kmax: int,
@@ -87,25 +106,29 @@ def cluster_with_bic(
     n_seeds: int = 5,
     threshold: float = 0.9,
     ks: Sequence[int] | None = None,
-) -> Tuple[KMeansResult, Dict[int, float]]:
+) -> BicSweep:
     """Cluster for k = 1..kmax and return the BIC-selected clustering.
 
     Returns ``(best_result, scores)`` where *scores* maps each tried k to
-    its BIC.  ``ks`` overrides the candidate list (ablations).
+    its BIC.  ``ks`` overrides the candidate list (ablations).  All
+    candidates run as one :func:`~repro.analysis.kmeans.kmeans_sweep`.
     """
     data = np.asarray(data, dtype=np.float64)
     if kmax <= 0:
         raise ClusteringError("kmax must be positive")
     candidates = list(ks) if ks is not None else list(range(1, kmax + 1))
-    candidates = sorted({min(k, len(data)) for k in candidates if k >= 1})
+    candidates = [k for k in candidates if k >= 1]
     if not candidates:
         raise ClusteringError("no candidate k values")
 
-    results: Dict[int, KMeansResult] = {}
-    scores: Dict[int, float] = {}
-    for k in candidates:
-        result = kmeans(data, k, seed=seed, n_seeds=n_seeds)
-        results[k] = result
-        scores[k] = bic_score(data, result)
+    sweep = kmeans_sweep(data, candidates, seed=seed, n_seeds=n_seeds)
+    scores = {
+        k: bic_score(data, result) for k, result in sweep.results.items()
+    }
     chosen = select_k(scores, threshold=threshold)
-    return results[chosen], scores
+    return BicSweep(
+        result=sweep.results[chosen],
+        scores=scores,
+        iterations=sweep.iterations,
+        distance_evals=sweep.distance_evals,
+    )

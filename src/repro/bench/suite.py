@@ -118,6 +118,19 @@ def _run_kmeans(payload: np.ndarray) -> None:
     cluster_with_bic(payload, kmax=8, seed=0, n_seeds=2)
 
 
+# The coarse COASTS shape: a few hundred 60-dim signatures (4 chunks x
+# 15 projected dims), kmax 3, where the bounds have the least to prune.
+
+def _setup_kmeans_coarse(scale: float) -> np.ndarray:
+    rng = np.random.default_rng(4321)
+    raw = rng.random((250, DEFAULT_SAMPLING.signature_segments, 256))
+    return concat_signatures(raw, dim=DEFAULT_SAMPLING.projection_dim, seed=0)
+
+
+def _run_kmeans_coarse(payload: np.ndarray) -> None:
+    cluster_with_bic(payload, kmax=3, seed=0, n_seeds=2)
+
+
 # ----------------------------------------------------------------------
 # signature build: COASTS's normalise-project-concatenate pipeline.
 
@@ -222,6 +235,13 @@ BENCH_SUITE: Tuple[BenchCase, ...] = (
         backends=("vectorized", "scalar"),
         setup=_setup_kmeans,
         run=_run_kmeans,
+    ),
+    BenchCase(
+        name="kmeans_sweep_coarse",
+        description="BIC k-sweep over 250x60 COASTS signatures (kmax 3)",
+        backends=("vectorized", "scalar"),
+        setup=_setup_kmeans_coarse,
+        run=_run_kmeans_coarse,
     ),
     BenchCase(
         name="signature_build",

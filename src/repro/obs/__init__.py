@@ -88,9 +88,11 @@ from .metrics import (
     DISPATCH_RECLAIMS,
     DISPATCH_STALE_COMMITS,
     DISPATCH_STEALS,
+    DISTANCE_EVALS,
     FAULTS_INJECTED,
     FUNCTIONAL_INSTRUCTIONS,
     JOURNAL_TORN,
+    KMEANS_ITERATIONS,
     KMEANS_RUNS,
     PROFILE_PASSES,
     RETRY_BACKOFF_SECONDS,
@@ -135,6 +137,7 @@ __all__ = [
     "DISPATCH_RECLAIMS",
     "DISPATCH_STALE_COMMITS",
     "DISPATCH_STEALS",
+    "DISTANCE_EVALS",
     "EventLog",
     "FAULTS_INJECTED",
     "FUNCTIONAL_INSTRUCTIONS",
@@ -144,6 +147,7 @@ __all__ = [
     "HistoryDiff",
     "HistoryRecord",
     "JOURNAL_TORN",
+    "KMEANS_ITERATIONS",
     "KMEANS_RUNS",
     "LiveRegistry",
     "MANIFEST_VERSION",

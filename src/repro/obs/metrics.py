@@ -47,6 +47,8 @@ FUNCTIONAL_INSTRUCTIONS = "repro_functional_instructions_total"
 PROFILE_PASSES = "repro_profile_passes_total"
 CLUSTER_SWEEPS = "repro_cluster_sweeps_total"
 KMEANS_RUNS = "repro_kmeans_runs_total"
+KMEANS_ITERATIONS = "repro_kmeans_iterations_total"
+DISTANCE_EVALS = "repro_distance_evals_total"
 #: Retired with shared-memory trace sharing: never incremented, kept so
 #: readers of older metric dumps still resolve the name.
 TRACE_SHM_FALLBACKS = "repro_trace_shm_fallbacks_total"
@@ -88,6 +90,10 @@ _METRIC_HELP: Dict[str, str] = {
                     "(a memoised clustering books none).",
     KMEANS_RUNS: "k-means runs inside those sweeps (candidate ks times "
                  "seeds per sweep).",
+    KMEANS_ITERATIONS: "Lloyd iterations over every (k, seed) run of "
+                       "those sweeps.",
+    DISTANCE_EVALS: "Point-centre distances those sweeps evaluated "
+                    "(seeding included; bound-pruned rows skipped).",
     TRACE_SHM_FALLBACKS: "Retired (traces are no longer shared); always 0.",
     DISPATCH_LEASES: "Task leases granted by the dispatcher.",
     DISPATCH_HEARTBEATS: "Worker heartbeats accepted by the dispatcher.",

@@ -36,7 +36,13 @@ from ..engine.functional import FunctionalSimulator
 from ..engine.profiles import CoarseIntervalProfile
 from ..engine.trace import Trace
 from ..errors import SamplingError
-from ..obs import CLUSTER_SWEEPS, KMEANS_RUNS, ObsContext
+from ..obs import (
+    CLUSTER_SWEEPS,
+    DISTANCE_EVALS,
+    KMEANS_ITERATIONS,
+    KMEANS_RUNS,
+    ObsContext,
+)
 from ..obs.diag import MethodDiag, build_method_diag
 from .points import SamplingPlan, SimulationPoint
 
@@ -194,7 +200,7 @@ class Coasts:
         )
         with span_ctx as span:
             signatures = self.signatures(profile)
-            result, scores = cluster_with_bic(
+            sweep = cluster_with_bic(
                 signatures,
                 kmax=self.config.coarse_kmax,
                 seed=self.config.random_seed,
@@ -205,8 +211,15 @@ class Coasts:
                 metrics = self.obs.metrics
                 metrics.counter(CLUSTER_SWEEPS, method=self.method_name).inc()
                 metrics.counter(KMEANS_RUNS, method=self.method_name).inc(
-                    len(scores) * self.config.kmeans_seeds
+                    len(sweep.scores) * self.config.kmeans_seeds
                 )
+                metrics.counter(
+                    KMEANS_ITERATIONS, method=self.method_name
+                ).inc(sweep.iterations)
+                metrics.counter(DISTANCE_EVALS, method=self.method_name).inc(
+                    sweep.distance_evals
+                )
+            result = sweep.result
             labels = result.labels
             k = result.k
             picks = earliest_member(labels, k)

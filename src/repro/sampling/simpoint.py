@@ -39,7 +39,13 @@ from ..config import DEFAULT_SAMPLING, SamplingConfig
 from ..engine.profiles import FixedIntervalProfile
 from ..errors import SamplingError
 from ..isa.program import Program
-from ..obs import CLUSTER_SWEEPS, KMEANS_RUNS, ObsContext
+from ..obs import (
+    CLUSTER_SWEEPS,
+    DISTANCE_EVALS,
+    KMEANS_ITERATIONS,
+    KMEANS_RUNS,
+    ObsContext,
+)
 from ..obs.diag import MethodDiag, build_method_diag
 from .points import SamplingPlan, SimulationPoint
 
@@ -285,7 +291,7 @@ class SimPoint:
             fit_data = features[chosen]
         else:
             fit_data = features
-        result, scores = cluster_with_bic(
+        sweep = cluster_with_bic(
             fit_data,
             kmax=self.kmax,
             seed=self.config.random_seed,
@@ -296,8 +302,15 @@ class SimPoint:
             metrics = self.obs.metrics
             metrics.counter(CLUSTER_SWEEPS, method=self.method_name).inc()
             metrics.counter(KMEANS_RUNS, method=self.method_name).inc(
-                len(scores) * self.config.kmeans_seeds
+                len(sweep.scores) * self.config.kmeans_seeds
             )
+            metrics.counter(KMEANS_ITERATIONS, method=self.method_name).inc(
+                sweep.iterations
+            )
+            metrics.counter(DISTANCE_EVALS, method=self.method_name).inc(
+                sweep.distance_evals
+            )
+        result = sweep.result
         centroids = result.centroids
         labels, _ = assign_points(features, centroids)
         return labels, centroids, result.k

@@ -57,7 +57,8 @@ class TestSuite:
 
     def test_filter_selects_substring(self):
         chosen = select_cases("kmeans")
-        assert [case.name for case in chosen] == ["kmeans_sweep"]
+        assert [case.name for case in chosen] == \
+            ["kmeans_sweep", "kmeans_sweep_coarse"]
 
     def test_unmatched_filter_rejected(self):
         with pytest.raises(HarnessError, match="no bench case"):
