@@ -25,18 +25,39 @@ simulator builds one statics record per kind when it is constructed and
 walks plain ``(segment, rep offset, reps)`` ints from
 :meth:`Trace.piece_bounds` — no :class:`~repro.engine.trace.Segment` view
 is ever materialised.
+
+A piece does only the work that can change machine state or a counter;
+both shortcuts below book bit-identical results:
+
+* **Eviction-free L1I.**  When no L1I set holds more of the program's
+  code lines than it has ways (checked once per trace and config), no
+  line is ever evicted, so a block fetched once on a state hits on every
+  line until the state is reset.  Such blocks skip the cache and only
+  count their accesses; LRU order inside a set that never evicts decides
+  nothing.  Programs whose code conflicts keep the real set-associative
+  cache on every fetch, the only exact model for them.
+* **Whole-segment visits.**  A piece that covers its segment from rep 0
+  to the end runs each memory block's visit in one batch.  With no visit
+  open on the state, it takes the visit's rates and installs its
+  residency in one call and keeps no visit state.  An open visit means a
+  carried state re-enters a segment an earlier range cut; that piece
+  takes the keyed path and reuses the open visit's rates.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import MachineConfig
 from ..engine.trace import Trace
-from ..obs import DETAILED_CALLS, DETAILED_INSTRUCTIONS, MetricsRegistry
+from ..obs import (
+    DETAILED_CALLS,
+    DETAILED_INSTRUCTIONS,
+    DETAILED_PIECES,
+    MetricsRegistry,
+)
 from ..uarch.branch import (
     advance_loop_branch,
     exit_loop_branch,
@@ -92,8 +113,13 @@ class _KindStatics:
 
     rep_insts: int
     rep_cycles: float
-    #: Per block, in execution order: (block_id, inst_lines, memory or None).
-    blocks: Tuple[Tuple[int, np.ndarray, Optional[_BlockMemory]], ...]
+    #: Fetch lines and memory instructions per rep, over all blocks.
+    rep_fetch_lines: int
+    rep_mem_insts: int
+    #: Per block, in execution order: (block_id, fetch lines, memory or None).
+    blocks: Tuple[Tuple[int, Tuple[int, ...], Optional[_BlockMemory]], ...]
+    #: No memory block occurs twice, so each has a visit of its own.
+    distinct_visits: bool
     #: Data-dependent (non-loop) branches per rep and their rate sum.
     plain_branches: int
     plain_rate_sum: float
@@ -110,12 +136,16 @@ class MachineState:
         self.code_lines = float(max(1, code_lines))
         #: 2-bit counter per loop back-edge branch, keyed by block id.
         self.loop_counters: Dict[int, int] = {}
+        #: Blocks fetched since the last reset, kept only when the L1I
+        #: can never evict (every later fetch of them hits).
+        self.fetched: Set[int] = set()
 
     def reset(self) -> None:
         """Return to the cold-machine state."""
         self.il1.reset()
         self.data.reset()
         self.loop_counters.clear()
+        self.fetched.clear()
 
 
 class TimingSimulator:
@@ -158,7 +188,7 @@ class TimingSimulator:
         line = config.dcache.line_size
         iline = config.icache.line_size
         self._block_memory: List[Optional[_BlockMemory]] = []
-        self._inst_lines: List[np.ndarray] = []
+        self._inst_lines: List[Tuple[int, ...]] = []
         self._data_branch_rate: List[float] = []
         self._ends_in_branch: List[bool] = []
         code_lines = set()
@@ -185,8 +215,8 @@ class TimingSimulator:
                 )
             else:
                 self._block_memory.append(None)
-            lines = np.array(list(block.instruction_lines(iline)), dtype=np.int64)
-            code_lines.update(int(l) for l in lines)
+            lines = tuple(block.instruction_lines(iline))
+            code_lines.update(lines)
             self._inst_lines.append(lines)
             self._ends_in_branch.append(block.ends_in_branch)
             self._data_branch_rate.append(
@@ -195,6 +225,14 @@ class TimingSimulator:
                 else 0.0
             )
         self._code_lines = len(code_lines)
+        # A set that never holds more of the program's code lines than it
+        # has ways never evicts, so a block fetched once stays resident
+        # until the state is reset.
+        n_sets = config.icache.n_sets
+        per_set = Counter(line % n_sets for line in code_lines)
+        self.l1i_eviction_free = (
+            max(per_set.values(), default=0) <= config.icache.assoc
+        )
 
         # One statics record per kind, and each segment's kind index.
         flat = trace.flat_blocks.tolist()
@@ -223,14 +261,16 @@ class TimingSimulator:
         plain_rate_sum = 0.0
         loop_branch_block = -1
         rep_cycles = 0.0
+        rep_fetch_lines = 0
+        rep_mem_insts = 0
         entries = []
         for position, block_id in enumerate(blocks):
             rep_cycles += self.base_cycles[block_id]
-            entries.append((
-                block_id,
-                self._inst_lines[block_id],
-                self._block_memory[block_id],
-            ))
+            memory = self._block_memory[block_id]
+            rep_fetch_lines += len(self._inst_lines[block_id])
+            if memory is not None:
+                rep_mem_insts += memory.n_mem
+            entries.append((block_id, self._inst_lines[block_id], memory))
             if not self._ends_in_branch[block_id]:
                 continue
             if is_loop and position == last_index:
@@ -238,10 +278,14 @@ class TimingSimulator:
             else:
                 plain_branches += 1
                 plain_rate_sum += self._data_branch_rate[block_id]
+        memory_blocks = [b for b, _, memory in entries if memory is not None]
         return _KindStatics(
             rep_insts=rep_insts,
             rep_cycles=rep_cycles,
+            rep_fetch_lines=rep_fetch_lines,
+            rep_mem_insts=rep_mem_insts,
             blocks=tuple(entries),
+            distinct_visits=len(set(memory_blocks)) == len(memory_blocks),
             plain_branches=plain_branches,
             plain_rate_sum=plain_rate_sum,
             loop_branch_block=loop_branch_block,
@@ -274,12 +318,15 @@ class TimingSimulator:
         if result is None:
             result = SimulationResult()
         before = result.instructions
+        pieces = 0
         for seg_index, rep_offset, n in self.trace.piece_bounds(start, end):
             self._simulate_piece(seg_index, rep_offset, n, state, result)
+            pieces += 1
         # Coarse accounting only: simulate_full delegates here, so every
         # detail-simulated instruction is counted exactly once, outside
         # the hot loop.
         self.metrics.counter(DETAILED_CALLS).inc()
+        self.metrics.counter(DETAILED_PIECES).inc(pieces)
         self.metrics.counter(DETAILED_INSTRUCTIONS).inc(
             float(result.instructions - before)
         )
@@ -300,10 +347,20 @@ class TimingSimulator:
         includes_end = rep_offset + n == seg_reps
         data = state.data
         il1 = state.il1
+        fetched = state.fetched
+        # A whole-segment piece keeps no visit state, unless a visit is
+        # open (its segment was cut by an earlier range on this state) or
+        # a block recurs in the segment (its second batch reuses the
+        # first's rates).
+        whole = (rep_offset == 0 and includes_end and statics.distinct_visits
+                 and not data.visits)
 
-        # Batched stateless quantities: instruction count, steady-state
-        # cycles, expected mispredicts of data-dependent branches.
+        # Batched stateless quantities: instruction and access counts,
+        # steady-state cycles, expected mispredicts of data-dependent
+        # branches.
         result.instructions += statics.rep_insts * n
+        result.l1i_accesses += statics.rep_fetch_lines * n
+        result.l1d_accesses += statics.rep_mem_insts * n
         cycles = statics.rep_cycles * n
         if statics.plain_branches:
             expected = n * statics.plain_rate_sum
@@ -319,18 +376,22 @@ class TimingSimulator:
             # --- instruction fetch ----------------------------------------
             # Each fetch line is touched through the real L1I once per
             # piece; the remaining n-1 rounds re-fetch the same lines
-            # back-to-back and hit by construction.
-            l1i_misses, miss_lines = il1.access_run(ilines)
-            result.l1i_accesses += len(ilines) * n
-            result.l1i_misses += l1i_misses
-            if l1i_misses:
-                l2i_misses = data.access_code(state.code_lines,
-                                              float(len(miss_lines)))
-                result.l2_accesses += l1i_misses
-                result.l2_misses += l2i_misses
-                cycles += (
-                    l1i_misses * self.l1i_penalty + l2i_misses * self.l2_penalty
-                )
+            # back-to-back and hit by construction.  A block already
+            # fetched into an L1I that never evicts hits on every line.
+            if block_id not in fetched:
+                l1i_misses, miss_lines = il1.access_run(ilines)
+                if self.l1i_eviction_free:
+                    fetched.add(block_id)
+                if l1i_misses:
+                    result.l1i_misses += l1i_misses
+                    l2i_misses = data.access_code(state.code_lines,
+                                                  float(len(miss_lines)))
+                    result.l2_accesses += l1i_misses
+                    result.l2_misses += l2i_misses
+                    cycles += (
+                        l1i_misses * self.l1i_penalty
+                        + l2i_misses * self.l2_penalty
+                    )
 
             # --- data accesses ----------------------------------------------
             # Touches scale linearly in n and the visit is keyed by
@@ -339,11 +400,18 @@ class TimingSimulator:
             if memory is not None:
                 touches = memory.touches_per_rep * n
                 visit_touches = max(1.0, memory.touches_per_rep * seg_reps)
-                l1m, l2m = data.access_data(
-                    memory.region, memory.ws_lines, (seg_index, block_id),
-                    visit_touches, touches,
-                )
-                result.l1d_accesses += memory.n_mem * n
+                if whole:
+                    # What access_data books for a visit's only batch.
+                    l1_hit, l2_hit = data.enter_visit(
+                        memory.region, memory.ws_lines, visit_touches
+                    )
+                    l1m = touches * (1.0 - l1_hit)
+                    l2m = l1m * (1.0 - l2_hit)
+                else:
+                    l1m, l2m = data.access_data(
+                        memory.region, memory.ws_lines, (seg_index, block_id),
+                        visit_touches, touches,
+                    )
                 result.l1d_misses += l1m
                 result.l2_accesses += l1m
                 result.l2_misses += l2m
@@ -372,7 +440,7 @@ class TimingSimulator:
         result.cycles += cycles
         # The segment's visits are over; dropping them keeps the visit
         # table at one segment's blocks instead of the whole trace's.
-        if includes_end:
+        if includes_end and not whole:
             for block_id, _, memory in statics.blocks:
                 if memory is not None:
                     data.end_visit((seg_index, block_id))

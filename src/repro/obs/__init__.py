@@ -81,6 +81,7 @@ from .metrics import (
     DEFAULT_BUCKETS,
     DETAILED_CALLS,
     DETAILED_INSTRUCTIONS,
+    DETAILED_PIECES,
     DISPATCH_HEARTBEATS,
     DISPATCH_LEASE_SECONDS,
     DISPATCH_LEASES,
@@ -130,6 +131,7 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "DETAILED_CALLS",
     "DETAILED_INSTRUCTIONS",
+    "DETAILED_PIECES",
     "DISPATCH_HEARTBEATS",
     "DISPATCH_LEASE_SECONDS",
     "DISPATCH_LEASES",

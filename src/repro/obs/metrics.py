@@ -43,6 +43,7 @@ STAGE_SECONDS = "repro_stage_seconds"
 RUN_SECONDS = "repro_run_seconds"
 DETAILED_INSTRUCTIONS = "repro_detailed_instructions_total"
 DETAILED_CALLS = "repro_detailed_calls_total"
+DETAILED_PIECES = "repro_detailed_pieces_total"
 FUNCTIONAL_INSTRUCTIONS = "repro_functional_instructions_total"
 PROFILE_PASSES = "repro_profile_passes_total"
 CLUSTER_SWEEPS = "repro_cluster_sweeps_total"
@@ -84,6 +85,8 @@ _METRIC_HELP: Dict[str, str] = {
     RUN_SECONDS: "Wall seconds per pipeline run (all stages).",
     DETAILED_INSTRUCTIONS: "Instructions executed in detailed simulation.",
     DETAILED_CALLS: "Detailed-simulation invocations.",
+    DETAILED_PIECES: "Trace pieces (whole-rep runs of one segment) walked "
+                     "in detailed simulation.",
     FUNCTIONAL_INSTRUCTIONS: "Instructions executed functionally.",
     PROFILE_PASSES: "Profiling passes over the instruction trace.",
     CLUSTER_SWEEPS: "k-means/BIC sweeps run to build sampling plans "

@@ -55,7 +55,9 @@ def simulate_tagged_ranges(
     *tagged* maps an opaque tag (a leaf range, ``(method, phase)``, the
     whole trace) to the ranges whose merged metrics that tag should
     accumulate; ranges within a tag must be disjoint (they may abut),
-    ranges of *different* tags may overlap arbitrarily.
+    ranges of *different* tags may overlap arbitrarily.  A range that is
+    empty, starts below 0 or ends past the trace raises
+    :class:`SamplingError` before anything is walked.
 
     Each range is rounded outward to rep boundaries; the walk starts from
     cold state at instruction 0 and cuts the trace at the sorted set of
@@ -65,13 +67,14 @@ def simulate_tagged_ranges(
     rep once.  Intervals no tag covers only warm the state.
     """
     trace = simulator.trace
+    total = trace.total_instructions
     starts_at: Dict[int, List[object]] = {}
     ends_at: Dict[int, List[object]] = {}
     for tag, ranges in tagged.items():
         spans: List[List[int]] = []
         previous_end = None
         for start, end in sorted(set(ranges)):
-            if end <= start or start < 0:
+            if end <= start or start < 0 or end > total:
                 raise SamplingError(f"bad point range [{start}, {end})")
             if previous_end is not None and start < previous_end:
                 raise SamplingError(f"tag {tag!r}: ranges overlap at {start}")

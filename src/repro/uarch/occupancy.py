@@ -29,14 +29,23 @@ own visit, so cutting a segment into several batches — at any rep
 boundary — never restarts a visit and re-derives its hit rates from the
 residency the visit itself just installed.  That makes a detailed walk
 split-additive: simulating ``[a, b)`` then ``[b, c)`` on one carried
-state books exactly what ``[a, c)`` books.
+state books exactly what ``[a, c)`` books.  A visit run whole in one
+batch keeps no state at all: :meth:`DataHierarchyModel.enter_visit`
+returns its rates and installs its residency, and nothing later asks for
+them.
 
 **LRU across regions.** Residency is capacity-managed across regions with
 recency-ordered eviction: the region being swept keeps its footprint (up to
 capacity); the stalest regions lose theirs first.  History therefore still
 matters — a phase's first-ever visit after a long absence sees whatever its
 region retained, warming passes populate state, and capacity differences
-(config A vs B) shift every hit rate.
+(config A vs B) shift every hit rate.  Recency is an ordered list that each
+install moves its region to the end of, so an overflow walks it from the
+front instead of sorting every region by a last-access stamp; a region
+the walk drains to zero leaves the list until it is installed again
+(draining it once more would take nothing).  The total that decides an
+overflow is still summed over every region in first-install order, so
+each float is what the stamped, sorted ledger computed.
 
 The set-associative model in :mod:`repro.uarch.cache` remains in use for
 the instruction cache and the instruction-level OoO reference simulator.
@@ -44,7 +53,7 @@ the instruction cache and the instruction-level OoO reference simulator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import OrderedDict
 from typing import Dict, Hashable, Tuple
 
 from ..config import CacheConfig
@@ -75,15 +84,18 @@ class OccupancyCache:
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self.capacity = float(config.n_lines)
+        #: Resident lines per region.  Keys keep their first-install
+        #: order for the life of the ledger: the overflow sum adds the
+        #: values in that order, so reordering it would move floats.
         self._residency: Dict[int, float] = {}
-        self._last_access: Dict[int, int] = {}
-        self._clock = 0
+        #: The regions eviction may still drain, least recently
+        #: installed first.
+        self._recency: "OrderedDict[int, None]" = OrderedDict()
 
     def reset(self) -> None:
         """Drop all residency (cold cache)."""
         self._residency.clear()
-        self._last_access.clear()
-        self._clock = 0
+        self._recency.clear()
 
     # ------------------------------------------------------------------
     def residency(self, region: int) -> float:
@@ -98,38 +110,36 @@ class OccupancyCache:
     def install(self, region: int, lines: float) -> None:
         """Set *region*'s residency to *lines* (capped by capacity), marking
         it most recently used and evicting stalest regions on overflow."""
-        lines = min(lines, self.capacity)
-        self._residency[region] = lines
-        self._clock += 1
-        self._last_access[region] = self._clock
-        overflow = sum(self._residency.values()) - self.capacity
+        residency = self._residency
+        recency = self._recency
+        residency[region] = min(lines, self.capacity)
+        recency[region] = None
+        recency.move_to_end(region)
+        overflow = sum(residency.values()) - self.capacity
         if overflow > 1e-9:
-            for key in sorted(self._residency, key=self._last_access.get):
+            drained = []
+            for key in recency:
                 if key == region:
                     continue
-                take = min(overflow, self._residency[key])
-                self._residency[key] -= take
+                take = min(overflow, residency[key])
+                residency[key] -= take
                 overflow -= take
+                if not residency[key]:
+                    drained.append(key)
                 if overflow <= 1e-9:
                     break
+            # A drained region gives nothing until it is installed again,
+            # which puts it back at the most recent end.
+            for key in drained:
+                del recency[key]
             if overflow > 1e-9:
-                self._residency[region] = max(
-                    0.0, self._residency[region] - overflow
-                )
+                residency[region] = max(0.0, residency[region] - overflow)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<OccupancyCache {self.config.name} {self.occupancy:.0f}/"
             f"{self.capacity:.0f} lines>"
         )
-
-
-@dataclass
-class _VisitState:
-    """Hit rates derived at visit entry, applied to all its batches."""
-
-    l1_hit: float
-    l2_hit: float
 
 
 class DataHierarchyModel:
@@ -145,7 +155,9 @@ class DataHierarchyModel:
     def __init__(self, l1_config: CacheConfig, l2_config: CacheConfig) -> None:
         self.l1 = OccupancyCache(l1_config)
         self.l2 = OccupancyCache(l2_config)
-        self._visits: Dict[Hashable, _VisitState] = {}
+        #: Open visits: ``(l1_hit, l2_hit)`` per visit key, fixed at the
+        #: visit's first batch and applied to all its batches.
+        self.visits: Dict[Hashable, Tuple[float, float]] = {}
         self._code_hit = 0.0
         self._code_seen = 0.0
 
@@ -153,7 +165,7 @@ class DataHierarchyModel:
         """Cold hierarchy."""
         self.l1.reset()
         self.l2.reset()
-        self._visits.clear()
+        self.visits.clear()
         self._code_hit = 0.0
         self._code_seen = 0.0
 
@@ -171,54 +183,52 @@ class DataHierarchyModel:
 
         ``visit_key`` identifies the visit (one block of one loop-body
         segment of the trace); its first batch fixes the visit's hit
-        rates from current residency, and installs the visit's footprint
-        as resident.  Later batches with the same key reuse those rates
-        until :meth:`end_visit`.
+        rates from current residency (:meth:`enter_visit`).  Later
+        batches with the same key reuse those rates until
+        :meth:`end_visit`.
         """
-        state = self._visits.get(visit_key)
-        if state is None:
-            state = self._begin_visit(region, footprint, visit_key,
-                                      visit_touches)
-        l1_misses = touches * (1.0 - state.l1_hit)
-        l2_misses = l1_misses * (1.0 - state.l2_hit)
+        rates = self.visits.get(visit_key)
+        if rates is None:
+            rates = self.visits[visit_key] = self.enter_visit(
+                region, footprint, visit_touches
+            )
+        l1_misses = touches * (1.0 - rates[0])
+        l2_misses = l1_misses * (1.0 - rates[1])
         return l1_misses, l2_misses
 
-    def _begin_visit(
-        self,
-        region: int,
-        footprint: float,
-        visit_key: Hashable,
-        visit_touches: float,
-    ) -> _VisitState:
+    def enter_visit(
+        self, region: int, footprint: float, visit_touches: float
+    ) -> Tuple[float, float]:
+        """Begin a visit of *visit_touches* touches over *footprint* lines
+        of *region*: returns its ``(l1_hit, l2_hit)`` rates and installs
+        the residency it leaves behind.
+
+        A caller that runs a whole visit in one batch needs nothing
+        else: the rates apply to that batch, and there is no later batch
+        to remember them for.
+        """
+        l1, l2 = self.l1, self.l2
+        l1_before = l1.residency(region)
+        l2_before = l2.residency(region)
         l1_hit = visit_hit_rate(
-            self.l1.residency(region), footprint, visit_touches,
-            self.l1.capacity,
+            l1_before, footprint, visit_touches, l1.capacity
         )
         l2_touches = visit_touches * (1.0 - l1_hit)
-        l2_hit = visit_hit_rate(
-            self.l2.residency(region), footprint, l2_touches,
-            self.l2.capacity,
-        )
+        l2_hit = visit_hit_rate(l2_before, footprint, l2_touches, l2.capacity)
         # After the visit the region holds what it had plus the newly
         # missed lines (a full sweep leaves the whole footprint resident, a
         # sparse traversal only its touched subset), capacity permitting.
-        l1_resident = min(
-            footprint,
-            self.l1.residency(region) + visit_touches * (1.0 - l1_hit),
-        )
-        self.l1.install(region, l1_resident)
-        l2_resident = min(
-            footprint,
-            self.l2.residency(region) + l2_touches * (1.0 - l2_hit),
-        )
-        self.l2.install(region, l2_resident)
-        state = _VisitState(l1_hit=l1_hit, l2_hit=l2_hit)
-        self._visits[visit_key] = state
-        return state
+        l1.install(region, min(
+            footprint, l1_before + visit_touches * (1.0 - l1_hit)
+        ))
+        l2.install(region, min(
+            footprint, l2_before + l2_touches * (1.0 - l2_hit)
+        ))
+        return l1_hit, l2_hit
 
     def end_visit(self, visit_key: Hashable) -> None:
         """Forget the visit *visit_key* (its segment has run to its end)."""
-        self._visits.pop(visit_key, None)
+        self.visits.pop(visit_key, None)
 
     # ------------------------------------------------------------------
     def access_code(self, code_lines: float, touches: float) -> float:

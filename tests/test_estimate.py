@@ -7,6 +7,7 @@ from repro.detailed import TimingSimulator
 from repro.detailed.results import Deviation, Metrics, SimulationResult
 from repro.sampling import Coasts, SimPoint, evaluate_plan
 from repro.errors import SamplingError
+from repro.obs import DETAILED_CALLS
 from repro.sampling.estimate import (
     estimate_plan,
     plan_ranges,
@@ -113,6 +114,16 @@ class TestSimulateTaggedRanges:
     def test_bad_range_rejected(self, simulator):
         with pytest.raises(SamplingError):
             simulate_tagged_ranges(simulator, {"a": [(5, 5)]})
+
+    def test_range_past_trace_end_rejected_before_walking(
+            self, simulator, small_trace):
+        total = small_trace.total_instructions
+        calls = simulator.metrics.value(DETAILED_CALLS)
+        with pytest.raises(SamplingError, match="bad point range"):
+            simulate_tagged_ranges(simulator, {
+                "ok": [(0, 1000)], "past": [(total - 10, total + 1)],
+            })
+        assert simulator.metrics.value(DETAILED_CALLS) == calls
 
     def test_empty(self, simulator):
         assert simulate_tagged_ranges(simulator, {}) == {}

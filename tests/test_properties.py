@@ -55,6 +55,37 @@ class TestBranchProperties:
         )
 
 
+class _ClockOrderedLedger:
+    """Reference eviction order for :class:`OccupancyCache`: each install
+    stamps its region with a clock, and an overflow drains the other
+    regions in ``sorted`` clock order, stalest first."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.residency = {}
+        self.last_access = {}
+        self.clock = 0
+
+    def install(self, region, lines):
+        self.residency[region] = min(lines, self.capacity)
+        self.clock += 1
+        self.last_access[region] = self.clock
+        overflow = sum(self.residency.values()) - self.capacity
+        if overflow > 1e-9:
+            for key in sorted(self.residency, key=self.last_access.get):
+                if key == region:
+                    continue
+                take = min(overflow, self.residency[key])
+                self.residency[key] -= take
+                overflow -= take
+                if overflow <= 1e-9:
+                    break
+            if overflow > 1e-9:
+                self.residency[region] = max(
+                    0.0, self.residency[region] - overflow
+                )
+
+
 class TestCacheProperties:
     @given(lines=st.lists(st.integers(0, 500), min_size=1, max_size=200))
     @settings(max_examples=50)
@@ -87,6 +118,30 @@ class TestCacheProperties:
             assert all(
                 cache.residency(r) >= 0 for r, _ in installs
             )
+
+    @given(
+        installs=st.lists(
+            st.tuples(
+                st.integers(-1, 6),
+                st.one_of(st.floats(0.0, 100.0),
+                          st.integers(0, 80).map(float)),
+            ),
+            min_size=1, max_size=60,
+        )
+    )
+    @settings(max_examples=200)
+    def test_install_matches_clock_ordered_reference(self, installs):
+        """The recency list evicts exactly what a clock-stamped ledger
+        that sorts every region on overflow evicts, float for float."""
+        cache = OccupancyCache(CacheConfig("t", 64 * 32, 1, 32, 1))
+        reference = _ClockOrderedLedger(cache.capacity)
+        for region, lines in installs:
+            cache.install(region, lines)
+            reference.install(region, lines)
+            assert list(cache._residency.items()) == list(
+                reference.residency.items()
+            )
+            assert cache.occupancy == sum(reference.residency.values())
 
     @given(
         resident=st.floats(0, 1000),

@@ -1,12 +1,15 @@
 """Tests for the block-level timing simulator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from repro.config import CONFIG_A, CONFIG_B
+from repro.config import CONFIG_A, CONFIG_B, CacheConfig
 from repro.detailed import SimulationResult, TimingSimulator
 from repro.engine import Segment, Trace
 from repro.errors import TraceError
+from repro.obs import DETAILED_CALLS, DETAILED_PIECES, MetricsRegistry
 from repro.sampling.estimate import simulate_tagged_ranges
 from repro.uarch import stationary_mispredict_rate
 
@@ -75,9 +78,56 @@ class TestRangeSimulation:
         assert warm.l1d_misses <= cold.l1d_misses
         assert warm.cycles <= cold.cycles
 
+    def test_reset_state_walks_like_a_cold_one(self, simulator,
+                                               full_result):
+        state = simulator.new_state()
+        simulator.simulate_range(0, simulator.trace.total_instructions,
+                                 state=state)
+        state.reset()
+        again = simulator.simulate_range(
+            0, simulator.trace.total_instructions, state=state
+        )
+        assert again == full_result
+
+    def test_pieces_counter_counts_each_piece_walked(self, small_trace):
+        metrics = MetricsRegistry()
+        simulator = TimingSimulator(small_trace, CONFIG_A, metrics=metrics)
+        simulator.simulate_full()
+        assert metrics.value(DETAILED_PIECES) == small_trace.n_segments
+        total = small_trace.total_instructions
+        cut = (total // 3, total // 2 + 1)
+        simulator.simulate_range(*cut)
+        assert metrics.value(DETAILED_PIECES) == small_trace.n_segments + len(
+            list(small_trace.piece_bounds(*cut))
+        )
+        assert metrics.value(DETAILED_CALLS) == 2
+
     def test_empty_point_rejected(self, simulator):
         with pytest.raises(TraceError):
             simulator.simulate_range(100, 100)
+
+
+class TestL1IEvictionFree:
+    def test_quick_program_fits_both_configs(self, small_trace):
+        for config in (CONFIG_A, CONFIG_B):
+            assert TimingSimulator(small_trace, config).l1i_eviction_free
+
+    def test_conflicting_code_keeps_the_real_cache(self, small_trace):
+        tiny = dataclasses.replace(
+            CONFIG_A, icache=CacheConfig("il1", 256, 1, 32, 1)
+        )
+        simulator = TimingSimulator(small_trace, tiny)
+        assert not simulator.l1i_eviction_free
+        state = simulator.new_state()
+        result = simulator.simulate_full()
+        simulator.simulate_range(0, small_trace.total_instructions,
+                                 state=state)
+        assert state.fetched == set()
+        # An 8-line direct-mapped L1I thrashes: a warm re-walk misses
+        # about as often as the cold walk did.
+        warm = simulator.simulate_range(0, small_trace.total_instructions,
+                                        state=state)
+        assert warm.l1i_misses > result.l1i_misses // 2
 
 
 class TestConfigSensitivity:
