@@ -14,6 +14,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..analysis.bbv import normalize_rows
+from ..analysis.distance import nearest_to_centroid
 from ..analysis.pca import first_component
 from ..config import CONFIG_A, DEFAULT_SAMPLING, MachineConfig, SamplingConfig
 from ..detailed.results import Deviation
@@ -586,6 +587,15 @@ def ablation_metric(
     })
 
 
+class _CentroidCoasts(Coasts):
+    """COASTS with SimPoint's centroid-nearest representatives."""
+
+    method_name = "coasts_centroid"
+
+    def _select(self, features, labels, centroids):
+        return nearest_to_centroid(features, labels, centroids)
+
+
 def ablation_representative_policy(
     runner: ExperimentRunner,
     benchmark: str,
@@ -594,53 +604,22 @@ def ablation_representative_policy(
     """Earliest-instance (COASTS) vs centroid-nearest representatives.
 
     Quantifies DESIGN.md decision 4: earliest instances slash functional
-    time at a small accuracy cost."""
+    time at a small accuracy cost.  Both plans come from COASTS step 3
+    on one coarse profile; COASTS is deterministic, so they share its
+    clustering and differ only in :meth:`Coasts._select`."""
     trace = runner.trace(benchmark)
     coasts = Coasts(runner.sampling)
-    boundaries = coasts.collect_boundaries(trace)
-    profile = coasts.profile(trace, boundaries)
-    signatures = coasts.signatures(profile)
-
-    from ..analysis.bic import cluster_with_bic
-    from ..analysis.distance import earliest_member, nearest_to_centroid
-    from ..sampling.points import SimulationPoint
-
-    result, _ = cluster_with_bic(
-        signatures,
-        kmax=runner.sampling.coarse_kmax,
-        seed=runner.sampling.random_seed,
-        n_seeds=runner.sampling.kmeans_seeds,
-        threshold=runner.sampling.bic_threshold,
-    )
-    insts = profile.instructions.astype(np.float64)
-    plans = []
-    for policy, picks in (
-        ("earliest", earliest_member(result.labels, result.k)),
-        ("centroid", nearest_to_centroid(signatures, result.labels,
-                                         result.centroids)),
-    ):
-        points = []
-        for phase in range(result.k):
-            pick = int(picks[phase])
-            if pick < 0:
-                continue
-            weight = float(insts[result.labels == phase].sum() / insts.sum())
-            points.append(
-                SimulationPoint(
-                    start=int(profile.starts[pick]),
-                    end=profile.end_of(pick),
-                    weight=weight,
-                    phase=phase,
-                    interval_index=pick,
-                )
-            )
-        plans.append((policy, SamplingPlan(
-            method=f"coasts_{policy}",
-            benchmark=benchmark,
-            points=tuple(sorted(points, key=lambda p: p.start)),
+    profile = coasts.profile(trace)
+    plans = [
+        (policy, sampler.sample_profile(
+            profile, benchmark=benchmark,
             total_instructions=trace.total_instructions,
-            n_clusters=result.k,
-        )))
+        ))
+        for policy, sampler in (
+            ("earliest", coasts),
+            ("centroid", _CentroidCoasts(runner.sampling)),
+        )
+    ]
     return _sweep(runner, benchmark, config, plans, lambda plan, dev: {
         "last_position": plan.last_point_position,
         "functional_fraction": plan.functional_fraction,

@@ -16,12 +16,14 @@ The paper's first-level sampler (Section IV-A).  Three steps:
 
 Selecting earliest instances (rather than centroid-nearest) is what puts the
 last simulation point at a very early program position and collapses the
-functional-simulation cost.
+functional-simulation cost.  The rule is :meth:`Coasts._select`, the same
+hook :class:`~repro.sampling.simpoint.SimPoint` subclasses override; step
+3's span, sweep booking, points, plan and diagnostics go through
+SimPoint's plan-assembly helpers.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -36,15 +38,10 @@ from ..engine.functional import FunctionalSimulator
 from ..engine.profiles import CoarseIntervalProfile
 from ..engine.trace import Trace
 from ..errors import SamplingError
-from ..obs import (
-    CLUSTER_SWEEPS,
-    DISTANCE_EVALS,
-    KMEANS_ITERATIONS,
-    KMEANS_RUNS,
-    ObsContext,
-)
-from ..obs.diag import MethodDiag, build_method_diag
-from .points import SamplingPlan, SimulationPoint
+from ..obs import ObsContext
+from ..obs.diag import MethodDiag
+from .points import SamplingPlan
+from .simpoint import book_sweep, phase_plan, phase_points, sampling_span
 
 
 @dataclass(frozen=True)
@@ -192,13 +189,7 @@ class Coasts:
         discarded_coverage: float = 0.0,
     ) -> SamplingPlan:
         """Step 3 on an existing coarse profile."""
-        span_ctx = (
-            self.obs.tracer.span(
-                "sampling", method=self.method_name, benchmark=benchmark
-            )
-            if self.obs is not None else nullcontext()
-        )
-        with span_ctx as span:
+        with sampling_span(self.obs, self.method_name, benchmark) as span:
             signatures = self.signatures(profile)
             sweep = cluster_with_bic(
                 signatures,
@@ -207,22 +198,13 @@ class Coasts:
                 n_seeds=self.config.kmeans_seeds,
                 threshold=self.config.bic_threshold,
             )
-            if self.obs is not None:
-                metrics = self.obs.metrics
-                metrics.counter(CLUSTER_SWEEPS, method=self.method_name).inc()
-                metrics.counter(KMEANS_RUNS, method=self.method_name).inc(
-                    len(sweep.scores) * self.config.kmeans_seeds
-                )
-                metrics.counter(
-                    KMEANS_ITERATIONS, method=self.method_name
-                ).inc(sweep.iterations)
-                metrics.counter(DISTANCE_EVALS, method=self.method_name).inc(
-                    sweep.distance_evals
-                )
+            book_sweep(
+                self.obs, self.method_name, sweep, self.config.kmeans_seeds
+            )
             result = sweep.result
             labels = result.labels
             k = result.k
-            picks = earliest_member(labels, k)
+            picks = self._select(signatures, labels, result.centroids)
 
             insts = profile.instructions.astype(np.float64)
             covered = insts.sum()
@@ -233,37 +215,16 @@ class Coasts:
                 float(insts[labels == phase].sum() / covered)
                 for phase in range(k)
             ])
-            points: List[SimulationPoint] = []
-            for phase in range(k):
-                pick = int(picks[phase])
-                if pick < 0:
-                    continue
-                points.append(
-                    SimulationPoint(
-                        start=int(profile.starts[pick]),
-                        end=profile.end_of(pick),
-                        weight=float(weights[phase]),
-                        phase=phase,
-                        interval_index=pick,
-                    )
-                )
-            points.sort(key=lambda p: p.start)
-
             quality = cluster_quality(signatures, result)
-            interval_bounds = [
-                (int(profile.starts[i]), profile.end_of(i))
-                for i in range(profile.n_instances)
-            ]
-            self.last_diagnostics = build_method_diag(
-                method=self.method_name,
-                benchmark=benchmark,
+            plan, self.last_diagnostics = phase_plan(
+                self.method_name, benchmark, profile,
+                phase_points(profile, picks, weights),
                 labels=labels,
                 picks=picks,
                 weights=weights,
-                bounds=interval_bounds,
-                instructions=profile.instructions,
                 quality=quality,
-                resample_threshold=self.config.resample_threshold,
+                config=self.config,
+                total_instructions=total_instructions,
                 coverage_discarded=discarded_coverage,
             )
             if span is not None:
@@ -274,10 +235,13 @@ class Coasts:
                     oversized_points=self.last_diagnostics.n_oversized,
                     mean_silhouette=round(quality.mean_silhouette, 4),
                 )
-            return SamplingPlan(
-                method=self.method_name,
-                benchmark=benchmark,
-                points=tuple(points),
-                total_instructions=total_instructions,
-                n_clusters=k,
-            )
+            return plan
+
+    def _select(
+        self,
+        features: np.ndarray,
+        labels: np.ndarray,
+        centroids: np.ndarray,
+    ) -> np.ndarray:
+        """Representative choice: each phase's earliest instance."""
+        return earliest_member(labels, len(centroids))

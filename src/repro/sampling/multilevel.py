@@ -27,7 +27,7 @@ from ..obs import ObsContext
 from ..obs.diag import MethodDiag
 from .coasts import Coasts
 from .points import SamplingPlan, SimulationPoint
-from .simpoint import SimPoint
+from .simpoint import SimPoint, sampling_span
 
 
 class _InPointSimPoint(SimPoint):
@@ -41,7 +41,8 @@ class MultiLevelSampler:
 
     With *obs*, the profiling passes and every k-means/BIC sweep book
     into its metrics: COASTS's under ``coasts``, the in-point ones under
-    ``multilevel``.
+    ``multilevel``.  The second level runs in one ``sampling`` span, the
+    parent of every in-point SimPoint's span.
     """
 
     method_name = "multilevel"
@@ -83,34 +84,35 @@ class MultiLevelSampler:
         if coarse_plan is None:
             coarse_plan = self.coarse.sample(trace, benchmark=benchmark)
             coarse_diag = self.coarse.last_diagnostics
-        functional = self.coarse.functional(trace)
+        with sampling_span(self.obs, self.method_name, benchmark) as span:
+            functional = self.coarse.functional(trace)
+            points: List[SimulationPoint] = []
+            for point in coarse_plan.points:
+                if point.size <= self.config.resample_threshold:
+                    points.append(point)
+                    continue
+                points.append(self._resample(functional, point, benchmark))
 
-        points: List[SimulationPoint] = []
-        for point in coarse_plan.points:
-            if point.size <= self.config.resample_threshold:
-                points.append(point)
-                continue
-            points.append(self._resample(functional, point, benchmark))
-
-        # The second level re-samples *within* phases, so the phase
-        # structure — weights, members, cluster quality — is the coarse
-        # clustering's; only the representative terms differ (the
-        # harness computes those from the plan's leaves).
-        self.last_diagnostics = None
-        if coarse_diag is not None:
-            diag = copy.deepcopy(coarse_diag)
-            diag.method = self.method_name
-            for point in points:
-                row = diag.phase_by_id(point.phase)
-                if row is not None and point.is_resampled:
-                    row.resampled = True
-            self.last_diagnostics = diag
-            if self.obs is not None:
-                self.obs.tracer.start_span(
-                    "sampling", method=self.method_name, benchmark=benchmark,
-                    resampled_points=sum(1 for p in points if p.is_resampled),
+            # The second level re-samples *within* phases, so the phase
+            # structure — weights, members, cluster quality — is the
+            # coarse clustering's; only the representative terms differ
+            # (the harness computes those from the plan's leaves).
+            self.last_diagnostics = None
+            if coarse_diag is not None:
+                diag = copy.deepcopy(coarse_diag)
+                diag.method = self.method_name
+                for point in points:
+                    row = diag.phase_by_id(point.phase)
+                    if row is not None and point.is_resampled:
+                        row.resampled = True
+                self.last_diagnostics = diag
+            if span is not None:
+                span.set(
+                    resampled_points=sum(
+                        1 for p in points if p.is_resampled
+                    ),
                     n_clusters=coarse_plan.n_clusters,
-                ).end()
+                )
 
         return SamplingPlan(
             method=self.method_name,

@@ -19,13 +19,14 @@ The estimator weights rank stratum ``j`` by the instruction share
 ``W_j`` of its proxy-quantile bucket and averages the ``r`` picks within
 it (each selection carries weight ``W_j / r``; duplicate picks within a
 stratum merge their weights).  Phases are the rank strata, so the
-per-phase error attribution sums exactly like every other method's.
+per-phase error attribution sums exactly like every other method's: the
+plan and its diagnostics come from SimPoint's shared
+:func:`~repro.sampling.simpoint.phase_plan`.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -35,8 +36,9 @@ from ..analysis.pca import first_component
 from ..config import DEFAULT_SAMPLING, SamplingConfig
 from ..errors import SamplingError
 from ..obs import ObsContext
-from ..obs.diag import MethodDiag, build_method_diag
+from ..obs.diag import MethodDiag
 from .points import SamplingPlan, SimulationPoint
+from .simpoint import phase_plan, sampling_span
 
 
 class RankedSetSampler:
@@ -70,13 +72,7 @@ class RankedSetSampler:
         if total <= 0:
             raise SamplingError("no instructions in profile")
 
-        span_ctx = (
-            self.obs.tracer.span(
-                "sampling", method=self.method_name, benchmark=benchmark
-            )
-            if self.obs is not None else nullcontext()
-        )
-        with span_ctx as span:
+        with sampling_span(self.obs, self.method_name, benchmark) as span:
             proxy = self._proxy(profile)
             m = min(self.config.ranked_set_size, n)
             r = self.config.ranked_set_cycles
@@ -124,7 +120,6 @@ class RankedSetSampler:
                 # nearest its stratum mean (the estimate averages all).
                 gaps = [abs(proxy[i] - bucket_means[j]) for i in selections[j]]
                 picks[j] = selections[j][int(np.argmin(gaps))]
-            points.sort(key=lambda p: p.start)
 
             quality = cluster_quality(
                 proxy.reshape(-1, 1),
@@ -134,20 +129,15 @@ class RankedSetSampler:
                     inertia=0.0,
                 ),
             )
-            interval_bounds: List[Tuple[int, int]] = [
-                (int(profile.starts[i]), profile.end_of(i))
-                for i in range(n)
-            ]
-            self.last_diagnostics = build_method_diag(
-                method=self.method_name,
-                benchmark=benchmark,
+            plan, self.last_diagnostics = phase_plan(
+                self.method_name, benchmark, profile, points,
                 labels=bucket_labels,
                 picks=picks,
                 weights=stratum_weights,
-                bounds=interval_bounds,
-                instructions=profile.instructions,
                 quality=quality,
-                resample_threshold=self.config.resample_threshold,
+                config=self.config,
+                total_instructions=profile.total_instructions,
+                origin=int(profile.starts[0]),
             )
             if span is not None:
                 span.set(
@@ -156,14 +146,7 @@ class RankedSetSampler:
                     cycles=r,
                     mean_silhouette=round(quality.mean_silhouette, 4),
                 )
-            return SamplingPlan(
-                method=self.method_name,
-                benchmark=benchmark,
-                points=tuple(points),
-                total_instructions=profile.total_instructions,
-                n_clusters=m,
-                origin=int(profile.starts[0]),
-            )
+            return plan
 
     # ------------------------------------------------------------------
     @staticmethod

@@ -19,13 +19,20 @@ sampling derive their plans from the very same clustering, so the
 registry's :class:`~repro.samplers.PlanContext` builds it once per
 profile and hands it to every fine sampler (:meth:`SimPoint.sample`'s
 *context*).
+
+Step 4's tail is every sampler's: the module's plan-assembly helpers
+(:func:`sampling_span`, :func:`book_sweep`, :func:`phase_points` and
+:func:`phase_plan`) open the ``sampling`` span, book a sweep's work,
+turn per-phase picks into points and build the plan with its
+:class:`~repro.obs.diag.MethodDiag`.  COASTS and ranked-set sampling
+assemble their plans through them too.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import ContextManager, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -74,6 +81,98 @@ class FineClustering:
     weights: np.ndarray
     #: Quality statistics over the full assignment.
     quality: ClusterQuality
+
+
+def sampling_span(
+    obs: Optional[ObsContext], method: str, benchmark: str
+) -> ContextManager:
+    """The ``sampling`` span of one plan (a null context without *obs*)."""
+    if obs is None:
+        return nullcontext()
+    return obs.tracer.span("sampling", method=method, benchmark=benchmark)
+
+
+def book_sweep(
+    obs: Optional[ObsContext], method: str, sweep, seeds: int
+) -> None:
+    """Book one k-means/BIC *sweep*'s work under *method*."""
+    if obs is None:
+        return
+    metrics = obs.metrics
+    metrics.counter(CLUSTER_SWEEPS, method=method).inc()
+    metrics.counter(KMEANS_RUNS, method=method).inc(len(sweep.scores) * seeds)
+    metrics.counter(KMEANS_ITERATIONS, method=method).inc(sweep.iterations)
+    metrics.counter(DISTANCE_EVALS, method=method).inc(sweep.distance_evals)
+
+
+def phase_points(
+    profile, picks: Sequence[int], weights: Sequence[float]
+) -> List[SimulationPoint]:
+    """One point per phase at its representative interval ``picks[p]``
+    (``-1`` marks an empty phase, which gets none), weighted
+    ``weights[p]``."""
+    points: List[SimulationPoint] = []
+    for phase, pick in enumerate(picks):
+        pick = int(pick)
+        if pick < 0:
+            continue
+        points.append(
+            SimulationPoint(
+                start=int(profile.starts[pick]),
+                end=profile.end_of(pick),
+                weight=float(weights[phase]),
+                phase=phase,
+                interval_index=pick,
+            )
+        )
+    return points
+
+
+def phase_plan(
+    method: str,
+    benchmark: str,
+    profile,
+    points: Sequence[SimulationPoint],
+    labels: np.ndarray,
+    picks: Sequence[int],
+    weights: Sequence[float],
+    quality,
+    config: SamplingConfig,
+    total_instructions: int,
+    origin: int = 0,
+    coverage_discarded: float = 0.0,
+) -> Tuple[SamplingPlan, MethodDiag]:
+    """The plan of *points* and the diagnostics of its clustering.
+
+    *profile* (fixed or coarse) holds the intervals *labels* assigns to
+    the ``len(picks)`` phases; *picks* are the per-phase reporting
+    representatives and *weights* the phase shares.
+    """
+    bounds = [
+        (int(profile.starts[i]), profile.end_of(i))
+        for i in range(len(profile.starts))
+    ]
+    diag = build_method_diag(
+        method=method,
+        benchmark=benchmark,
+        labels=labels,
+        picks=picks,
+        weights=weights,
+        bounds=bounds,
+        instructions=profile.instructions,
+        quality=quality,
+        resample_threshold=config.resample_threshold,
+        coverage_discarded=coverage_discarded,
+    )
+    plan = SamplingPlan(
+        method=method,
+        benchmark=benchmark,
+        points=tuple(sorted(points, key=lambda p: p.start)),
+        total_instructions=total_instructions,
+        n_clusters=len(picks),
+        origin=origin,
+    )
+    return plan, diag
 
 
 class SimPoint:
@@ -169,13 +268,7 @@ class SimPoint:
         with its trace's program, rather than a fresh sweep.
         """
         self._check_profile(profile)
-        span_ctx = (
-            self.obs.tracer.span(
-                "sampling", method=self.method_name, benchmark=benchmark
-            )
-            if self.obs is not None else nullcontext()
-        )
-        with span_ctx as span:
+        with sampling_span(self.obs, self.method_name, benchmark) as span:
             if context is None:
                 clustering = self.cluster(profile, program)
             else:
@@ -185,22 +278,15 @@ class SimPoint:
                         "profile is not the plan context's fine profile"
                     )
             points, picks = self._points(clustering)
-            points.sort(key=lambda p: p.start)
-
-            interval_bounds = [
-                (int(profile.starts[i]), profile.end_of(i))
-                for i in range(profile.n_intervals)
-            ]
-            self.last_diagnostics = build_method_diag(
-                method=self.method_name,
-                benchmark=benchmark,
+            plan, self.last_diagnostics = phase_plan(
+                self.method_name, benchmark, profile, points,
                 labels=clustering.labels,
                 picks=picks,
                 weights=clustering.weights,
-                bounds=interval_bounds,
-                instructions=profile.instructions,
                 quality=clustering.quality,
-                resample_threshold=self.config.resample_threshold,
+                config=self.config,
+                total_instructions=profile.total_instructions,
+                origin=int(profile.starts[0]),
             )
             if span is not None:
                 span.set(
@@ -211,14 +297,7 @@ class SimPoint:
                         clustering.quality.mean_silhouette, 4
                     ),
                 )
-            return SamplingPlan(
-                method=self.method_name,
-                benchmark=benchmark,
-                points=tuple(points),
-                total_instructions=profile.total_instructions,
-                n_clusters=clustering.k,
-                origin=int(profile.starts[0]),
-            )
+            return plan
 
     def _points(
         self, clustering: FineClustering
@@ -228,25 +307,13 @@ class SimPoint:
         Returns the points and the per-phase representative picks
         (``-1`` for an empty phase) the diagnostics report.
         """
-        profile = clustering.profile
         picks = self._select(
             clustering.features, clustering.labels, clustering.centroids
         )
-        points: List[SimulationPoint] = []
-        for phase in range(clustering.k):
-            pick = int(picks[phase])
-            if pick < 0:
-                continue
-            points.append(
-                SimulationPoint(
-                    start=int(profile.starts[pick]),
-                    end=profile.end_of(pick),
-                    weight=float(clustering.weights[phase]),
-                    phase=phase,
-                    interval_index=pick,
-                )
-            )
-        return points, picks
+        return (
+            phase_points(clustering.profile, picks, clustering.weights),
+            picks,
+        )
 
     def _span_attrs(self, points: List[SimulationPoint]) -> dict:
         """Method-specific attributes of the ``sampling`` span."""
@@ -298,18 +365,9 @@ class SimPoint:
             n_seeds=self.config.kmeans_seeds,
             threshold=self.config.bic_threshold,
         )
-        if self.obs is not None:
-            metrics = self.obs.metrics
-            metrics.counter(CLUSTER_SWEEPS, method=self.method_name).inc()
-            metrics.counter(KMEANS_RUNS, method=self.method_name).inc(
-                len(sweep.scores) * self.config.kmeans_seeds
-            )
-            metrics.counter(KMEANS_ITERATIONS, method=self.method_name).inc(
-                sweep.iterations
-            )
-            metrics.counter(DISTANCE_EVALS, method=self.method_name).inc(
-                sweep.distance_evals
-            )
+        book_sweep(
+            self.obs, self.method_name, sweep, self.config.kmeans_seeds
+        )
         result = sweep.result
         centroids = result.centroids
         labels, _ = assign_points(features, centroids)

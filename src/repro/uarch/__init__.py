@@ -9,7 +9,7 @@ from .branch import (
     make_predictor,
     stationary_mispredict_rate,
 )
-from .cache import STREAM_FACTOR, Cache
+from .cache import Cache
 from .hierarchy import MemoryHierarchy
 from .occupancy import DataHierarchyModel, OccupancyCache
 from .scheduler import BlockScheduler, BlockTiming, effective_mlp
@@ -24,7 +24,6 @@ __all__ = [
     "DataHierarchyModel",
     "MemoryHierarchy",
     "OccupancyCache",
-    "STREAM_FACTOR",
     "advance_loop_branch",
     "effective_mlp",
     "exit_loop_branch",

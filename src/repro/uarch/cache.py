@@ -4,11 +4,6 @@ Caches are simulated at cache-line granularity: callers translate byte
 addresses into line ids (``address // line_size``) and collapse consecutive
 accesses to the same line (which are hits by construction for the private
 strided streams our blocks generate) before calling :meth:`Cache.access_run`.
-
-A *streaming fast path* handles runs whose working set is far larger than
-the cache: every distinct-line touch of such a sweep misses under LRU, so
-the model counts them analytically and resets the cache state instead of
-simulating millions of guaranteed misses (see DESIGN.md, decision 2).
 """
 
 from __future__ import annotations
@@ -19,10 +14,6 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from ..config import CacheConfig
-
-#: A streaming sweep must cover this many times the cache's line capacity
-#: before the analytic all-miss fast path is taken.
-STREAM_FACTOR = 2
 
 
 class Cache:
@@ -43,10 +34,6 @@ class Cache:
         self._sets.clear()
         self.accesses = 0
         self.misses = 0
-
-    def flush(self) -> None:
-        """Invalidate all lines, keeping statistics."""
-        self._sets.clear()
 
     @property
     def hits(self) -> int:
@@ -77,25 +64,15 @@ class Cache:
         return bool(ways) and line in ways
 
     # ------------------------------------------------------------------
-    def access_run(
-        self, lines: np.ndarray, streaming: bool = False
-    ) -> Tuple[int, List[int]]:
+    def access_run(self, lines: np.ndarray) -> Tuple[int, List[int]]:
         """Access a run of distinct-line touches.
 
         Returns ``(misses, miss_lines)`` where ``miss_lines`` is the list of
-        line ids that missed (the refill stream for the next level).  With
-        ``streaming=True`` and a long enough run, every touch is counted as
-        a miss analytically and the cache is flushed — the post-state of a
-        sweep much larger than the cache.
+        line ids that missed (the refill stream for the next level).
         """
         n = len(lines)
         if n == 0:
             return 0, []
-        if streaming and n >= STREAM_FACTOR * self.capacity_lines:
-            self.accesses += n
-            self.misses += n
-            self.flush()
-            return n, list(map(int, lines))
         miss_lines: List[int] = []
         n_sets = self.n_sets
         assoc = self.assoc

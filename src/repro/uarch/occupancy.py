@@ -158,16 +158,12 @@ class DataHierarchyModel:
         #: Open visits: ``(l1_hit, l2_hit)`` per visit key, fixed at the
         #: visit's first batch and applied to all its batches.
         self.visits: Dict[Hashable, Tuple[float, float]] = {}
-        self._code_hit = 0.0
-        self._code_seen = 0.0
 
     def reset(self) -> None:
         """Cold hierarchy."""
         self.l1.reset()
         self.l2.reset()
         self.visits.clear()
-        self._code_hit = 0.0
-        self._code_seen = 0.0
 
     # ------------------------------------------------------------------
     def access_data(

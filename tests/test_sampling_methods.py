@@ -160,3 +160,92 @@ class TestMultiLevel:
 
         with pytest.raises(Exception):
             MultiLevelSampler(replace(test_sampling, resample_threshold=10))
+
+
+class TestSamplingSpans:
+    """Every sampler plans inside one ``sampling`` span."""
+
+    @pytest.fixture(scope="class")
+    def traced(self, test_sampling):
+        """Every registered plan of gzip @ 0.04 (the golden-accuracy
+        run, whose multilevel plan re-samples three coarse points), and
+        the ``sampling`` spans by method."""
+        from repro.obs import ObsContext
+        from repro.samplers import PlanContext, get_sampler, registered_methods
+        from repro.workloads.registry import load_trace
+
+        obs = ObsContext()
+        context = PlanContext(
+            load_trace("gzip", scale=0.04), test_sampling, "gzip", obs=obs
+        )
+        built = {
+            method: context.plan(get_sampler(method))
+            for method in registered_methods()
+        }
+        spans = {}
+        for span in obs.tracer.spans():
+            attrs = span.attributes
+            if span.name == "sampling" and attrs["benchmark"] == "gzip":
+                spans.setdefault(attrs["method"], []).append(span)
+        return context, built, spans
+
+    def test_one_span_per_method(self, traced):
+        _, built, spans = traced
+        assert {method: len(found) for method, found in spans.items()} == {
+            method: 1 for method in built
+        }
+
+    def test_multilevel_span_holds_the_second_level(self, traced):
+        _, built, spans = traced
+        plan, _ = built["multilevel"]
+        (span,) = spans["multilevel"]
+        resampled = [p for p in plan.points if p.is_resampled]
+        assert len(resampled) == 3
+        assert span.attributes["resampled_points"] == 3
+        assert span.attributes["n_clusters"] == plan.n_clusters
+        children = [c for c in span.children if c.name == "sampling"]
+        assert [c.attributes["benchmark"] for c in children] == [
+            f"gzip:{p.phase}" for p in resampled
+        ]
+        assert all(c.attributes["method"] == "multilevel" for c in children)
+        assert span.elapsed >= sum(c.elapsed for c in children) > 0.0
+
+    @pytest.mark.parametrize("method, extra", [
+        ("simpoint", ("oversized_points",)),
+        ("early_sp", ("oversized_points",)),
+        ("stratified", ("budget",)),
+        ("coasts", ("coverage_discarded", "oversized_points")),
+    ])
+    def test_clustering_span_attributes(self, traced, method, extra):
+        context, built, spans = traced
+        plan, diag = built[method]
+        (span,) = spans[method]
+        attrs = span.attributes
+        assert list(attrs) == [
+            "method", "benchmark", "n_intervals", "n_clusters", *extra,
+            "mean_silhouette",
+        ]
+        assert attrs["n_clusters"] == plan.n_clusters
+        assert attrs["n_intervals"] == diag.n_intervals
+        if "oversized_points" in attrs:
+            assert attrs["oversized_points"] == diag.n_oversized
+        if "budget" in attrs:
+            assert attrs["budget"] == plan.n_points
+        if method == "coasts":
+            assert attrs["coverage_discarded"] == round(
+                diag.coverage_discarded, 6
+            )
+        assert isinstance(attrs["mean_silhouette"], float)
+
+    def test_ranked_set_span_attributes(self, traced, test_sampling):
+        context, built, spans = traced
+        plan, _ = built["ranked_set"]
+        (span,) = spans["ranked_set"]
+        attrs = span.attributes
+        assert list(attrs) == [
+            "method", "benchmark", "n_intervals", "set_size", "cycles",
+            "mean_silhouette",
+        ]
+        assert attrs["n_intervals"] == context.fine_profile().n_intervals
+        assert attrs["set_size"] == plan.n_clusters
+        assert attrs["cycles"] == test_sampling.ranked_set_cycles

@@ -37,19 +37,6 @@ class TestSetAssociativeCache:
         assert misses == 3
         assert miss_lines == [1, 2, 3]
 
-    def test_streaming_fast_path_counts_all_misses(self):
-        cache = small_cache(size=128, assoc=2, line=32)  # 4 lines capacity
-        lines = list(range(100))
-        misses, miss_lines = cache.access_run(lines, streaming=True)
-        assert misses == 100
-        assert miss_lines == lines
-        assert cache.resident_lines() == 0  # flushed
-
-    def test_streaming_flag_ignored_for_short_runs(self):
-        cache = small_cache()
-        cache.access_run([1, 2, 3], streaming=True)
-        assert cache.resident_lines() == 3
-
     def test_reset_clears_state_and_stats(self):
         cache = small_cache()
         cache.access(1)
