@@ -52,6 +52,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import MachineConfig
 from ..engine.trace import Trace
+from ..isa.opcodes import Opcode
 from ..obs import (
     DETAILED_CALLS,
     DETAILED_INSTRUCTIONS,
@@ -201,7 +202,7 @@ class TimingSimulator:
                 ]
                 load_touches = sum(
                     t for t, inst in zip(touches, mem_insts)
-                    if inst.opcode.value == "load"
+                    if inst.opcode is Opcode.LOAD
                 )
                 total = sum(touches)
                 self._block_memory.append(

@@ -153,19 +153,19 @@ class ResultCache:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
         path = self.path_for(key)
+        # One ``json.dumps`` string: ``json.dump`` to a stream runs the
+        # pure-Python encoder, about 3x slower for the same text.
+        text = json.dumps({
+            "version": CACHE_SCHEMA_VERSION,
+            "key": key,
+            "payload": payload,
+        })
         fd, tmp_name = tempfile.mkstemp(
             prefix=path.stem + ".", suffix=".tmp", dir=self.directory
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(
-                    {
-                        "version": CACHE_SCHEMA_VERSION,
-                        "key": key,
-                        "payload": payload,
-                    },
-                    handle,
-                )
+                handle.write(text)
             os.replace(tmp_name, path)
         except BaseException:
             try:

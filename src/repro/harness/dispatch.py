@@ -798,9 +798,15 @@ class DispatchPool:
                 )
 
         def _shutdown_fleet() -> None:
-            for worker in fleet.values():
-                if worker.state != worker.DEAD:
-                    worker.shutdown()
+            # Every live worker's reader thread posts its EOF sentinel
+            # after its last line, so once all sentinels are in, nothing
+            # of the fleet is left unread.
+            awaiting = {
+                wid for wid, worker in fleet.items()
+                if worker.state != worker.DEAD
+            }
+            for wid in awaiting:
+                fleet[wid].shutdown()
             deadline = time.monotonic() + _SHUTDOWN_GRACE
             # Drain the inbox while the fleet winds down: a worker whose
             # lease was reclaimed may flush a withheld result on shutdown
@@ -809,26 +815,28 @@ class DispatchPool:
             # dead leases are settled here — an aborting campaign (fault
             # fast-path) may still hold active ones, and those must not
             # land after the loop has stopped recording results.
-            def _drain_late(line: Optional[str]) -> None:
-                if line is None:
-                    return
-                try:
-                    message = json.loads(line)
-                except json.JSONDecodeError:
-                    return
-                lease_id = message.get("lease", "")
-                if (message.get("type") == "result"
-                        and table.get(lease_id) is None):
-                    table.settle(lease_id, ok=False, now=time.monotonic())
+            def _drain_late(until: float) -> None:
+                while awaiting:
+                    try:
+                        wid, line = inbox.get(
+                            timeout=max(until - time.monotonic(), 0.0)
+                        )
+                    except Empty:
+                        return
+                    if line is None:
+                        awaiting.discard(wid)
+                        continue
+                    try:
+                        message = json.loads(line)
+                    except json.JSONDecodeError:
+                        continue
+                    lease_id = message.get("lease", "")
+                    if (message.get("type") == "result"
+                            and table.get(lease_id) is None):
+                        table.settle(lease_id, ok=False,
+                                     now=time.monotonic())
 
-            while time.monotonic() < deadline:
-                if all(w.proc.poll() is not None for w in fleet.values()):
-                    break
-                try:
-                    _, line = inbox.get(timeout=_DISPATCH_TICK)
-                except Empty:
-                    continue
-                _drain_late(line)
+            _drain_late(deadline)
             for worker in fleet.values():
                 if worker.proc.returncode is not None:
                     continue
@@ -838,14 +846,9 @@ class DispatchPool:
                 except subprocess.TimeoutExpired:
                     worker.kill()
                     worker.proc.wait()
-            # Final sweep: the reader threads may enqueue a worker's last
-            # lines (EOF flush) just after its process exits.
-            while True:
-                try:
-                    _, line = inbox.get(timeout=_DISPATCH_TICK)
-                except Empty:
-                    break
-                _drain_late(line)
+            # A worker killed past the deadline still has its reader
+            # flush its last lines, then its sentinel.
+            _drain_late(time.monotonic() + _DISPATCH_TICK)
 
         try:
             while ledger.pending() or table.active_count():

@@ -25,7 +25,7 @@ from __future__ import annotations
 import copy
 import logging
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -237,17 +237,22 @@ class BenchmarkRun:
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        """JSON-serialisable form."""
+        """JSON-serialisable form.
+
+        ``Metrics``, ``Deviation`` and ``PlanStats`` hold only scalar
+        fields, so a shallow ``vars`` copy is their ``asdict`` (same keys,
+        same order) without its recursive deep copy.
+        """
         return {
             "benchmark": self.benchmark,
             "config_name": self.config_name,
             "total_instructions": self.total_instructions,
-            "baseline": asdict(self.baseline),
+            "baseline": dict(vars(self.baseline)),
             "methods": {
                 name: {
-                    "stats": asdict(result.stats),
-                    "estimate": asdict(result.estimate),
-                    "deviation": asdict(result.deviation),
+                    "stats": dict(vars(result.stats)),
+                    "estimate": dict(vars(result.estimate)),
+                    "deviation": dict(vars(result.deviation)),
                 }
                 for name, result in self.methods.items()
             },
@@ -449,7 +454,7 @@ class ExperimentRunner:
         # requested set is a partial hit (compute only the missing
         # methods), not a full recompute.
         return (
-            f"run:{benchmark}:{get_spec(benchmark)!r}:{config!r}:"
+            f"run:{benchmark}:{get_spec(benchmark).fingerprint}:{config!r}:"
             f"{self.sampling!r}:scale={self.workload_scale}"
         )
 

@@ -40,7 +40,7 @@ class BasicBlock:
         if not 0.0 <= self.branch_bias <= 1.0:
             raise ProgramError("branch_bias must be in [0, 1]")
         for inst in self.instructions[:-1]:
-            if inst.is_control:
+            if inst.opcode.control:
                 raise ProgramError(
                     f"block {self.name!r}: control instruction before block end"
                 )
@@ -66,7 +66,7 @@ class BasicBlock:
     @cached_property
     def memory_instructions(self) -> Tuple[Instruction, ...]:
         """The LOAD/STORE instructions of the block, in program order."""
-        return tuple(i for i in self.instructions if i.is_memory)
+        return tuple(i for i in self.instructions if i.opcode.memory)
 
     @cached_property
     def load_count(self) -> int:

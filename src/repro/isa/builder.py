@@ -24,6 +24,82 @@ from .program import MemRegion, Program
 #: Architectural integer/fp register count used when synthesising operands.
 N_REGISTERS = 32
 
+_UINT32_MASK = 0xFFFF_FFFF
+_TWO_POW_M53 = 1.0 / 9007199254740992.0
+
+
+class _BulkDraws:
+    """numpy's scalar ``Generator.random()``/``integers(n)`` stream, drawn in bulk.
+
+    One ``random_raw`` call fetches a block's 64-bit words up front; the
+    methods consume them exactly as numpy's scalar API would on a PCG64
+    generator:
+
+    * ``random()`` is ``(w >> 11) * 2**-53`` of the next word;
+    * ``integers(n)`` is Lemire's bounded draw on ``next_uint32``, which
+      returns the low half of a fresh word and buffers the high half for
+      the next call (PCG64's ``has_uint32``/``uinteger``); ``n == 1``
+      draws nothing.
+
+    :meth:`close` rewinds the generator, advances it by the words
+    consumed and restores the half-word buffer, so the generator ends
+    exactly where the scalar calls would have left it.  There is no
+    scalar twin to switch to: numpy's own scalar API is the oracle, and
+    ``tests/test_properties.py`` pins this class to it.
+    """
+
+    __slots__ = ("_bitgen", "_saved", "_words", "_used", "_has_uint32",
+                 "_uinteger")
+
+    def __init__(self, bitgen: np.random.BitGenerator, expected: int) -> None:
+        self._bitgen = bitgen
+        self._saved = bitgen.state
+        self._words: List[int] = bitgen.random_raw(expected).tolist()
+        self._used = 0
+        self._has_uint32 = self._saved["has_uint32"]
+        self._uinteger = self._saved["uinteger"]
+
+    def _next64(self) -> int:
+        used = self._used
+        if used == len(self._words):
+            self._words += self._bitgen.random_raw(used + 8).tolist()
+        self._used = used + 1
+        return self._words[used]
+
+    def random(self) -> float:
+        """The next ``Generator.random()`` value."""
+        return (self._next64() >> 11) * _TWO_POW_M53
+
+    def integers(self, n: int) -> int:
+        """The next ``Generator.integers(n)`` value, for ``1 <= n < 2**32``."""
+        if n == 1:
+            return 0
+        while True:
+            # next_uint32: the buffered high half, else a fresh word's low half.
+            if self._has_uint32:
+                self._has_uint32 = 0
+                half = self._uinteger
+            else:
+                word = self._next64()
+                self._has_uint32 = 1
+                self._uinteger = word >> 32
+                half = word & _UINT32_MASK
+            product = half * n
+            leftover = product & _UINT32_MASK
+            # Lemire: reject only leftovers below 2**32 mod n.
+            if leftover >= n or leftover >= (0x1_0000_0000 - n) % n:
+                return product >> 32
+
+    def close(self) -> None:
+        """Leave the generator where the scalar calls would have."""
+        bitgen = self._bitgen
+        bitgen.state = self._saved
+        bitgen.advance(self._used)
+        state = bitgen.state
+        state["has_uint32"] = self._has_uint32
+        state["uinteger"] = self._uinteger
+        bitgen.state = state
+
 
 @dataclass(frozen=True)
 class InstructionMix:
@@ -138,14 +214,18 @@ class ProgramBuilder:
 
         body_len = n_instructions - (0 if terminator == "none" else 1)
         opcodes = self._draw_opcodes(max(body_len, 0), mix)
-        instructions = self._assemble(opcodes, region, stride, offset_step,
-                                      dependency_density)
+        # An instruction takes at most two doubles and three half-words,
+        # so only a run of Lemire rejections ever fetches more words.
+        draws = _BulkDraws(self._rng.bit_generator, 4 * len(opcodes) + 8)
+        instructions = self._assemble(draws, opcodes, region, stride,
+                                      offset_step, dependency_density)
         if terminator == "branch":
             instructions.append(
-                Instruction(Opcode.BRANCH, srcs=(int(self._rng.integers(N_REGISTERS)),))
+                Instruction(Opcode.BRANCH, srcs=(draws.integers(N_REGISTERS),))
             )
         elif terminator == "jump":
             instructions.append(Instruction(Opcode.JUMP))
+        draws.close()
         if not instructions:
             instructions.append(Instruction(Opcode.NOP))
 
@@ -176,8 +256,9 @@ class ProgramBuilder:
         self._rng.shuffle(opcodes)
         return opcodes
 
+    @staticmethod
     def _assemble(
-        self,
+        draws: _BulkDraws,
         opcodes: List[Opcode],
         region: Optional[int],
         stride: int,
@@ -185,31 +266,28 @@ class ProgramBuilder:
         dependency_density: float,
     ) -> List[Instruction]:
         """Turn an opcode sequence into instructions with synthetic dataflow."""
+        random = draws.random
+        integers = draws.integers
         instructions: List[Instruction] = []
         recent: List[int] = []
-        mem_index = 0
+        mem_offset = 0
         for opcode in opcodes:
             srcs = []
-            n_srcs = 1 if opcode in (Opcode.LOAD,) else 2
-            for _ in range(n_srcs):
-                if recent and self._rng.random() < dependency_density:
-                    srcs.append(recent[-1 - int(self._rng.integers(min(3, len(recent))))])
+            for _ in range(1 if opcode is Opcode.LOAD else 2):
+                if recent and random() < dependency_density:
+                    srcs.append(recent[-1 - integers(min(3, len(recent)))])
                 else:
-                    srcs.append(int(self._rng.integers(N_REGISTERS)))
-            dest: Optional[int] = int(self._rng.integers(N_REGISTERS))
-            kwargs = {}
-            if opcode in (Opcode.LOAD, Opcode.STORE):
-                kwargs = {
-                    "mem_region": region,
-                    "mem_stride": stride,
-                    "mem_offset": mem_index * offset_step,
-                }
-                mem_index += 1
+                    srcs.append(integers(N_REGISTERS))
+            dest: Optional[int] = integers(N_REGISTERS)
+            if opcode.memory:
                 if opcode is Opcode.STORE:
                     dest = None
-            instructions.append(
-                Instruction(opcode, dest=dest, srcs=tuple(srcs), **kwargs)
-            )
+                instructions.append(Instruction(
+                    opcode, dest, tuple(srcs), region, stride, mem_offset
+                ))
+                mem_offset += offset_step
+            else:
+                instructions.append(Instruction(opcode, dest, tuple(srcs)))
             if dest is not None:
                 recent.append(dest)
                 if len(recent) > 8:

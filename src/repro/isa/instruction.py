@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from ..errors import ProgramError
-from .opcodes import LATENCY, Opcode, is_control, is_memory
+from .opcodes import Opcode
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,15 @@ class Instruction:
     mem_offset: int = 0
 
     def __post_init__(self) -> None:
-        if is_memory(self.opcode) and self.mem_region is None:
-            raise ProgramError(f"{self.opcode} requires a mem_region")
-        if not is_memory(self.opcode) and self.mem_region is not None:
-            raise ProgramError(f"{self.opcode} must not carry a mem_region")
-        if self.opcode is Opcode.LOAD and self.dest is None:
+        opcode = self.opcode
+        if opcode.memory:
+            if self.mem_region is None:
+                raise ProgramError(f"{opcode} requires a mem_region")
+        elif self.mem_region is not None:
+            raise ProgramError(f"{opcode} must not carry a mem_region")
+        if opcode is Opcode.LOAD and self.dest is None:
             raise ProgramError("LOAD must write a destination register")
-        if is_control(self.opcode) and self.dest is not None:
+        if opcode.control and self.dest is not None:
             raise ProgramError("control instructions write no register")
         if self.mem_stride < 0 or self.mem_offset < 0:
             raise ProgramError("mem_stride / mem_offset must be non-negative")
@@ -48,17 +50,17 @@ class Instruction:
     @property
     def latency(self) -> int:
         """Best-case execution latency in cycles."""
-        return LATENCY[self.opcode]
+        return self.opcode.base_latency
 
     @property
     def is_memory(self) -> bool:
         """True if this instruction accesses memory."""
-        return is_memory(self.opcode)
+        return self.opcode.memory
 
     @property
     def is_control(self) -> bool:
         """True if this instruction is a branch or jump."""
-        return is_control(self.opcode)
+        return self.opcode.control
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = [self.opcode.value]

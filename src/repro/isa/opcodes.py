@@ -12,7 +12,11 @@ import enum
 
 
 class FuClass(enum.Enum):
-    """Functional-unit class an opcode executes on (Table I unit names)."""
+    """Functional-unit class an opcode executes on (Table I unit names).
+
+    ``index`` is the unit's position in declaration order, so per-unit
+    tallies can live in a list instead of a dict keyed by the member.
+    """
 
     INT_ALU = "int_alu"
     LOAD_STORE = "load_store"
@@ -20,70 +24,64 @@ class FuClass(enum.Enum):
     INT_MULT_DIV = "int_mult_div"
     FP_MULT_DIV = "fp_mult_div"
 
+    index: int
+
+
+for _index, _unit in enumerate(FuClass):
+    _unit.index = _index
+del _index, _unit
+
 
 class Opcode(enum.Enum):
-    """Instruction opcodes."""
+    """Instruction opcodes.
 
-    IALU = "ialu"
-    IMUL = "imul"
-    IDIV = "idiv"
-    FADD = "fadd"
-    FMUL = "fmul"
-    FDIV = "fdiv"
-    LOAD = "load"
-    STORE = "store"
-    BRANCH = "branch"
-    JUMP = "jump"
-    NOP = "nop"
+    Each member carries its static properties as plain attributes —
+    ``fu_class``, ``base_latency`` (the execution latency in cycles; for
+    LOAD the best case, added to the L1 hit latency by the scheduler),
+    ``memory`` and ``control`` — so per-instruction code reads them
+    without hashing the member (``Enum.__hash__`` is Python-level).
+    ``value`` stays the opcode's mnemonic.
+    """
+
+    IALU = ("ialu", FuClass.INT_ALU, 1)
+    IMUL = ("imul", FuClass.INT_MULT_DIV, 3)
+    IDIV = ("idiv", FuClass.INT_MULT_DIV, 12)
+    FADD = ("fadd", FuClass.FP_ADD, 2)
+    FMUL = ("fmul", FuClass.FP_MULT_DIV, 4)
+    FDIV = ("fdiv", FuClass.FP_MULT_DIV, 12)
+    LOAD = ("load", FuClass.LOAD_STORE, 1)
+    STORE = ("store", FuClass.LOAD_STORE, 1)
+    BRANCH = ("branch", FuClass.INT_ALU, 1)
+    JUMP = ("jump", FuClass.INT_ALU, 1)
+    NOP = ("nop", FuClass.INT_ALU, 1)
+
+    fu_class: FuClass
+    base_latency: int
+    memory: bool
+    control: bool
+
+    def __new__(cls, mnemonic: str, fu_class: FuClass, latency: int):
+        member = object.__new__(cls)
+        member._value_ = mnemonic
+        member.fu_class = fu_class
+        member.base_latency = latency
+        member.memory = mnemonic in ("load", "store")
+        member.control = mnemonic in ("branch", "jump")
+        return member
 
 
-#: Execution latency in cycles for non-memory opcodes.  LOAD latency is the
-#: dynamic cache access time; the value here is its best case (added to the
-#: L1 hit latency by the scheduler).
-LATENCY: dict[Opcode, int] = {
-    Opcode.IALU: 1,
-    Opcode.IMUL: 3,
-    Opcode.IDIV: 12,
-    Opcode.FADD: 2,
-    Opcode.FMUL: 4,
-    Opcode.FDIV: 12,
-    Opcode.LOAD: 1,
-    Opcode.STORE: 1,
-    Opcode.BRANCH: 1,
-    Opcode.JUMP: 1,
-    Opcode.NOP: 1,
-}
+#: Execution latency in cycles per opcode (see :class:`Opcode`).
+LATENCY: dict[Opcode, int] = {op: op.base_latency for op in Opcode}
 
 #: Functional unit class required by each opcode.
-FU_CLASS: dict[Opcode, FuClass] = {
-    Opcode.IALU: FuClass.INT_ALU,
-    Opcode.IMUL: FuClass.INT_MULT_DIV,
-    Opcode.IDIV: FuClass.INT_MULT_DIV,
-    Opcode.FADD: FuClass.FP_ADD,
-    Opcode.FMUL: FuClass.FP_MULT_DIV,
-    Opcode.FDIV: FuClass.FP_MULT_DIV,
-    Opcode.LOAD: FuClass.LOAD_STORE,
-    Opcode.STORE: FuClass.LOAD_STORE,
-    Opcode.BRANCH: FuClass.INT_ALU,
-    Opcode.JUMP: FuClass.INT_ALU,
-    Opcode.NOP: FuClass.INT_ALU,
-}
-
-#: Opcodes that reference memory.
-MEMORY_OPCODES = frozenset({Opcode.LOAD, Opcode.STORE})
-
-#: Opcodes that end a basic block with a control transfer.
-CONTROL_OPCODES = frozenset({Opcode.BRANCH, Opcode.JUMP})
-
-#: Floating-point opcodes (used for instruction-mix statistics).
-FP_OPCODES = frozenset({Opcode.FADD, Opcode.FMUL, Opcode.FDIV})
+FU_CLASS: dict[Opcode, FuClass] = {op: op.fu_class for op in Opcode}
 
 
 def is_memory(opcode: Opcode) -> bool:
     """Return True if *opcode* references memory."""
-    return opcode in MEMORY_OPCODES
+    return opcode.memory
 
 
 def is_control(opcode: Opcode) -> bool:
     """Return True if *opcode* transfers control."""
-    return opcode in CONTROL_OPCODES
+    return opcode.control

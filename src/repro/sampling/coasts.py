@@ -41,7 +41,13 @@ from ..errors import SamplingError
 from ..obs import ObsContext
 from ..obs.diag import MethodDiag
 from .points import SamplingPlan
-from .simpoint import book_sweep, phase_plan, phase_points, sampling_span
+from .simpoint import (
+    book_sweep,
+    phase_plan,
+    phase_points,
+    phase_weights,
+    sampling_span,
+)
 
 
 @dataclass(frozen=True)
@@ -206,15 +212,7 @@ class Coasts:
             k = result.k
             picks = self._select(signatures, labels, result.centroids)
 
-            insts = profile.instructions.astype(np.float64)
-            covered = insts.sum()
-            if covered <= 0:
-                raise SamplingError("coarse profile covers no instructions")
-
-            weights = np.array([
-                float(insts[labels == phase].sum() / covered)
-                for phase in range(k)
-            ])
+            weights = phase_weights(profile, labels, k)
             quality = cluster_quality(signatures, result)
             plan, self.last_diagnostics = phase_plan(
                 self.method_name, benchmark, profile,

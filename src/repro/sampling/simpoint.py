@@ -21,9 +21,10 @@ profile and hands it to every fine sampler (:meth:`SimPoint.sample`'s
 *context*).
 
 Step 4's tail is every sampler's: the module's plan-assembly helpers
-(:func:`sampling_span`, :func:`book_sweep`, :func:`phase_points` and
-:func:`phase_plan`) open the ``sampling`` span, book a sweep's work,
-turn per-phase picks into points and build the plan with its
+(:func:`sampling_span`, :func:`book_sweep`, :func:`phase_weights`,
+:func:`phase_points` and :func:`phase_plan`) open the ``sampling`` span,
+book a sweep's work, weigh each phase by its instruction share, turn
+per-phase picks into points and build the plan with its
 :class:`~repro.obs.diag.MethodDiag`.  COASTS and ranked-set sampling
 assemble their plans through them too.
 """
@@ -126,6 +127,21 @@ def phase_points(
             )
         )
     return points
+
+
+def phase_weights(profile, labels: np.ndarray, k: int) -> np.ndarray:
+    """Each of the *k* phases' share of *profile*'s executed instructions.
+
+    *labels* assigns every interval of *profile* (fixed or coarse) to a
+    phase; a phase without intervals weighs 0.  Instruction counts are
+    integers below 2**53, so every float64 partial sum is exact and the
+    summation order cannot change a bit.
+    """
+    insts = profile.instructions.astype(np.float64)
+    covered = insts.sum()
+    if covered <= 0:
+        raise SamplingError("profile covers no instructions")
+    return np.bincount(labels, weights=insts, minlength=k) / covered
 
 
 def phase_plan(
@@ -248,7 +264,7 @@ class SimPoint:
             labels=labels,
             centroids=centroids,
             k=k,
-            weights=self._weights(profile, labels, k),
+            weights=phase_weights(profile, labels, k),
             quality=quality,
         )
 
@@ -372,19 +388,6 @@ class SimPoint:
         centroids = result.centroids
         labels, _ = assign_points(features, centroids)
         return labels, centroids, result.k
-
-    @staticmethod
-    def _weights(
-        profile: FixedIntervalProfile, labels: np.ndarray, k: int
-    ) -> np.ndarray:
-        weights = np.zeros(k, dtype=np.float64)
-        insts = profile.instructions.astype(np.float64)
-        for phase in range(k):
-            weights[phase] = insts[labels == phase].sum()
-        total = weights.sum()
-        if total <= 0:
-            raise SamplingError("no instructions in profile")
-        return weights / total
 
     def _select(
         self,

@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
 from ..config import MachineConfig
 from ..isa.block import BasicBlock
-from ..isa.opcodes import FU_CLASS, FuClass, Opcode
+from ..isa.opcodes import FuClass, Opcode
 from ..isa.program import Program
 
 
@@ -45,13 +45,17 @@ class BlockScheduler:
 
     def __init__(self, config: MachineConfig) -> None:
         self.config = config
-        self._fu_counts: Dict[FuClass, int] = {
-            FuClass.INT_ALU: config.functional_units.int_alu,
-            FuClass.LOAD_STORE: config.functional_units.load_store,
-            FuClass.FP_ADD: config.functional_units.fp_add,
-            FuClass.INT_MULT_DIV: config.functional_units.int_mult_div,
-            FuClass.FP_MULT_DIV: config.functional_units.fp_mult_div,
+        units = config.functional_units
+        counts = {
+            FuClass.INT_ALU: units.int_alu,
+            FuClass.LOAD_STORE: units.load_store,
+            FuClass.FP_ADD: units.fp_add,
+            FuClass.INT_MULT_DIV: units.int_mult_div,
+            FuClass.FP_MULT_DIV: units.fp_mult_div,
         }
+        #: Unit count per functional-unit class, indexed by ``FuClass.index``.
+        self._fu_counts: List[int] = [counts[fu] for fu in FuClass]
+        self._load_latency = config.dcache.latency + 1
 
     # ------------------------------------------------------------------
     def schedule(self, block: BasicBlock) -> BlockTiming:
@@ -60,14 +64,13 @@ class BlockScheduler:
         n = block.size
 
         width_bound = n / config.issue_width
-        fu_use: Dict[FuClass, int] = {}
+        fu_use = [0] * len(self._fu_counts)
         for inst in block.instructions:
-            fu = FU_CLASS[inst.opcode]
-            fu_use[fu] = fu_use.get(fu, 0) + 1
-        fu_bound = max(
-            (count / self._fu_counts[fu] for fu, count in fu_use.items()),
-            default=0.0,
-        )
+            fu_use[inst.opcode.fu_class.index] += 1
+        fu_bound = 0.0
+        for count, units in zip(fu_use, self._fu_counts):
+            if count and count / units > fu_bound:
+                fu_bound = count / units
         throughput = max(width_bound, fu_bound, 1e-9)
 
         critical_path = self._critical_path(block)
@@ -84,23 +87,22 @@ class BlockScheduler:
         )
 
     # ------------------------------------------------------------------
-    def _latency(self, opcode: Opcode) -> int:
-        if opcode is Opcode.LOAD:
-            return self.config.dcache.latency + 1
-        from ..isa.opcodes import LATENCY
-
-        return LATENCY[opcode]
-
     def _critical_path(self, block: BasicBlock) -> int:
         """Longest register-dependence chain, in cycles."""
+        load_latency = self._load_latency
         done_at: Dict[int, int] = {}
         longest = 0
         for inst in block.instructions:
             ready = 0
             for src in inst.srcs:
-                ready = max(ready, done_at.get(src, 0))
-            finish = ready + self._latency(inst.opcode)
-            longest = max(longest, finish)
+                done = done_at.get(src, 0)
+                if done > ready:
+                    ready = done
+            opcode = inst.opcode
+            finish = ready + (load_latency if opcode is Opcode.LOAD
+                              else opcode.base_latency)
+            if finish > longest:
+                longest = finish
             if inst.dest is not None:
                 done_at[inst.dest] = finish
         return longest

@@ -17,6 +17,7 @@ BBV curves).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Tuple
 
 from ..errors import ProgramError
@@ -154,6 +155,16 @@ class BenchmarkSpec:
         names = [r.name for r in self.regimes]
         if len(set(names)) != len(names):
             raise ProgramError(f"benchmark {self.name!r}: duplicate regime names")
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """``repr(self)``, rendered once.
+
+        Result-cache keys embed it on every lookup, and a family member's
+        repr runs to several KB; the spec is frozen, so it never goes
+        stale.
+        """
+        return repr(self)
 
     @property
     def n_outer_iterations(self) -> int:

@@ -1,5 +1,8 @@
 """Tests for the experiment harness: cache, runner, tables, experiments."""
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro.config import CONFIG_A
@@ -105,6 +108,26 @@ class TestRunner:
         payload = gzip_run.to_dict()
         rebuilt = BenchmarkRun.from_dict(payload)
         assert rebuilt == gzip_run
+
+    def test_serialization_matches_asdict(self, gzip_run):
+        # The shallow copies of the scalar records keep asdict's JSON.
+        payload = gzip_run.to_dict()
+        assert payload["baseline"] == asdict(gzip_run.baseline)
+        for name, result in gzip_run.methods.items():
+            assert json.dumps(payload["methods"][name]) == json.dumps({
+                "stats": asdict(result.stats),
+                "estimate": asdict(result.estimate),
+                "deviation": asdict(result.deviation),
+            })
+
+    def test_cache_key_embeds_the_spec_repr(self, runner):
+        from repro.workloads.registry import get_spec
+
+        spec = get_spec("fam:irregular[3]")
+        assert spec.fingerprint == repr(spec)
+        assert get_spec("fam:irregular[3]").fingerprint is spec.fingerprint
+        key = runner._cache_key("fam:irregular[3]", CONFIG_A)
+        assert key.startswith(f"run:fam:irregular[3]:{spec!r}:{CONFIG_A!r}:")
 
     def test_cache_hit_returns_equal_run(self, runner, gzip_run):
         again = runner.run_benchmark("gzip", CONFIG_A)

@@ -16,6 +16,7 @@ from repro.engine import Segment, Trace
 from repro.errors import TraceError
 from repro.harness.cache import ResultCache
 from repro.harness.runner import ExperimentRunner
+from repro.isa.builder import _BulkDraws
 from repro.obs import DETAILED_INSTRUCTIONS
 from repro.samplers import PlanContext, get_sampler, registered_methods
 from repro.sampling import SimPoint
@@ -53,6 +54,45 @@ class TestBranchProperties:
         assert stationary_mispredict_rate(p) == pytest.approx(
             stationary_mispredict_rate(1.0 - p)
         )
+
+
+#: One scalar draw: ``"random"`` or the bound *n* of ``integers(n)``.  The
+#: builder uses n in {1, 2, 3, 32}; the two large bounds reject about
+#: half their draws, so Lemire's redraw loop runs too.
+_DRAW = st.one_of(st.just("random"),
+                  st.sampled_from([1, 2, 3, 32, 2**31 + 1, 3 * 2**30 + 1]))
+
+
+class TestBulkDraws:
+    """The builder's bulk draw is numpy's scalar API, value for value."""
+
+    @staticmethod
+    def _generator(seed, has_uint32, uinteger):
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        state["has_uint32"] = int(has_uint32)
+        state["uinteger"] = uinteger
+        rng.bit_generator.state = state
+        return rng
+
+    @given(seed=st.integers(0, 2**63), has_uint32=st.booleans(),
+           uinteger=st.integers(0, 2**32 - 1),
+           draws=st.lists(_DRAW, max_size=80), expected=st.integers(0, 40))
+    def test_bulk_matches_scalar_api(self, seed, has_uint32, uinteger,
+                                     draws, expected):
+        oracle = self._generator(seed, has_uint32, uinteger)
+        rng = self._generator(seed, has_uint32, uinteger)
+        bulk = _BulkDraws(rng.bit_generator, expected)
+        for draw in draws:
+            if draw == "random":
+                assert bulk.random() == oracle.random()
+            else:
+                assert bulk.integers(draw) == int(oracle.integers(draw))
+        bulk.close()
+        assert rng.bit_generator.state == oracle.bit_generator.state
+        for _ in range(4):
+            assert rng.integers(32) == oracle.integers(32)
+            assert rng.random() == oracle.random()
 
 
 class _ClockOrderedLedger:
