@@ -179,24 +179,6 @@ class RunFailure:
             stage=payload.get("stage"),
         )
 
-    @staticmethod
-    def from_exception(
-        benchmark: str,
-        config_name: str,
-        error: BaseException,
-        attempts: int,
-        max_attempts: int,
-        tb: Optional[str] = None,
-    ) -> "RunFailure":
-        """Build a failure record from a caught exception."""
-        return RunFailure(
-            benchmark=benchmark,
-            config_name=config_name,
-            attempts=attempts,
-            max_attempts=max_attempts,
-            **error_report(error, tb),
-        )
-
 
 def error_report(error: BaseException, tb: Optional[str] = None) -> dict:
     """The :class:`RunFailure` error fields of *error*, while handling it.
@@ -251,11 +233,6 @@ class SuiteOutcome(Sequence):
     def ok(self) -> bool:
         """True when every run completed."""
         return not self.failures
-
-    def raise_if_failed(self) -> None:
-        """Strict-mode check: raise :class:`HarnessError` on any failure."""
-        if self.failures:
-            raise HarnessError(self.failure_summary())
 
     def failure_summary(self) -> str:
         """Multi-line report of every failure (CLI / logs)."""

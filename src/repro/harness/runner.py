@@ -22,7 +22,6 @@ per-benchmark state, reused across configurations.
 
 from __future__ import annotations
 
-import copy
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -43,7 +42,7 @@ from ..detailed.timing import TimingSimulator
 from ..engine.trace import Trace
 from ..errors import HarnessError, InjectedFault
 from ..obs import FAULTS_INJECTED, RUN_SECONDS, STAGE_SECONDS, ObsContext
-from ..obs.diag import DIAG_METRICS, MethodDiag, record_diag_metrics
+from ..obs.diag import DIAG_METRICS, MethodDiag, attribute, record_diag_metrics
 from ..obs.spans import Span, Tracer
 from ..samplers import PlanContext, get_sampler, registered_methods
 # simulate_point_set is not called here; benchmarks/e2e/layers.py wraps
@@ -517,7 +516,11 @@ class ExperimentRunner:
             with self._stage(benchmark, "trace_build"):
                 trace = self.trace(benchmark)
             plans = self.plans(benchmark, methods=compute)
-            diags = self._diag_copies(benchmark, compute)
+            built = self._contexts[benchmark].built
+            plan_diags = {
+                name: built[name][1] for name in compute
+                if built[name][1] is not None
+            }
 
             with self._stage(benchmark, "detailed_simulation"):
                 simulator = TimingSimulator(
@@ -527,7 +530,7 @@ class ExperimentRunner:
                     simulator, plans.values(), baseline=cached is None,
                     phases={
                         (name, phase): bounds
-                        for name, diag in diags.items()
+                        for name, diag in plan_diags.items()
                         for phase, bounds in diag.members.items()
                     },
                 )
@@ -548,7 +551,9 @@ class ExperimentRunner:
                     )
 
             with self._stage(benchmark, "diagnostics"):
-                self._diagnose(diags, plans, results, baseline, methods)
+                diags = self._diagnose(
+                    plan_diags, plans, results, baseline, methods
+                )
 
             merged_methods = dict(cached.methods) if cached else {}
             merged_methods.update(methods)
@@ -589,18 +594,6 @@ class ExperimentRunner:
             },
         )
 
-    def _diag_copies(
-        self, benchmark: str, names: Iterable[str]
-    ) -> Dict[str, MethodDiag]:
-        """Per-run copies of the memoised plan diagnostics of *names*."""
-        built = self._contexts[benchmark].built
-        # The memoised diag is per-benchmark; each (benchmark, config) run
-        # attributes its own copy, so deep-copy before mutating.
-        return {
-            name: copy.deepcopy(built[name][1]) for name in names
-            if built[name][1] is not None
-        }
-
     @staticmethod
     def _diagnose(
         diags: Dict[str, MethodDiag],
@@ -608,14 +601,16 @@ class ExperimentRunner:
         results: Dict[object, SimulationResult],
         baseline: Metrics,
         methods: Dict[str, MethodResult],
-    ) -> None:
-        """Per-phase error attribution for every method in *diags*.
+    ) -> Dict[str, MethodDiag]:
+        """The attributed diagnostics of every method in *diags*.
 
         True per-phase metric means are the walk's ``(method, phase)``
         tags and the representative terms its leaf tags (both in
         *results*).  The attribution decomposes each method's signed
-        deviation into per-phase contributions plus an exact residual.
+        deviation into per-phase contributions plus an exact residual;
+        the plan-time records in *diags* are left as they are.
         """
+        attributed: Dict[str, MethodDiag] = {}
         for name, diag in diags.items():
             plan = plans[name]
             weight_total = sum(
@@ -644,7 +639,8 @@ class ExperimentRunner:
                     "l2": result.l2_hit_rate,
                 }
             est = methods[name].estimate
-            diag.attribute(
+            attributed[name] = attribute(
+                diag,
                 baseline={
                     "cpi": baseline.cpi,
                     "l1": baseline.l1_hit_rate,
@@ -659,9 +655,7 @@ class ExperimentRunner:
                 phase_values=phase_values,
                 weight_total=weight_total,
             )
-            # Member bounds are trace-sized working state, not a result;
-            # drop them so the run (and its cache entry) stays small.
-            diag.members.clear()
+        return attributed
 
     def run_suite(
         self,

@@ -71,22 +71,3 @@ class LoopNest:
     def top_level(self) -> List[Loop]:
         """Loops with no parent (the paper's outermost loops)."""
         return [loop for loop in self.loops if loop.parent is None]
-
-    def children_of(self, loop_id: int) -> List[Loop]:
-        """Immediate children of the given loop."""
-        return [loop for loop in self.loops if loop.parent == loop_id]
-
-    def loop_of_header(self, block_id: int) -> Optional[Loop]:
-        """The loop whose header is *block_id*, if any."""
-        for loop in self.loops:
-            if loop.header == block_id:
-                return loop
-        return None
-
-    def innermost_containing(self, block_id: int) -> Optional[Loop]:
-        """The deepest loop containing *block_id*, if any."""
-        best: Optional[Loop] = None
-        for loop in self.loops:
-            if block_id in loop.blocks and (best is None or loop.depth > best.depth):
-                best = loop
-        return best

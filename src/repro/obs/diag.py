@@ -34,17 +34,21 @@ the run spans, one per (benchmark, config, method).  Only each
 method's total error and residual are also gauges, for live
 ``/metrics``.
 
-This module deliberately imports nothing from the sampling or harness
-layers (they import *it*); the samplers construct :class:`MethodDiag`
-records and the harness fills in the attribution after detail
-simulation.
+Both records are frozen.  A sampler builds its plan-time
+:class:`MethodDiag` once (phases, weights, cluster quality and the
+per-phase member bounds), and a plan serves every machine config, so
+that record is never mutated: :func:`attribute` is a pure function
+from it and one walk's results to a new, attributed record without
+member bounds.  This module deliberately imports nothing from the
+sampling or harness layers (they import *it*).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..errors import HarnessError
 from .metrics import register_help
 
 # ----------------------------------------------------------------------
@@ -69,7 +73,7 @@ DIAG_METRICS: Tuple[str, ...] = ("cpi", "l1", "l2")
 FAR_REP_FACTOR = 2.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PhaseDiag:
     """Diagnostics of one phase (cluster) of one sampling plan."""
 
@@ -92,7 +96,7 @@ class PhaseDiag:
     #: True when the point exceeds the re-sampling threshold — the
     #: paper's "giant coarse point" pathology (gcc).
     oversized: bool = False
-    #: Filled by the harness after detail simulation: representative
+    #: Set by :func:`attribute` after detail simulation: representative
     #: and phase-mean metric values, and the signed error contribution
     #: per metric (Deviation units; see the module docstring).
     rep_values: Dict[str, float] = field(default_factory=dict)
@@ -161,14 +165,15 @@ class PhaseDiag:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class MethodDiag:
     """Diagnostics of one sampling method on one benchmark.
 
-    Built in two steps: the sampler fills the clustering-quality fields
-    (and the transient per-phase member bounds); the harness fills the
-    attribution fields after detail simulation.  ``members`` never
-    serialises — it is only needed to aggregate per-phase truth.
+    The sampler's plan-time record holds the clustering-quality fields
+    and the per-phase member bounds; :func:`attribute` derives the
+    run's record, with the attribution fields and without the bounds.
+    ``members`` never serialises — it is only needed to aggregate
+    per-phase truth.
     """
 
     method: str
@@ -177,25 +182,18 @@ class MethodDiag:
     n_intervals: int
     coverage_discarded: float
     resample_threshold: int
-    phases: List[PhaseDiag] = field(default_factory=list)
+    phases: Tuple[PhaseDiag, ...] = ()
     #: Signed residual per metric: total minus the phase contributions
     #: (coverage, rate-aggregation bias, weight normalisation).
     residual: Dict[str, float] = field(default_factory=dict)
     #: Signed total deviation per metric (Deviation units).
     total_error: Dict[str, float] = field(default_factory=dict)
-    #: Transient: phase -> [(start, end), ...] member interval bounds.
+    #: Plan-time only: phase -> [(start, end), ...] member interval bounds.
     members: Dict[int, List[Tuple[int, int]]] = field(
         default_factory=dict, repr=False,
     )
 
     # ------------------------------------------------------------------
-    def phase_by_id(self, phase: int) -> Optional[PhaseDiag]:
-        """The diagnostics row of *phase*, if present."""
-        for row in self.phases:
-            if row.phase == phase:
-                return row
-        return None
-
     @property
     def n_oversized(self) -> int:
         """Phases whose point exceeds the re-sampling threshold."""
@@ -207,56 +205,6 @@ class MethodDiag:
             self.phases,
             key=lambda row: -abs(row.contributions.get("cpi", 0.0)),
         )
-
-    # ------------------------------------------------------------------
-    def attribute(
-        self,
-        baseline: Dict[str, float],
-        estimate: Dict[str, float],
-        rep_terms: Dict[int, Dict[str, float]],
-        phase_values: Dict[int, Dict[str, float]],
-        weight_total: float,
-    ) -> None:
-        """Fill the attribution fields (harness-side, post-simulation).
-
-        *rep_terms* maps phase -> unnormalised representative terms
-        (``sum over the phase's leaves of w_leaf * metric``);
-        *phase_values* maps phase -> the phase's true per-metric means
-        (aggregated over every member interval); *weight_total* is the
-        plan's total leaf weight ``W``.  CPI rows are divided by the
-        baseline CPI so contributions line up with Table II's relative
-        CPI deviation; hit-rate rows stay absolute.
-        """
-        base_cpi = baseline["cpi"]
-        self.total_error = {
-            "cpi": (estimate["cpi"] - baseline["cpi"]) / base_cpi,
-            "l1": estimate["l1"] - baseline["l1"],
-            "l2": estimate["l2"] - baseline["l2"],
-        }
-        sums = {name: 0.0 for name in DIAG_METRICS}
-        for row in self.phases:
-            term = rep_terms.get(row.phase)
-            truth = phase_values.get(row.phase)
-            if term is None or truth is None:
-                continue
-            row.phase_values = dict(truth)
-            row.rep_values = {
-                name: (term[name] / row.weight if row.weight > 0 else 0.0)
-                for name in DIAG_METRICS
-            }
-            row.contributions = {}
-            for name in DIAG_METRICS:
-                contribution = (
-                    term[name] - row.weight * truth[name]
-                ) / weight_total
-                if name == "cpi":
-                    contribution /= base_cpi
-                row.contributions[name] = contribution
-                sums[name] += contribution
-        self.residual = {
-            name: self.total_error[name] - sums[name]
-            for name in DIAG_METRICS
-        }
 
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -281,7 +229,9 @@ class MethodDiag:
             n_intervals=int(payload["n_intervals"]),
             coverage_discarded=float(payload["coverage_discarded"]),
             resample_threshold=int(payload["resample_threshold"]),
-            phases=[PhaseDiag.from_dict(p) for p in payload.get("phases", [])],
+            phases=tuple(
+                PhaseDiag.from_dict(p) for p in payload.get("phases", [])
+            ),
             residual=dict(payload.get("residual", {})),
             total_error=dict(payload.get("total_error", {})),
         )
@@ -312,29 +262,20 @@ def build_method_diag(
     from the analysis layer — the samplers pass
     :class:`repro.analysis.kmeans.ClusterQuality`.
     """
-    diag = MethodDiag(
-        method=method,
-        benchmark=benchmark,
-        n_clusters=len(picks),
-        n_intervals=len(labels),
-        coverage_discarded=coverage_discarded,
-        resample_threshold=int(resample_threshold),
-    )
+    phases: List[PhaseDiag] = []
+    members: Dict[int, List[Tuple[int, int]]] = {}
     for phase, pick in enumerate(picks):
         pick = int(pick)
         if pick < 0:
             continue
-        members = [i for i, label in enumerate(labels) if label == phase]
-        member_bounds = [
-            (int(bounds[i][0]), int(bounds[i][1])) for i in members
-        ]
-        distances = [float(quality.member_distances[i]) for i in members]
+        indices = [i for i, label in enumerate(labels) if label == phase]
+        distances = [float(quality.member_distances[i]) for i in indices]
         point_size = int(bounds[pick][1]) - int(bounds[pick][0])
-        diag.phases.append(PhaseDiag(
+        phases.append(PhaseDiag(
             phase=phase,
             weight=float(weights[phase]),
-            n_members=len(members),
-            instructions=int(sum(instructions[i] for i in members)),
+            n_members=len(indices),
+            instructions=int(sum(instructions[i] for i in indices)),
             point_size=point_size,
             rep_index=pick,
             rep_distance=float(quality.member_distances[pick]),
@@ -345,8 +286,85 @@ def build_method_diag(
             silhouette=float(quality.silhouettes[phase]),
             oversized=point_size > resample_threshold,
         ))
-        diag.members[phase] = member_bounds
-    return diag
+        members[phase] = [
+            (int(bounds[i][0]), int(bounds[i][1])) for i in indices
+        ]
+    return MethodDiag(
+        method=method,
+        benchmark=benchmark,
+        n_clusters=len(picks),
+        n_intervals=len(labels),
+        coverage_discarded=coverage_discarded,
+        resample_threshold=int(resample_threshold),
+        phases=tuple(phases),
+        members=members,
+    )
+
+
+# ----------------------------------------------------------------------
+# run-side attribution
+# ----------------------------------------------------------------------
+def attribute(
+    diag: MethodDiag,
+    baseline: Dict[str, float],
+    estimate: Dict[str, float],
+    rep_terms: Dict[int, Dict[str, float]],
+    phase_values: Dict[int, Dict[str, float]],
+    weight_total: float,
+) -> MethodDiag:
+    """The run's record: plan-time *diag* with the attribution filled in.
+
+    *rep_terms* maps phase -> unnormalised representative terms
+    (``sum over the phase's leaves of w_leaf * metric``);
+    *phase_values* maps phase -> the phase's true per-metric means
+    (aggregated over every member interval); *weight_total* is the
+    plan's total leaf weight ``W``.  CPI rows are divided by the
+    baseline CPI so contributions line up with Table II's relative CPI
+    deviation; hit-rate rows stay absolute.  A phase missing from
+    either map keeps its plan-time row.  *diag* is not changed, and the
+    returned record carries no member bounds.
+    """
+    base_cpi = baseline["cpi"]
+    total_error = {
+        "cpi": (estimate["cpi"] - baseline["cpi"]) / base_cpi,
+        "l1": estimate["l1"] - baseline["l1"],
+        "l2": estimate["l2"] - baseline["l2"],
+    }
+    sums = {name: 0.0 for name in DIAG_METRICS}
+    rows: List[PhaseDiag] = []
+    for row in diag.phases:
+        term = rep_terms.get(row.phase)
+        truth = phase_values.get(row.phase)
+        if term is None or truth is None:
+            rows.append(row)
+            continue
+        contributions: Dict[str, float] = {}
+        for name in DIAG_METRICS:
+            contribution = (
+                term[name] - row.weight * truth[name]
+            ) / weight_total
+            if name == "cpi":
+                contribution /= base_cpi
+            contributions[name] = contribution
+            sums[name] += contribution
+        rows.append(replace(
+            row,
+            phase_values=dict(truth),
+            rep_values={
+                name: (term[name] / row.weight if row.weight > 0 else 0.0)
+                for name in DIAG_METRICS
+            },
+            contributions=contributions,
+        ))
+    return replace(
+        diag,
+        phases=tuple(rows),
+        residual={
+            name: total_error[name] - sums[name] for name in DIAG_METRICS
+        },
+        total_error=total_error,
+        members={},
+    )
 
 
 # ----------------------------------------------------------------------
@@ -415,7 +433,11 @@ def format_diag_report(
     method: Optional[str] = None,
 ) -> str:
     """Render one error-budget table per (benchmark, config, method) of
-    :func:`run_diagnostics` *views*, worst phase first."""
+    :func:`run_diagnostics` *views*, worst phase first.
+
+    Raises :class:`~repro.errors.HarnessError` when *views* holds
+    diagnostics but the *benchmark*/*method* filter selects none.
+    """
     lines: List[str] = []
     for bench, config in sorted(views):
         if benchmark is not None and bench != benchmark:
@@ -430,6 +452,21 @@ def format_diag_report(
                 lines.append("")
             lines.extend(_format_method(diag, config))
     if not lines:
+        held = [
+            f"{bench}/{config}/{name}" for bench, config in sorted(views)
+            for name in sorted(views[bench, config])
+        ]
+        if held:
+            wanted = ", ".join(
+                f"{key} {value!r}"
+                for key, value in (("benchmark", benchmark),
+                                   ("method", method))
+                if value is not None
+            )
+            raise HarnessError(
+                f"no run diagnostics match {wanted}; this trace holds "
+                f"(benchmark/config/method): {', '.join(held)}"
+            )
         lines.append("no run diagnostics in this trace (its run spans "
                      "carry none; record a run, suite or experiment with "
                      "--trace-out)")

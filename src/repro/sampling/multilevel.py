@@ -16,7 +16,7 @@ Section III-B) — visible in our Table II reproduction too.
 
 from __future__ import annotations
 
-import copy
+from dataclasses import replace
 from typing import List, Optional
 
 from ..config import DEFAULT_SAMPLING, SamplingConfig
@@ -95,17 +95,22 @@ class MultiLevelSampler:
 
             # The second level re-samples *within* phases, so the phase
             # structure — weights, members, cluster quality — is the
-            # coarse clustering's; only the representative terms differ
-            # (the harness computes those from the plan's leaves).
+            # coarse clustering's, shared with COASTS's frozen record;
+            # this record only renames it and marks the re-sampled
+            # phases.  The representative terms differ, and the harness
+            # attributes them from the plan's leaves.
             self.last_diagnostics = None
             if coarse_diag is not None:
-                diag = copy.deepcopy(coarse_diag)
-                diag.method = self.method_name
-                for point in points:
-                    row = diag.phase_by_id(point.phase)
-                    if row is not None and point.is_resampled:
-                        row.resampled = True
-                self.last_diagnostics = diag
+                resampled = {p.phase for p in points if p.is_resampled}
+                self.last_diagnostics = replace(
+                    coarse_diag,
+                    method=self.method_name,
+                    phases=tuple(
+                        replace(row, resampled=True)
+                        if row.phase in resampled else row
+                        for row in coarse_diag.phases
+                    ),
+                )
             if span is not None:
                 span.set(
                     resampled_points=sum(

@@ -85,17 +85,6 @@ class InnerLoopSpec:
         body = max(1, self.block_size - 1)
         return max(1, int(round(body * (self.mix.load + self.mix.store))))
 
-    @property
-    def footprint_bytes(self) -> int:
-        """Approximate cache footprint one visit touches.
-
-        Memory instructions partition the region and each advances by
-        ``stride`` per iteration, so a visit spans about
-        ``k * iterations * stride`` bytes, capped by the region size.
-        """
-        span = self.mem_instructions_per_block * self.iterations * self.stride
-        return min(self.working_set, span)
-
 
 @dataclass(frozen=True)
 class RegimeSpec:

@@ -11,6 +11,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.harness.faults import FAULTS_ENV, STAGE_ORDER
+from repro.obs import MetricsRegistry, Tracer, write_trace_jsonl
 from repro.workloads import benchmark_names
 
 
@@ -232,3 +233,51 @@ class TestExecution:
         assert code == 0
         assert "granularity" in out
         assert "coarse" in out
+
+
+class TestObsDiag:
+    @pytest.fixture(scope="class")
+    def coasts_trace(self, tmp_path_factory):
+        """A gzip trace whose run span carries coasts diagnostics only."""
+        root = tmp_path_factory.mktemp("diag")
+        path = root / "t.jsonl"
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setenv("REPRO_CACHE_DIR", str(root / "cache"))
+            patch.setenv("REPRO_HISTORY_DIR", str(root / "history"))
+            patch.delenv(FAULTS_ENV, raising=False)
+            assert main(["--scale", "0.04", "run", "gzip", "--methods",
+                         "coasts", "--trace-out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--method", "simpoint"), ("--benchmark", "gzp"),
+    ])
+    def test_filter_matching_nothing_is_an_error(self, capsys, coasts_trace,
+                                                 flag, value):
+        capsys.readouterr()
+        code = main(["obs", "diag", str(coasts_trace), flag, value])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ")
+        assert f"{flag[2:]} '{value}'" in line
+        assert "gzip/config_a/coasts" in line
+
+    def test_matching_filter_renders_the_table(self, capsys, coasts_trace):
+        capsys.readouterr()
+        code = main(["obs", "diag", str(coasts_trace), "--method", "coasts",
+                     "--benchmark", "gzip"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("gzip / coasts (config_a): ")
+
+    def test_trace_without_diagnostics_is_a_notice(self, capsys, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        write_trace_jsonl(path, Tracer(), MetricsRegistry())
+        for extra in ((), ("--method", "simpoint")):
+            code = main(["obs", "diag", str(path), *extra])
+            assert code == 0
+            assert capsys.readouterr().out.startswith(
+                "no run diagnostics in this trace"
+            )

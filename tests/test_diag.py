@@ -10,6 +10,7 @@ giant-coarse-point telemetry.
 """
 
 import json
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -283,3 +284,49 @@ class TestClusterQuality:
         )
         with pytest.raises(ClusteringError):
             cluster_quality(data, result)
+
+
+class TestFrozenPlanRecords:
+    def test_shared_plan_record_is_never_mutated(self, test_sampling):
+        """One plan serves configs A and B: attributing either run must
+        leave the memoised plan-time records exactly as built."""
+        runner = ExperimentRunner(
+            sampling=test_sampling,
+            cache=ResultCache(enabled=False),
+            workload_scale=TEST_SCALE,
+        )
+        runner.plans("gzip")
+        built = {
+            name: diag for name, (_, diag) in
+            runner.context("gzip").built.items() if diag is not None
+        }
+        assert set(built) == set(runner.methods)
+        before = {
+            name: (json.dumps(diag.to_dict()), json.dumps(diag.members))
+            for name, diag in built.items()
+        }
+        assert all(diag.members for diag in built.values())
+        runner.run_benchmark("gzip", CONFIG_A)
+        run_b = runner.run_benchmark("gzip", CONFIG_B)
+        for name, (_, diag) in runner.context("gzip").built.items():
+            if diag is None:
+                continue
+            assert diag is built[name]
+            assert (json.dumps(diag.to_dict()),
+                    json.dumps(diag.members)) == before[name], name
+
+        fresh = ExperimentRunner(
+            sampling=test_sampling,
+            cache=ResultCache(enabled=False),
+            workload_scale=TEST_SCALE,
+        ).run_benchmark("gzip", CONFIG_B)
+        assert {name: diag.to_dict()
+                for name, diag in run_b.diagnostics.items()} == \
+            {name: diag.to_dict()
+             for name, diag in fresh.diagnostics.items()}
+
+        coasts = built["coasts"]
+        with pytest.raises(FrozenInstanceError):
+            coasts.method = "other"
+        with pytest.raises(FrozenInstanceError):
+            coasts.phases[0].resampled = True

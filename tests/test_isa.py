@@ -145,11 +145,6 @@ class TestLoopNest:
                      parent=0, depth=1)
         nest = LoopNest((outer, inner))
         assert [l.loop_id for l in nest.top_level] == [0]
-        assert [l.loop_id for l in nest.children_of(0)] == [1]
-        assert nest.innermost_containing(1).loop_id == 1
-        assert nest.innermost_containing(0).loop_id == 0
-        assert nest.loop_of_header(1).loop_id == 1
-        assert nest.loop_of_header(9) is None
 
 
 class TestInstructionMix:

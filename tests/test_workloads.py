@@ -76,11 +76,6 @@ class TestSpecValidation:
                 iteration_scale=(1.0,),
             )
 
-    def test_footprint_capped_by_working_set(self):
-        loop = InnerLoopSpec("l", working_set=1024, iterations=10_000,
-                             stride=64)
-        assert loop.footprint_bytes == 1024
-
     def test_regime_first_positions_monotone_information(self):
         spec = get_spec("gzip")
         positions = spec.regime_first_positions()
