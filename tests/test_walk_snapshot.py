@@ -11,7 +11,11 @@ visits and the recency-list eviction) existed.  The cases cover:
 * a seeded sequence of overlapping ``simulate_range`` calls on one
   carried state (ranges that cut a segment, then re-enter it from its
   start), under config A and the conflicting L1I;
-* a hand-built trace whose segments repeat a memory block.
+* a hand-built trace whose segments repeat a memory block;
+* full walks of the first member of every program family under configs
+  A and B at scale 0.25: cache-hostile and multi-regime members drive
+  the occupancy ledgers' overflow and drain loop far harder than the
+  quick set does.
 
 The fast paths claim bit-identity, so this test admits no tolerance.
 Regenerate the file only for a deliberate change of the timing model::
@@ -33,10 +37,12 @@ from repro.config import CONFIG_A, CONFIG_B, CacheConfig
 from repro.detailed import SimulationResult, TimingSimulator
 from repro.engine import Segment, Trace
 from repro.workloads import QUICK_SUITE_NAMES
+from repro.workloads.families import family_names, member_name
 from repro.workloads.registry import load_trace
 
 SNAPSHOT = Path(__file__).parent / "data" / "walk_snapshot.json"
 SCALE = 0.12
+FAMILY_SCALE = 0.25
 #: 8 lines, direct-mapped: every quick program's code conflicts in it.
 TINY_IL1 = replace(
     CONFIG_A, name="tiny_il1", icache=CacheConfig("il1", 256, 1, 32, 1)
@@ -120,6 +126,12 @@ def walks() -> Iterator[Tuple[str, SimulationResult]]:
             overlapping_ranges(repeated, count=12, seed=5)):
         yield (f"carried/repeated/config_a/{index}",
                simulator.simulate_range(start, end, state=state))
+    for family in family_names():
+        member = member_name(family, 0)
+        trace = load_trace(member, scale=FAMILY_SCALE)
+        for config in (CONFIG_A, CONFIG_B):
+            simulator = TimingSimulator(trace, config)
+            yield f"full/{member}/{config.name}", simulator.simulate_full()
 
 
 def render(cases: Dict[str, Dict[str, object]]) -> str:
