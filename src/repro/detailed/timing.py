@@ -22,9 +22,16 @@ floats.
 The walk is array-native: everything static about a segment depends only
 on its *kind* (block sequence, and whether it is a loop body), so the
 simulator builds one statics record per kind when it is constructed and
-walks plain ``(segment, rep offset, reps)`` ints from
-:meth:`Trace.piece_bounds` — no :class:`~repro.engine.trace.Segment` view
-is ever materialised.
+walks plain ``(segment, rep offset, reps)`` ints — no
+:class:`~repro.engine.trace.Segment` view is ever materialised.
+
+**One loop.**  :meth:`TimingSimulator.simulate_range` is the whole walk:
+one ``while`` that cuts pieces as :meth:`Trace.piece_bounds` does and
+simulates each in the same frame.  Its counters are locals that start
+from the passed result, take each piece's additions in walk order and are
+written back once, so every float is what per-piece updates would give.
+``min``/``max`` are conditionals, which cost no call: ``b if b < a else
+a`` returns the operand ``min(a, b)`` returns, ties included.
 
 A piece does only the work that can change machine state or a counter;
 both shortcuts below book bit-identical results:
@@ -46,12 +53,16 @@ both shortcuts below book bit-identical results:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from itertools import product
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+
+import numpy as np
 
 from ..config import MachineConfig
 from ..engine.trace import Trace
+from ..errors import TraceError
 from ..isa.opcodes import Opcode
 from ..obs import (
     DETAILED_CALLS,
@@ -60,6 +71,7 @@ from ..obs import (
     MetricsRegistry,
 )
 from ..uarch.branch import (
+    COUNTER_MAX,
     advance_loop_branch,
     exit_loop_branch,
     stationary_mispredict_rate,
@@ -74,8 +86,24 @@ from .results import SimulationResult
 L1_MISS_OVERLAP = 3.0
 
 
-@dataclass
-class _BlockMemory:
+def _loop_branch_table() -> Dict[Tuple[int, int, bool], Tuple[int, float]]:
+    """``(counter, min(takens, 3), ends) -> (counter, mispredicts)`` of a
+    loop back-edge piece: *takens* taken outcomes, then the exit if the
+    piece *ends* its segment.  Three takens saturate the 2-bit counter."""
+    table = {}
+    for counter, takens in product(range(COUNTER_MAX + 1), range(4)):
+        state, missed = advance_loop_branch(counter, takens)
+        table[counter, takens, False] = (state, float(missed))
+        state, exit_missed = exit_loop_branch(state)
+        table[counter, takens, True] = (state, float(missed) + exit_missed)
+    return table
+
+
+#: The loop back-edge counter: one lookup per piece.
+LOOP_BRANCH = _loop_branch_table()
+
+
+class _BlockMemory(NamedTuple):
     """Aggregate memory behaviour of one block's memory instructions.
 
     A block's memory instructions partition its region into chunks and
@@ -92,8 +120,7 @@ class _BlockMemory:
     load_fraction: float
 
 
-@dataclass
-class _KindStatics:
+class _KindStatics(NamedTuple):
     """Per-kind constants hoisted out of the piece-simulation loop.
 
     A segment's *kind* is its block sequence plus whether it is a loop
@@ -235,23 +262,28 @@ class TimingSimulator:
             max(per_set.values(), default=0) <= config.icache.assoc
         )
 
-        # One statics record per kind, and each segment's kind index.
-        flat = trace.flat_blocks.tolist()
-        offsets = trace.flat_offsets.tolist()
-        rep_lengths = trace.rep_lengths.tolist()
-        kind_of: Dict[Tuple[Tuple[int, ...], bool], int] = {}
-        self._kind_statics: List[_KindStatics] = []
-        self._segment_kind: List[int] = []
-        for index, is_loop in enumerate((trace.loop_id >= 0).tolist()):
-            key = (tuple(flat[offsets[index]:offsets[index + 1]]), is_loop)
-            kind = kind_of.get(key)
-            if kind is None:
-                kind = kind_of[key] = len(self._kind_statics)
-                self._kind_statics.append(
-                    self._build_statics(key[0], is_loop, rep_lengths[index])
-                )
-            self._segment_kind.append(kind)
-        self._segment_reps: List[int] = trace.reps.tolist()
+        # One statics record per kind, numbered by first appearance (the
+        # argsort of the argsort of first indices).  A single-block kind is
+        # the code block * 2 + is_loop; multi-block ones get negative codes.
+        flat, offsets = trace.flat_blocks.tolist(), trace.flat_offsets
+        is_loop = trace.loop_id >= 0
+        codes = trace.flat_blocks[offsets[:-1]] * 2 + is_loop
+        multi: Dict[Tuple[Tuple[int, ...], bool], int] = {}
+        many = np.flatnonzero(trace.blocks_per_segment > 1)
+        for i, lo, hi, loop in zip(many.tolist(), offsets[many].tolist(),
+                                   offsets[many + 1].tolist(),
+                                   is_loop[many].tolist()):
+            key = (tuple(flat[lo:hi]), loop)
+            codes[i] = -1 - multi.setdefault(key, len(multi))
+        _, first, inverse = np.unique(codes, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        self._segment_kind: List[int] = np.argsort(order)[inverse].tolist()
+        self._kind_statics: List[_KindStatics] = [
+            self._build_statics(tuple(flat[offsets[i]:offsets[i + 1]]),
+                                bool(is_loop[i]), int(trace.rep_lengths[i]))
+            for i in first[order].tolist()
+        ]
 
     def _build_statics(
         self, blocks: Tuple[int, ...], is_loop: bool, rep_insts: int
@@ -318,130 +350,147 @@ class TimingSimulator:
             state = self.new_state()
         if result is None:
             result = SimulationResult()
-        before = result.instructions
-        pieces = 0
-        for seg_index, rep_offset, n in self.trace.piece_bounds(start, end):
-            self._simulate_piece(seg_index, rep_offset, n, state, result)
-            pieces += 1
+        trace = self.trace
+        if start < 0 or end > trace.total_instructions or start >= end:
+            raise TraceError(f"bad clip range [{start}, {end})")
+        start, end = int(start), int(end)
+        seg_starts, rep_lengths, seg_reps = trace._piece_columns
+        kind_statics, segment_kind = self._kind_statics, self._segment_kind
+        l1d_penalty, l2_penalty = self.l1d_penalty, self.l2_penalty
+        branch_penalty, mlp = self.branch_penalty, self.mlp
+        data, il1, fetched = state.data, state.il1, state.fetched
+        visits, loop_counters = data.visits, state.loop_counters
+        # The counters, written back to *result* once after the loop.
+        (instructions, total_cycles, l1d_accesses, l1d_misses, l1i_accesses,
+         l1i_misses, l2_accesses, l2_misses, branches, mispredicts) = (
+            result.instructions, result.cycles, result.l1d_accesses,
+            result.l1d_misses, result.l1i_accesses, result.l1i_misses,
+            result.l2_accesses, result.l2_misses, result.branches,
+            result.mispredicts)
+        before = instructions
+
+        index = first_index = bisect_right(seg_starts, start) - 1
+        seg_start = seg_starts[index]
+        while seg_start < end:
+            # The piece, as Trace.piece_bounds cuts it: whole reps rounded
+            # outward, at least one rep and at most the segment's.
+            seg_end = seg_starts[index + 1]
+            rep_len, reps = rep_lengths[index], seg_reps[index]
+            rep_offset = ((start - seg_start) // rep_len
+                          if start > seg_start else 0)
+            last_rep = ((end if end < seg_end else seg_end) - seg_start
+                        + rep_len - 1) // rep_len
+            if last_rep <= rep_offset:
+                last_rep = rep_offset + 1
+            if last_rep > reps:
+                last_rep = reps
+            n = last_rep - rep_offset
+            includes_end = last_rep == reps
+            (rep_insts, rep_cycles, rep_fetch_lines, rep_mem_insts, blocks,
+             distinct_visits, plain_branches, plain_rate_sum,
+             loop_branch_block) = kind_statics[segment_kind[index]]
+            # A whole-segment piece keeps no visit state, unless a visit is
+            # open (an earlier range on this state cut its segment) or a
+            # block recurs in the segment (reusing its first batch's rates).
+            whole = (rep_offset == 0 and includes_end and distinct_visits
+                     and not visits)
+
+            # Batched stateless quantities: instruction and access counts,
+            # steady-state cycles, data-dependent branch mispredicts.
+            instructions += rep_insts * n
+            l1i_accesses += rep_fetch_lines * n
+            l1d_accesses += rep_mem_insts * n
+            cycles = rep_cycles * n
+            if plain_branches:
+                expected = n * plain_rate_sum
+                branches += plain_branches * n
+                mispredicts += expected
+                cycles += expected * branch_penalty
+
+            # State-carrying accesses stay in block order: instruction
+            # fetch and data touches of one block interleave exactly as the
+            # scalar loop interleaved them (they share the L2 occupancy
+            # ledger, whose recency ordering is order-sensitive).
+            for block_id, ilines, memory in blocks:
+                # Instruction fetch: each line goes through the real L1I
+                # once per piece; the other n-1 rounds hit by construction.
+                # A block already fetched into an L1I that never evicts
+                # hits on every line.
+                if block_id not in fetched:
+                    block_misses, miss_lines = il1.access_run(ilines)
+                    if self.l1i_eviction_free:
+                        fetched.add(block_id)
+                    if block_misses:
+                        l1i_misses += block_misses
+                        l2i_misses = data.access_code(
+                            state.code_lines, float(len(miss_lines))
+                        )
+                        l2_accesses += block_misses
+                        l2_misses += l2i_misses
+                        cycles += (block_misses * self.l1i_penalty
+                                   + l2i_misses * l2_penalty)
+
+                # Data: touches scale linearly in n and the visit is keyed by
+                # (segment index, block), so any rep-aligned split of a
+                # segment books exactly what the whole segment does.
+                if memory is not None:
+                    region, ws_lines, _, per_rep, load_fraction = memory
+                    touches = per_rep * n
+                    visit_touches = (per_rep * reps
+                                     if per_rep * reps > 1.0 else 1.0)
+                    if whole:
+                        # What access_data books for a visit's only batch.
+                        l1_hit, l2_hit = data.enter_visit(
+                            region, ws_lines, visit_touches
+                        )
+                        l1m = touches * (1.0 - l1_hit)
+                        l2m = l1m * (1.0 - l2_hit)
+                    else:
+                        l1m, l2m = data.access_data(
+                            region, ws_lines, (index, block_id),
+                            visit_touches, touches,
+                        )
+                    l1d_misses += l1m
+                    l2_accesses += l1m
+                    l2_misses += l2m
+                    cycles += ((l1m * l1d_penalty + l2m * l2_penalty)
+                               * load_fraction / mlp)
+
+            # The loop back-edge's 2-bit counter is private state: running
+            # it after the cache accesses cannot change a cache outcome.
+            if loop_branch_block >= 0:
+                takens = n - 1 if includes_end else n
+                counter, missed = LOOP_BRANCH[
+                    loop_counters.get(loop_branch_block, 1),
+                    takens if takens < 3 else 3, includes_end,
+                ]
+                loop_counters[loop_branch_block] = counter
+                branches += n
+                mispredicts += missed
+                cycles += missed * branch_penalty
+
+            total_cycles += cycles
+            # The segment's visits are over; dropping them keeps the visit
+            # table at one segment's blocks instead of the whole trace's.
+            if includes_end and not whole:
+                for block_id, _, memory in blocks:
+                    if memory is not None:
+                        data.end_visit((index, block_id))
+            index += 1
+            seg_start = seg_end
+
+        (result.instructions, result.cycles, result.l1d_accesses,
+         result.l1d_misses, result.l1i_accesses, result.l1i_misses,
+         result.l2_accesses, result.l2_misses, result.branches,
+         result.mispredicts) = (instructions, total_cycles, l1d_accesses,
+                                l1d_misses, l1i_accesses, l1i_misses,
+                                l2_accesses, l2_misses, branches, mispredicts)
         # Coarse accounting only: simulate_full delegates here, so every
         # detail-simulated instruction is counted exactly once, outside
         # the hot loop.
         self.metrics.counter(DETAILED_CALLS).inc()
-        self.metrics.counter(DETAILED_PIECES).inc(pieces)
+        self.metrics.counter(DETAILED_PIECES).inc(index - first_index)
         self.metrics.counter(DETAILED_INSTRUCTIONS).inc(
-            float(result.instructions - before)
+            float(instructions - before)
         )
         return result
-
-    # ------------------------------------------------------------------
-    def _simulate_piece(
-        self,
-        seg_index: int,
-        rep_offset: int,
-        n: int,
-        state: MachineState,
-        result: SimulationResult,
-    ) -> None:
-        """Simulate *n* reps of segment *seg_index* from rep *rep_offset*."""
-        statics = self._kind_statics[self._segment_kind[seg_index]]
-        seg_reps = self._segment_reps[seg_index]
-        includes_end = rep_offset + n == seg_reps
-        data = state.data
-        il1 = state.il1
-        fetched = state.fetched
-        # A whole-segment piece keeps no visit state, unless a visit is
-        # open (its segment was cut by an earlier range on this state) or
-        # a block recurs in the segment (its second batch reuses the
-        # first's rates).
-        whole = (rep_offset == 0 and includes_end and statics.distinct_visits
-                 and not data.visits)
-
-        # Batched stateless quantities: instruction and access counts,
-        # steady-state cycles, expected mispredicts of data-dependent
-        # branches.
-        result.instructions += statics.rep_insts * n
-        result.l1i_accesses += statics.rep_fetch_lines * n
-        result.l1d_accesses += statics.rep_mem_insts * n
-        cycles = statics.rep_cycles * n
-        if statics.plain_branches:
-            expected = n * statics.plain_rate_sum
-            result.branches += statics.plain_branches * n
-            result.mispredicts += expected
-            cycles += expected * self.branch_penalty
-
-        # State-carrying accesses stay in block order: instruction fetch
-        # and data touches of one block interleave exactly as the scalar
-        # loop interleaved them (they share the L2 occupancy ledger, whose
-        # recency ordering is order-sensitive).
-        for block_id, ilines, memory in statics.blocks:
-            # --- instruction fetch ----------------------------------------
-            # Each fetch line is touched through the real L1I once per
-            # piece; the remaining n-1 rounds re-fetch the same lines
-            # back-to-back and hit by construction.  A block already
-            # fetched into an L1I that never evicts hits on every line.
-            if block_id not in fetched:
-                l1i_misses, miss_lines = il1.access_run(ilines)
-                if self.l1i_eviction_free:
-                    fetched.add(block_id)
-                if l1i_misses:
-                    result.l1i_misses += l1i_misses
-                    l2i_misses = data.access_code(state.code_lines,
-                                                  float(len(miss_lines)))
-                    result.l2_accesses += l1i_misses
-                    result.l2_misses += l2i_misses
-                    cycles += (
-                        l1i_misses * self.l1i_penalty
-                        + l2i_misses * self.l2_penalty
-                    )
-
-            # --- data accesses ----------------------------------------------
-            # Touches scale linearly in n and the visit is keyed by
-            # (segment index, block), so any rep-aligned split of a
-            # segment books exactly what the whole segment does.
-            if memory is not None:
-                touches = memory.touches_per_rep * n
-                visit_touches = max(1.0, memory.touches_per_rep * seg_reps)
-                if whole:
-                    # What access_data books for a visit's only batch.
-                    l1_hit, l2_hit = data.enter_visit(
-                        memory.region, memory.ws_lines, visit_touches
-                    )
-                    l1m = touches * (1.0 - l1_hit)
-                    l2m = l1m * (1.0 - l2_hit)
-                else:
-                    l1m, l2m = data.access_data(
-                        memory.region, memory.ws_lines, (seg_index, block_id),
-                        visit_touches, touches,
-                    )
-                result.l1d_misses += l1m
-                result.l2_accesses += l1m
-                result.l2_misses += l2m
-                cycles += (
-                    (l1m * self.l1d_penalty + l2m * self.l2_penalty)
-                    * memory.load_fraction / self.mlp
-                )
-
-        # --- loop back-edge branch ---------------------------------------
-        # The 2-bit counter is private per-branch state: running it after
-        # the cache accesses cannot change any cache outcome.
-        if statics.loop_branch_block >= 0:
-            block_id = statics.loop_branch_block
-            counter = state.loop_counters.get(block_id, 1)
-            takens = n - 1 if includes_end else n
-            counter, mis = advance_loop_branch(counter, takens)
-            mispredicts = float(mis)
-            if includes_end:
-                counter, exit_mis = exit_loop_branch(counter)
-                mispredicts += exit_mis
-            state.loop_counters[block_id] = counter
-            result.branches += n
-            result.mispredicts += mispredicts
-            cycles += mispredicts * self.branch_penalty
-
-        result.cycles += cycles
-        # The segment's visits are over; dropping them keeps the visit
-        # table at one segment's blocks instead of the whole trace's.
-        if includes_end and not whole:
-            for block_id, _, memory in statics.blocks:
-                if memory is not None:
-                    data.end_visit((seg_index, block_id))

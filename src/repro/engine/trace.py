@@ -11,8 +11,8 @@ int64 arrays (``flat_blocks`` plus per-segment ``blocks_per_segment``,
 profilers index directly.  :class:`Segment` tuples are
 materialised lazily, only for the consumers that still want object views
 (:meth:`Trace.clip`'s pieces, read by the instruction-level OoO reference
-and the scalar profiling twins); the block-level timing simulator walks
-:meth:`Trace.piece_bounds` ints and never builds one.
+and the scalar profiling twins); the block-level timing simulator cuts
+:meth:`Trace.piece_bounds`' pieces inline and never builds one.
 
 Every consumer — the functional profiler, both detailed simulators, the
 sampling cost accounting — reads the *same* trace, so baseline and sampled
@@ -276,8 +276,8 @@ class Trace:
     @cached_property
     def _piece_columns(self) -> Tuple[List[int], List[int], List[int]]:
         """Python-list copies of ``seg_starts``, ``rep_lengths`` and
-        ``reps``: :meth:`piece_bounds` does plain int arithmetic per
-        segment, which on lists avoids a NumPy scalar per access."""
+        ``reps``: the piece arithmetic is plain int math per segment,
+        which on lists avoids a NumPy scalar per access."""
         return (
             self.seg_starts.tolist(),
             self.rep_lengths.tolist(),
@@ -293,9 +293,9 @@ class Trace:
         Pieces are rounded *outward* to rep boundaries, so the union of the
         yielded pieces is a superset of the requested range; callers measure
         the instructions they actually simulated from the pieces themselves.
-        This is the one piece arithmetic of the trace: :meth:`clip` wraps
-        it in :class:`SegmentPiece` views, and the detailed walk consumes
-        the ints directly.
+        This is the trace's piece arithmetic: :meth:`clip` wraps it in
+        :class:`SegmentPiece` views, and the detailed walk repeats it
+        inline, held to this method by tests.
         """
         if start < 0 or end > self.total_instructions or start >= end:
             raise TraceError(f"bad clip range [{start}, {end})")

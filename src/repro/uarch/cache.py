@@ -58,11 +58,6 @@ class Cache:
             ways.popitem(last=False)
         return False
 
-    def contains(self, line: int) -> bool:
-        """True if the line is resident (no state change, no stats)."""
-        ways = self._sets.get(line % self.n_sets)
-        return bool(ways) and line in ways
-
     # ------------------------------------------------------------------
     def access_run(self, lines: np.ndarray) -> Tuple[int, List[int]]:
         """Access a run of distinct-line touches.

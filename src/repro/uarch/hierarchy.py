@@ -20,12 +20,6 @@ class MemoryHierarchy:
         self.dl1 = Cache(config.dcache)
         self.ul2 = Cache(config.l2cache)
 
-    def reset(self) -> None:
-        """Invalidate all levels and zero their statistics."""
-        self.il1.reset()
-        self.dl1.reset()
-        self.ul2.reset()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<MemoryHierarchy il1={self.il1!r} dl1={self.dl1!r} "

@@ -47,6 +47,10 @@ the walk drains to zero leaves the list until it is installed again
 overflow is still summed over every region in first-install order, so
 each float is what the stamped, sorted ledger computed.
 
+**Tie rule.**  The per-visit code writes ``min(a, b)`` as ``b if b < a
+else a`` and ``max(a, b)`` as ``b if b > a else a``: the operand the
+builtin returns, ties included, without a call.
+
 The set-associative model in :mod:`repro.uarch.cache` remains in use for
 the instruction cache and the instruction-level OoO reference simulator.
 """
@@ -69,13 +73,15 @@ def visit_hit_rate(
         return 0.0
     if footprint <= 0:
         raise SimulationError("bad footprint")
-    resident = min(resident, footprint)
-    first = min(visit_touches, footprint)
+    resident = footprint if footprint < resident else resident
+    first = footprint if footprint < visit_touches else visit_touches
     hits = first * (resident / footprint)
     rest = visit_touches - first
     if rest > 0:
-        hits += rest * min(1.0, capacity / footprint)
-    return min(1.0, hits / visit_touches)
+        fits = capacity / footprint
+        hits += rest * (fits if fits < 1.0 else 1.0)
+    rate = hits / visit_touches
+    return rate if rate < 1.0 else 1.0
 
 
 class OccupancyCache:
@@ -112,19 +118,21 @@ class OccupancyCache:
         it most recently used and evicting stalest regions on overflow."""
         residency = self._residency
         recency = self._recency
-        residency[region] = min(lines, self.capacity)
+        capacity = self.capacity
+        residency[region] = capacity if capacity < lines else lines
         recency[region] = None
         recency.move_to_end(region)
-        overflow = sum(residency.values()) - self.capacity
+        overflow = sum(residency.values()) - capacity
         if overflow > 1e-9:
             drained = []
             for key in recency:
                 if key == region:
                     continue
-                take = min(overflow, residency[key])
-                residency[key] -= take
+                held = residency[key]
+                take = held if held < overflow else overflow
+                residency[key] = held = held - take
                 overflow -= take
-                if not residency[key]:
+                if not held:
                     drained.append(key)
                 if overflow <= 1e-9:
                     break
@@ -133,7 +141,8 @@ class OccupancyCache:
             for key in drained:
                 del recency[key]
             if overflow > 1e-9:
-                residency[region] = max(0.0, residency[region] - overflow)
+                left = residency[region] - overflow
+                residency[region] = left if left > 0.0 else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -204,8 +213,8 @@ class DataHierarchyModel:
         to remember them for.
         """
         l1, l2 = self.l1, self.l2
-        l1_before = l1.residency(region)
-        l2_before = l2.residency(region)
+        l1_before = l1._residency.get(region, 0.0)
+        l2_before = l2._residency.get(region, 0.0)
         l1_hit = visit_hit_rate(
             l1_before, footprint, visit_touches, l1.capacity
         )
@@ -214,12 +223,11 @@ class DataHierarchyModel:
         # After the visit the region holds what it had plus the newly
         # missed lines (a full sweep leaves the whole footprint resident, a
         # sparse traversal only its touched subset), capacity permitting.
-        l1.install(region, min(
-            footprint, l1_before + visit_touches * (1.0 - l1_hit)
-        ))
-        l2.install(region, min(
-            footprint, l2_before + l2_touches * (1.0 - l2_hit)
-        ))
+        # The L1 misses are the L2's touches.
+        after = l1_before + l2_touches
+        l1.install(region, after if after < footprint else footprint)
+        after = l2_before + l2_touches * (1.0 - l2_hit)
+        l2.install(region, after if after < footprint else footprint)
         return l1_hit, l2_hit
 
     def end_visit(self, visit_key: Hashable) -> None:

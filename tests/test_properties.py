@@ -17,7 +17,7 @@ from repro.errors import TraceError
 from repro.harness.cache import ResultCache
 from repro.harness.runner import ExperimentRunner
 from repro.isa.builder import _BulkDraws
-from repro.obs import DETAILED_INSTRUCTIONS
+from repro.obs import DETAILED_INSTRUCTIONS, DETAILED_PIECES, MetricsRegistry
 from repro.samplers import PlanContext, get_sampler, registered_methods
 from repro.sampling import SimPoint
 from repro.sampling.points import SamplingPlan, SimulationPoint
@@ -126,6 +126,19 @@ class _ClockOrderedLedger:
                 )
 
 
+def _min_max_visit_hit_rate(resident, footprint, visit_touches, capacity):
+    """The visit hit-rate formula written with builtin ``min``/``max``."""
+    if visit_touches <= 0:
+        return 0.0
+    resident = min(resident, footprint)
+    first = min(visit_touches, footprint)
+    hits = first * (resident / footprint)
+    rest = visit_touches - first
+    if rest > 0:
+        hits += rest * min(1.0, capacity / footprint)
+    return min(1.0, hits / visit_touches)
+
+
 class TestCacheProperties:
     @given(lines=st.lists(st.integers(0, 500), min_size=1, max_size=200))
     @settings(max_examples=50)
@@ -194,6 +207,30 @@ class TestCacheProperties:
                                            touches, capacity):
         rate = visit_hit_rate(resident, footprint, touches, capacity)
         assert 0.0 <= rate <= 1.0
+
+    @given(
+        resident=st.floats(0, 1000),
+        footprint=st.one_of(st.floats(1, 1000),
+                            st.integers(1, 1000).map(float)),
+        touches=st.floats(0, 5000),
+        capacity=st.floats(1, 2000),
+        tie=st.sampled_from([None, "resident", "touches", "capacity"]),
+    )
+    @settings(max_examples=300)
+    def test_visit_hit_rate_matches_min_max_reference(
+            self, resident, footprint, touches, capacity, tie):
+        """The conditional expressions pick what ``min``/``max`` pick,
+        ties included, float for float."""
+        if tie == "resident":
+            resident = footprint
+        elif tie == "touches":
+            touches = footprint
+        elif tie == "capacity":
+            capacity = footprint
+        rate = visit_hit_rate(resident, footprint, touches, capacity)
+        assert rate.hex() == _min_max_visit_hit_rate(
+            resident, footprint, touches, capacity
+        ).hex()
 
 
 class TestClusteringProperties:
@@ -423,6 +460,29 @@ class TestPieceBounds:
             st.integers(-total, start), st.integers(total + 1, 2 * total)
         ))
         _assert_same_bad_range_error(small_trace, start, end)
+
+
+class TestWalkPieces:
+    """The walk's inline piece arithmetic walks ``piece_bounds``' pieces."""
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_each_range_books_its_pieces(self, small_trace, data):
+        total = small_trace.total_instructions
+        metrics = MetricsRegistry()
+        simulator = TimingSimulator(small_trace, CONFIG_A, metrics=metrics)
+        state = simulator.new_state()
+        for _ in range(data.draw(st.integers(1, 6))):
+            start = data.draw(st.integers(0, total - 1))
+            end = data.draw(st.integers(start + 1, total))
+            pieces = list(small_trace.piece_bounds(start, end))
+            before = metrics.value(DETAILED_PIECES)
+            walked = simulator.simulate_range(start, end, state=state)
+            assert metrics.value(DETAILED_PIECES) - before == len(pieces)
+            assert walked.instructions == sum(
+                n * int(small_trace.rep_lengths[index])
+                for index, _, n in pieces
+            )
 
 
 def _assert_close(left, right, path="result", floor=1e-300):

@@ -7,11 +7,16 @@ import pytest
 
 from repro.config import CONFIG_A, CONFIG_B, CacheConfig
 from repro.detailed import SimulationResult, TimingSimulator
+from repro.detailed.timing import LOOP_BRANCH
 from repro.engine import Segment, Trace
 from repro.errors import TraceError
 from repro.obs import DETAILED_CALLS, DETAILED_PIECES, MetricsRegistry
 from repro.sampling.estimate import simulate_tagged_ranges
-from repro.uarch import stationary_mispredict_rate
+from repro.uarch import (
+    advance_loop_branch,
+    exit_loop_branch,
+    stationary_mispredict_rate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +110,30 @@ class TestRangeSimulation:
     def test_empty_point_rejected(self, simulator):
         with pytest.raises(TraceError):
             simulator.simulate_range(100, 100)
+
+    def test_out_of_trace_range_rejected(self, simulator, small_trace):
+        total = small_trace.total_instructions
+        for bad in ((-1, 10), (0, total + 1), (10, 5)):
+            with pytest.raises(TraceError, match="bad clip range"):
+                simulator.simulate_range(*bad)
+
+
+class TestLoopBranchTable:
+    def test_table_equals_the_branch_helpers(self):
+        """Every (counter, takens, exit) a piece can bring, takens past
+        saturation included, reads what the two helpers compute."""
+        for counter in range(4):
+            for takens in range(11):
+                for includes_end in (False, True):
+                    state, missed = advance_loop_branch(counter, takens)
+                    mispredicts = float(missed)
+                    if includes_end:
+                        state, exit_missed = exit_loop_branch(state)
+                        mispredicts += exit_missed
+                    entry = LOOP_BRANCH[counter, min(takens, 3),
+                                        includes_end]
+                    assert entry == (state, mispredicts)
+                    assert type(entry[1]) is float
 
 
 class TestL1IEvictionFree:
