@@ -41,6 +41,7 @@ import shlex
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from queue import Empty, Queue
 from threading import Thread
@@ -709,8 +710,9 @@ class DispatchPool:
             _assign(now)
             if status == "ok":
                 _settle_obs(lease_id, message.get("obs"))
+                run = BenchmarkRun.from_dict(message["run"])
                 ledger.succeeded(
-                    lease.index, BenchmarkRun.from_dict(message["run"])
+                    lease.index, replace(run, cached=message["cached"])
                 )
             else:
                 info = message.get("info", {})

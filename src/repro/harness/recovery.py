@@ -21,11 +21,13 @@ share:
   (in suite order; the outcome iterates like a plain run list) plus the
   failures.
 * :class:`SuiteJournal` — an append-only JSONL checkpoint next to the
-  result cache: one fsync'd line per completed run or final failure, so
+  result cache: one fsync'd line per computed run or final failure, so
   checkpoint cost is O(1) per record and ``--resume`` skips completed
-  runs and re-attempts only failed or missing ones.  A crash mid-append
-  can tear at most the final line, which the loader drops (counted as
-  ``repro_journal_torn_total``) before healing the file.
+  runs and re-attempts only failed or missing ones.  A full cache hit
+  is not journaled: the result cache already holds it and re-serves it
+  on resume.  A crash mid-append can tear at most the final line, which
+  the loader drops (counted as ``repro_journal_torn_total``) before
+  healing the file.
 
 Retries are safe because every pipeline run is a pure function of its
 (benchmark spec, scale, sampling config, machine config) inputs
@@ -496,7 +498,7 @@ def suite_fingerprint(
 class SuiteJournal:
     """Append-only JSONL checkpoint of suite progress, for ``--resume``.
 
-    The suite driver records every completed run (with its full result
+    The suite driver records every run it computed (with its full result
     payload) and every final failure as **one appended, fsync'd line**
     — O(1) per record, where the original rewrite-the-file scheme cost
     O(records) per record and made checkpointing quadratic over a
@@ -506,7 +508,9 @@ class SuiteJournal:
     rewrite (mkstemp + ``os.replace``, the :class:`ResultCache`
     discipline) so later appends cannot concatenate onto a torn tail.
     Whole-file rewrites remain only for the rare structural edits:
-    ``reset`` and ``drop_failures``.
+    ``reset`` and ``drop_failures``.  Appended entries are written, not
+    kept: :meth:`completed` and :meth:`failed` describe what
+    :meth:`load` read, and the rewrites rewrite exactly that.
 
     Only the suite *parent* writes the journal (workers return results
     to it), so there is a single writer per file — this is also the
@@ -525,6 +529,8 @@ class SuiteJournal:
         self.path = Path(path)
         self.fingerprint = fingerprint
         self.metrics = metrics
+        #: The header plus what :meth:`load` read; empty until the file
+        #: has a header of this suite's fingerprint.
         self._entries: List[dict] = []
 
     @staticmethod
@@ -620,8 +626,9 @@ class SuiteJournal:
     def drop_failures(self) -> None:
         """Forget recorded failures (they are about to be re-attempted).
 
-        A structural edit, so this is one atomic whole-file rewrite —
-        it happens once per resume, not once per record.
+        A structural edit, so this is one atomic whole-file rewrite of
+        what :meth:`load` read — call it before appending — once per
+        resume, not once per record.
         """
         self._entries = [
             e for e in self._entries if e.get("type") != "failure"
@@ -632,7 +639,7 @@ class SuiteJournal:
     def record_run(
         self, benchmark: str, config_name: str, payload: dict
     ) -> None:
-        """Checkpoint one completed run (one appended, fsync'd line)."""
+        """Checkpoint one computed run (one appended, fsync'd line)."""
         self._append({
             "type": "run",
             "benchmark": benchmark,
@@ -652,7 +659,6 @@ class SuiteJournal:
         """
         if not self._entries:
             self.reset()
-        self._entries.append(entry)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a", encoding="utf-8") as handle:
             handle.write(json.dumps(entry) + "\n")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -181,6 +181,11 @@ class BenchmarkRun:
     #: clustering-quality telemetry) of every method whose sampler
     #: returns a clustering diag.
     diagnostics: Dict[str, MethodDiag] = field(default_factory=dict)
+    #: True when :meth:`ExperimentRunner.run_benchmark` served this run
+    #: whole from the result cache.  Bookkeeping, not result: it is left
+    #: out of ``==`` and of :meth:`to_dict`, and the suite journal skips
+    #: cached runs (the cache re-serves them on ``--resume``).
+    cached: bool = field(default=False, compare=False)
 
     # ------------------------------------------------------------------
     def simulation_time(
@@ -494,13 +499,16 @@ class ExperimentRunner:
                             "cache_hit", benchmark=benchmark,
                             config=config.name,
                         )
-                    run = self._select_methods(cached)
                     # A cached run still carries its diagnostics on its
-                    # run span (for `obs diag`) and in its gauges.
+                    # run span (for `obs diag`) and in its gauges, in the
+                    # serialised form the cache payload already holds.
                     record_diag_metrics(
-                        self.obs.metrics, span, config.name, run.diagnostics
+                        self.obs.metrics, span, config.name,
+                        self._select_diagnostics(payload["diagnostics"]),
                     )
-                    return run
+                    return replace(
+                        self._select_methods(cached), cached=True
+                    )
                 logger.debug(
                     "[%s] %s: partial cache hit (computing %s)",
                     config.name, benchmark, ", ".join(compute),
@@ -567,16 +575,17 @@ class ExperimentRunner:
                 methods=merged_methods,
                 diagnostics=merged_diags,
             )
-            self.cache.put(key, merged.to_dict())
-            run = self._select_methods(merged)
+            published = merged.to_dict()
+            self.cache.put(key, published)
             record_diag_metrics(
-                self.obs.metrics, span, config.name, run.diagnostics
+                self.obs.metrics, span, config.name,
+                self._select_diagnostics(published["diagnostics"]),
             )
             # Fault-injection hook: tests corrupt the just-published entry
             # to prove torn cache files are quarantined, not trusted
             # (no-op unless $REPRO_FAULTS configures a `corrupt` fault).
             corrupt_cache_entry(self.cache, key, benchmark)
-            return run
+            return self._select_methods(merged)
 
     def _select_methods(self, run: BenchmarkRun) -> BenchmarkRun:
         """*run* restricted and re-ordered to this runner's method set."""
@@ -593,6 +602,14 @@ class ExperimentRunner:
                 for name in self.methods if name in run.diagnostics
             },
         )
+
+    def _select_diagnostics(self, diagnostics: dict) -> dict:
+        """Serialised *diagnostics* (``{method: MethodDiag.to_dict()}``)
+        restricted to this runner's methods, in their order."""
+        return {
+            name: diagnostics[name]
+            for name in self.methods if name in diagnostics
+        }
 
     @staticmethod
     def _diagnose(
@@ -735,7 +752,9 @@ class ExperimentRunner:
         plane = self.telemetry
 
         def _journal_run(_: int, run: BenchmarkRun) -> None:
-            if suite_journal is not None:
+            # A full cache hit is already stored: --resume re-serves it
+            # from the cache, so only computed runs cost a journal line.
+            if suite_journal is not None and not run.cached:
                 suite_journal.record_run(
                     run.benchmark, run.config_name, run.to_dict()
                 )

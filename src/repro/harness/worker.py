@@ -10,7 +10,8 @@ stdin/stdout (one JSON object per line):
   (periodically while a task executes, carrying a snapshot of the
   task's metrics registry once it exists), ``result`` (one per task,
   carrying the serialised run or error plus the worker's observability
-  shipment).
+  shipment; an ``ok`` result's ``cached`` says whether the run was a
+  full cache hit, which the dispatcher does not journal).
 * dispatcher → worker: ``task`` (a run spec under a lease), ``shutdown``.
 
 Every message carries the protocol version (:data:`PROTOCOL_VERSION`);
@@ -65,8 +66,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Version of the dispatcher <-> worker JSONL protocol.  Bump on any
 #: incompatible change to message shapes or task payload encoding
-#: (2: heartbeats carry whole-registry metrics snapshots).
-PROTOCOL_VERSION = 2
+#: (2: heartbeats carry whole-registry metrics snapshots; 3: an ``ok``
+#: result says whether the run was a full cache hit, ``cached``).
+PROTOCOL_VERSION = 3
 
 #: Exit code for protocol violations (unparseable/incompatible input).
 PROTOCOL_EXIT_CODE = 65  # EX_DATAERR
@@ -166,8 +168,8 @@ def _worker_run(
 
     Builds a local :class:`ExperimentRunner` (workers share only the
     on-disk cache), runs the benchmark, and returns either
-    ``("ok", run_payload, obs_payload)`` or — when the pipeline raises
-    a library error — ``("error", info)`` with the exception class,
+    ``("ok", run_payload, obs_payload, cached)`` or — when the pipeline
+    raises a library error — ``("error", info)`` with the exception class,
     message, traceback, failing stage and the worker's observability
     records (span trees, metrics), so the dispatcher can
     retry or record the failure.  Non-library exceptions (genuine bugs)
@@ -215,7 +217,10 @@ def _worker_run(
         )
     finally:
         faults.set_attempt(0)
-    return ("ok", run.to_dict(), _worker_obs(runner, worker=worker_label))
+    return (
+        "ok", run.to_dict(), _worker_obs(runner, worker=worker_label),
+        run.cached,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -315,7 +320,7 @@ def _execute_task(
     if outcome[0] == "ok":
         result = {
             "type": "result", "lease": lease, "status": "ok",
-            "run": outcome[1], "obs": outcome[2],
+            "run": outcome[1], "obs": outcome[2], "cached": outcome[3],
         }
     else:
         result = {

@@ -371,34 +371,36 @@ def attribute(
 # publishing (run span + gauges) and reading back from spans
 # ----------------------------------------------------------------------
 def record_diag_metrics(
-    registry, span, config: str, diags: Dict[str, MethodDiag]
+    registry, span, config: str, diags: Dict[str, dict]
 ) -> None:
     """Publish one run's diagnostics on its ``run`` *span* and *registry*.
 
-    The span gets a ``diagnostics`` attribute, ``{method:
-    MethodDiag.to_dict()}`` — the one serialised form.  Worker span
-    trees carry it to the driver and into ``--trace-out``, where
+    *diags* is the one serialised form, ``{method:
+    MethodDiag.to_dict()}``: the runner passes the ``diagnostics`` of
+    the payload it read from (or published to) the result cache, and the
+    span gets it as its ``diagnostics`` attribute.  Worker span trees
+    carry it to the driver and into ``--trace-out``, where
     :func:`run_diagnostics` reads it back.  *registry* (a
     :class:`~repro.obs.metrics.MetricsRegistry`, duck typed) gets each
     method's total error and residual per metric, so live ``/metrics``
     shows accuracy.  Publishing the same run twice is idempotent.
     """
-    span.set(diagnostics={
-        name: diag.to_dict() for name, diag in diags.items()
-    })
+    span.set(diagnostics=diags)
     for diag in diags.values():
         labels = {
-            "benchmark": diag.benchmark, "config": config,
-            "method": diag.method,
+            "benchmark": diag["benchmark"], "config": config,
+            "method": diag["method"],
         }
+        total_error = diag["total_error"]
+        residual = diag["residual"]
         for name in DIAG_METRICS:
-            if name in diag.total_error:
+            if name in total_error:
                 registry.gauge(DIAG_TOTAL_ERROR, metric=name, **labels).set(
-                    diag.total_error[name]
+                    total_error[name]
                 )
-            if name in diag.residual:
+            if name in residual:
                 registry.gauge(DIAG_RESIDUAL, metric=name, **labels).set(
-                    diag.residual[name]
+                    residual[name]
                 )
 
 

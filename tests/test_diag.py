@@ -135,6 +135,30 @@ class TestRoundTrips:
             rebuilt = MethodDiag.from_dict(payload)
             assert rebuilt.to_dict() == diag.to_dict()
 
+    def test_quick_run_records_round_trip_byte_for_byte(
+            self, tmp_path, test_sampling):
+        """A cache hit publishes the stored diagnostics as they are; the
+        computed path published ``MethodDiag.to_dict()``.  Both give the
+        same span bytes only if every stored record survives
+        ``from_dict``/``to_dict`` unchanged."""
+        runner = ExperimentRunner(
+            sampling=test_sampling,
+            cache=ResultCache(directory=tmp_path / "cache"),
+            workload_scale=TEST_SCALE,
+        )
+        assert runner.run_suite(CONFIG_A, quick=True, journal=False).ok
+        records = [
+            record
+            for path in sorted((tmp_path / "cache").glob("*.json"))
+            for record in json.loads(path.read_text())["payload"][
+                "diagnostics"].values()
+        ]
+        assert records
+        for record in records:
+            rebuilt = MethodDiag.from_dict(record).to_dict()
+            assert rebuilt == record
+            assert json.dumps(rebuilt) == json.dumps(record)
+
     def test_trace_round_trip(self, gcc_run, tmp_path):
         """The run span's diagnostics survive --trace-out exactly."""
         runner, run = gcc_run
@@ -151,9 +175,10 @@ class TestRoundTrips:
         _, run = gcc_run
         registry = MetricsRegistry()
         span = Span("run")
-        record_diag_metrics(registry, span, CONFIG_A.name, run.diagnostics)
+        diags = {name: d.to_dict() for name, d in run.diagnostics.items()}
+        record_diag_metrics(registry, span, CONFIG_A.name, diags)
         once = (registry.to_dict(), json.dumps(span.attributes))
-        record_diag_metrics(registry, span, CONFIG_A.name, run.diagnostics)
+        record_diag_metrics(registry, span, CONFIG_A.name, diags)
         assert (registry.to_dict(), json.dumps(span.attributes)) == once
         # Per method only: each run's total error and residual.
         assert {name for name, _, _ in registry.samples()} == \

@@ -298,20 +298,64 @@ class TestProtocolVersion:
         task = json.dumps({"v": PROTOCOL_VERSION - 1, "type": "task"})
         assert serve(io.StringIO(task + "\n"), stdout) == PROTOCOL_EXIT_CODE
         hello = json.loads(stdout.getvalue().splitlines()[0])
-        assert hello["v"] == PROTOCOL_VERSION == 2
+        assert hello["v"] == PROTOCOL_VERSION == 3
 
     def test_dispatcher_rejects_an_older_worker(
             self, tmp_path, test_sampling):
-        # A v1 worker's heartbeat shape differs: the campaign must stop,
-        # not misread it.
+        # An older worker's message shapes differ (a v2 result does not
+        # say whether its run was cached): the campaign must stop, not
+        # misread it.
         hello = json.dumps({"v": PROTOCOL_VERSION - 1, "type": "hello"})
         launcher = shlex.join([sys.executable, "-c", f"print({hello!r})"])
         runner = _runner(test_sampling, tmp_path)
         pool = DispatchPool(workers=1, launcher=launcher, lease_timeout=5.0)
-        with pytest.raises(DispatchError, match="speaks protocol 1"):
+        older = f"speaks protocol {PROTOCOL_VERSION - 1}"
+        with pytest.raises(DispatchError, match=older):
             runner.run_suite(CONFIG_A, names=SUITE_NAMES, pool=pool,
                              journal=False)
         _assert_no_orphans(pool)
+
+
+# A stand-in worker: answers every task with the run stored at argv[1],
+# flagged ``cached`` per argv[2].
+_CANNED_WORKER = """
+import json, os, sys
+run = json.load(open(sys.argv[1]))
+def send(message):
+    print(json.dumps(dict(message, v=%d)), flush=True)
+send({"type": "hello", "pid": os.getpid()})
+for line in sys.stdin:
+    task = json.loads(line)
+    if task["type"] != "task":
+        break
+    send({"type": "result", "lease": task["lease"], "status": "ok",
+          "run": run, "obs": None, "cached": sys.argv[2] == "1"})
+""" % PROTOCOL_VERSION
+
+
+class TestCachedResults:
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_worker_cached_flag_reaches_the_ledger(
+            self, tmp_path, test_sampling, cached):
+        run = _runner(test_sampling, tmp_path / "cache").run_benchmark("gzip")
+        (tmp_path / "run.json").write_text(json.dumps(run.to_dict()))
+        (tmp_path / "worker.py").write_text(_CANNED_WORKER)
+        launcher = shlex.join([
+            sys.executable, str(tmp_path / "worker.py"),
+            str(tmp_path / "run.json"), "1" if cached else "0",
+        ])
+        pool = DispatchPool(workers=1, launcher=launcher, lease_timeout=10.0)
+        journal = tmp_path / "suite.journal.jsonl"
+        outcome = _runner(test_sampling, tmp_path / "cache").run_suite(
+            CONFIG_A, names=("gzip",), pool=pool, journal=journal,
+        )
+        _assert_no_orphans(pool)
+        (committed,) = outcome
+        assert committed.cached is cached
+        assert committed == run
+        lines = [json.loads(line) for line in journal.read_text().splitlines()]
+        assert [entry["type"] for entry in lines] == \
+            ["header"] + ([] if cached else ["run"])
 
 
 # ----------------------------------------------------------------------

@@ -53,12 +53,13 @@ SUITE_NAMES = ("gzip", "lucas", "mcf")
 HANG_TIMEOUT = 3.0
 
 
-def _runner(sampling, cache_dir, jobs=1, **policy_kwargs):
+def _runner(sampling, cache_dir, jobs=1, methods=None, **policy_kwargs):
     policy_kwargs.setdefault("backoff_base", 0.0)
     return ExperimentRunner(
         sampling=sampling,
         cache=ResultCache(directory=cache_dir),
         workload_scale=TEST_SCALE,
+        methods=methods,
         jobs=jobs,
         policy=FaultPolicy(**policy_kwargs),
     )
@@ -761,6 +762,107 @@ class TestResume:
         runner = _runner(test_sampling, tmp_path)
         runner.run_suite(CONFIG_A, names=("gzip",), journal=False)
         assert list(tmp_path.glob("suite-*.journal.jsonl")) == []
+
+
+def _journaled_runs(path):
+    """Benchmarks of the run lines in the journal at *path*, in order
+    (the first line must be the header)."""
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
+    assert entries[0]["type"] == "header"
+    return [e["benchmark"] for e in entries[1:] if e["type"] == "run"]
+
+
+class TestJournalRecordsComputedRuns:
+    """The journal holds one line per run the invocation computed; a full
+    cache hit is stored already, and the cache re-serves it on resume."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_suite_journals_every_run_and_warm_none(
+            self, tmp_path, test_sampling, monkeypatch, jobs):
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        journal = tmp_path / "suite.journal.jsonl"
+        cold = _runner(test_sampling, tmp_path / "cache", jobs=jobs)
+        computed = cold.run_suite(CONFIG_A, names=SUITE_NAMES,
+                                  journal=journal)
+        assert computed.ok
+        assert sorted(_journaled_runs(journal)) == sorted(SUITE_NAMES)
+        assert not any(run.cached for run in computed)
+
+        warm = _runner(test_sampling, tmp_path / "cache", jobs=jobs)
+        served = warm.run_suite(CONFIG_A, names=SUITE_NAMES,
+                                journal=journal)
+        assert served.ok
+        assert _journaled_runs(journal) == []
+        assert all(run.cached for run in served)
+        assert _payload(served) == _payload(computed)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_partial_hit_journals_only_the_grown_run(
+            self, tmp_path, test_sampling, monkeypatch, jobs):
+        # gzip's entry lacks multilevel (a partial hit); lucas's has both
+        # methods (a full hit).  Only gzip computes, so only it journals.
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        cache = tmp_path / "cache"
+        for name, methods in (("gzip", ("coasts",)),
+                              ("lucas", ("coasts", "multilevel"))):
+            _runner(test_sampling, cache, methods=methods).run_suite(
+                CONFIG_A, names=(name,), journal=False,
+            )
+        journal = tmp_path / "suite.journal.jsonl"
+        runner = _runner(test_sampling, cache, jobs=jobs,
+                         methods=("coasts", "multilevel"))
+        outcome = runner.run_suite(CONFIG_A, names=("gzip", "lucas"),
+                                   journal=journal)
+        assert outcome.ok
+        assert _journaled_runs(journal) == ["gzip"]
+        assert [run.cached for run in outcome] == [False, True]
+
+    def test_interrupted_warm_suite_resumes_from_the_cache(
+            self, tmp_path, test_sampling, monkeypatch, clean_payload):
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
+        cache = tmp_path / "cache"
+        journal = tmp_path / "suite.journal.jsonl"
+        _runner(test_sampling, cache).run_suite(
+            CONFIG_A, names=SUITE_NAMES, journal=False,
+        )
+
+        # The warm suite dies at lucas after gzip was served from the
+        # cache: nothing was computed, so nothing was journaled.
+        run_benchmark = ExperimentRunner.run_benchmark
+
+        def interrupted(runner, benchmark, config=CONFIG_A):
+            if benchmark == "lucas":
+                raise KeyboardInterrupt
+            return run_benchmark(runner, benchmark, config)
+
+        monkeypatch.setattr(ExperimentRunner, "run_benchmark", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            _runner(test_sampling, cache).run_suite(
+                CONFIG_A, names=SUITE_NAMES, journal=journal,
+            )
+        assert _journaled_runs(journal) == []
+        monkeypatch.setattr(ExperimentRunner, "run_benchmark", run_benchmark)
+
+        resumed = _runner(test_sampling, cache)
+        outcome = resumed.run_suite(CONFIG_A, names=SUITE_NAMES,
+                                    resume=True, journal=journal)
+        assert outcome.ok
+        assert (resumed.cache.hits, resumed.cache.misses) == \
+            (len(SUITE_NAMES), 0)
+        runs = [s for s in resumed.obs.tracer.spans() if s.name == "run"]
+        assert [r.attributes["cache_hit"] for r in runs] == \
+            [True] * len(SUITE_NAMES)
+        assert _payload(outcome) == clean_payload
+        assert _journaled_runs(journal) == []
+
+    def test_cached_flag_is_not_part_of_the_result(
+            self, tmp_path, test_sampling):
+        computed = _runner(test_sampling, tmp_path).run_benchmark("gzip")
+        served = _runner(test_sampling, tmp_path).run_benchmark("gzip")
+        assert (computed.cached, served.cached) == (False, True)
+        assert served == computed
+        assert "cached" not in served.to_dict()
+        assert json.dumps(served.to_dict()) == json.dumps(computed.to_dict())
 
 
 class TestExperimentDegradation:
