@@ -45,6 +45,29 @@ def default_cache_dir() -> Path:
     return Path.cwd() / ".repro_cache"
 
 
+def atomic_write(path: Path, text: str) -> None:
+    """Replace *path* with *text* atomically.
+
+    The text goes to a ``mkstemp`` file beside *path* (unique per process
+    and call, named ``<stem>.*.tmp`` so :meth:`ResultCache.clear` sweeps
+    one a crash strands), published with :func:`os.replace`; on error
+    the temporary file is removed.
+    """
+    fd, tmp_name = tempfile.mkstemp(
+        prefix=path.stem + ".", suffix=".tmp", dir=path.parent
+    )
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
 class ResultCache:
     """A trivially simple key -> JSON file cache.
 
@@ -160,19 +183,7 @@ class ResultCache:
             "key": key,
             "payload": payload,
         })
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.stem + ".", suffix=".tmp", dir=self.directory
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        atomic_write(path, text)
 
     def clear(self) -> int:
         """Delete all cache files — including stranded ``*.tmp`` files

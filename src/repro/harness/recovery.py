@@ -42,7 +42,6 @@ import json
 import logging
 import os
 import signal
-import tempfile
 import threading
 import time
 import traceback as traceback_module
@@ -65,7 +64,7 @@ from ..obs import (
     RUNS_COMPLETED,
     MetricsRegistry,
 )
-from .cache import CACHE_SCHEMA_VERSION
+from .cache import CACHE_SCHEMA_VERSION, atomic_write
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .runner import BenchmarkRun, ExperimentRunner
@@ -505,8 +504,9 @@ class SuiteJournal:
     campaign.  A crash (even an OOM kill mid-append) can tear at most
     the final line; the loader drops any unparseable line, counts it as
     ``repro_journal_torn_total``, and heals the file with one atomic
-    rewrite (mkstemp + ``os.replace``, the :class:`ResultCache`
-    discipline) so later appends cannot concatenate onto a torn tail.
+    rewrite (:func:`~repro.harness.cache.atomic_write`, which
+    :class:`ResultCache` publishes with too) so later appends cannot
+    concatenate onto a torn tail.
     Whole-file rewrites remain only for the rare structural edits:
     ``reset`` and ``drop_failures``.  Appended entries are written, not
     kept: :meth:`completed` and :meth:`failed` describe what
@@ -668,17 +668,7 @@ class SuiteJournal:
     def _rewrite(self) -> None:
         """Atomically replace the whole file (reset / heal / drop)."""
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=self.path.stem + ".", suffix=".tmp", dir=self.path.parent
+        atomic_write(
+            self.path,
+            "".join(json.dumps(entry) + "\n" for entry in self._entries),
         )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                for entry in self._entries:
-                    handle.write(json.dumps(entry) + "\n")
-            os.replace(tmp_name, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise

@@ -10,9 +10,11 @@ For one benchmark and one machine configuration the runner:
    the full-trace baseline (the paper's "original sim-outorder" run),
    every plan's simulation points and every diagnostics phase at once,
    and reconstructs the weighted estimates;
-4. attributes each method's error to its phases (diagnostics);
-5. packages metrics, deviations and cost accounting into a serialisable
-   :class:`BenchmarkRun`, cached on disk.
+4. attributes each method's error to its phases (diagnostics), kept
+   only as the serialised ``MethodDiag.to_dict()`` records;
+5. stores metrics, deviations, cost accounting and those records as one
+   cache payload, from which every run is rebuilt
+   (:meth:`BenchmarkRun.from_dict`), computed or cached alike.
 
 Plans depend only on the benchmark (profiling is architecture-independent),
 so each benchmark's :class:`~repro.samplers.PlanContext` — its trace,
@@ -179,8 +181,10 @@ class BenchmarkRun:
     methods: Dict[str, MethodResult]
     #: Per-method accuracy diagnostics (per-phase error attribution and
     #: clustering-quality telemetry) of every method whose sampler
-    #: returns a clustering diag.
-    diagnostics: Dict[str, MethodDiag] = field(default_factory=dict)
+    #: returns a clustering diag, as stored: ``{method:
+    #: MethodDiag.to_dict()}``.  Only :mod:`repro.obs.diag` converts
+    #: between these records and :class:`~repro.obs.diag.MethodDiag`.
+    diagnostics: Dict[str, dict] = field(default_factory=dict)
     #: True when :meth:`ExperimentRunner.run_benchmark` served this run
     #: whole from the result cache.  Bookkeeping, not result: it is left
     #: out of ``==`` and of :meth:`to_dict`, and the suite journal skips
@@ -260,10 +264,7 @@ class BenchmarkRun:
                 }
                 for name, result in self.methods.items()
             },
-            "diagnostics": {
-                name: diag.to_dict()
-                for name, diag in self.diagnostics.items()
-            },
+            "diagnostics": dict(self.diagnostics),
         }
 
     @staticmethod
@@ -282,10 +283,7 @@ class BenchmarkRun:
                 )
                 for name, data in payload["methods"].items()
             },
-            diagnostics={
-                name: MethodDiag.from_dict(data)
-                for name, data in payload.get("diagnostics", {}).items()
-            },
+            diagnostics=dict(payload.get("diagnostics", {})),
         )
 
 
@@ -478,138 +476,124 @@ class ExperimentRunner:
         pure hit; a request that grows the set computes *only* the
         missing methods — its walk omits the baseline tag, reuses the
         cached baseline and stops at the last new range end — and
-        re-publishes the merged entry.
+        re-publishes the merged entry.  Either way the run is the stored
+        payload restricted to this runner's methods, published once on
+        the run span and gauges and rebuilt with
+        :meth:`BenchmarkRun.from_dict`.
         """
         with self._run_span(benchmark, config.name) as span:
             key = self._cache_key(benchmark, config)
-            payload = self.cache.get(key)
-            cached = BenchmarkRun.from_dict(payload) if payload else None
-            if cached is not None:
-                compute = [
-                    name for name in self.methods
-                    if name not in cached.methods
-                ]
-                if not compute:
-                    span.set(cache_hit=True)
+            stored = self.cache.get(key) or None
+            compute = [
+                name for name in self.methods
+                if stored is None or name not in stored["methods"]
+            ]
+            if compute:
+                if stored is not None:
                     logger.debug(
-                        "[%s] %s: cache hit", config.name, benchmark
+                        "[%s] %s: partial cache hit (computing %s)",
+                        config.name, benchmark, ", ".join(compute),
                     )
-                    if self.telemetry is not None:
-                        self.telemetry.events.emit(
-                            "cache_hit", benchmark=benchmark,
-                            config=config.name,
-                        )
-                    # A cached run still carries its diagnostics on its
-                    # run span (for `obs diag`) and in its gauges, in the
-                    # serialised form the cache payload already holds.
-                    record_diag_metrics(
-                        self.obs.metrics, span, config.name,
-                        self._select_diagnostics(payload["diagnostics"]),
+                if self.telemetry is not None:
+                    self.telemetry.events.emit(
+                        "cache_miss", benchmark=benchmark,
+                        config=config.name, methods=len(compute),
                     )
-                    return replace(
-                        self._select_methods(cached), cached=True
-                    )
-                logger.debug(
-                    "[%s] %s: partial cache hit (computing %s)",
-                    config.name, benchmark, ", ".join(compute),
-                )
+                stored = self._compute(benchmark, config, compute, stored)
+                self.cache.put(key, stored)
+                # Fault-injection hook: tests corrupt the just-published
+                # entry to prove torn cache files are quarantined, not
+                # trusted (no-op unless $REPRO_FAULTS configures a
+                # `corrupt` fault).
+                corrupt_cache_entry(self.cache, key, benchmark)
             else:
-                compute = list(self.methods)
-            if self.telemetry is not None:
-                self.telemetry.events.emit(
-                    "cache_miss", benchmark=benchmark, config=config.name,
-                    methods=len(compute),
-                )
-
-            with self._stage(benchmark, "trace_build"):
-                trace = self.trace(benchmark)
-            plans = self.plans(benchmark, methods=compute)
-            built = self._contexts[benchmark].built
-            plan_diags = {
-                name: built[name][1] for name in compute
-                if built[name][1] is not None
-            }
-
-            with self._stage(benchmark, "detailed_simulation"):
-                simulator = TimingSimulator(
-                    trace, config, metrics=self.obs.metrics
-                )
-                results = simulate_plans(
-                    simulator, plans.values(), baseline=cached is None,
-                    phases={
-                        (name, phase): bounds
-                        for name, diag in plan_diags.items()
-                        for phase, bounds in diag.members.items()
-                    },
-                )
-                baseline = (
-                    results[BASELINE_TAG].metrics() if cached is None
-                    else cached.baseline
-                )
-                methods: Dict[str, MethodResult] = {}
-                for name in compute:
-                    plan = plans[name]
-                    evaluation = evaluate_plan(
-                        plan, simulator, baseline, cache=results
+                span.set(cache_hit=True)
+                logger.debug("[%s] %s: cache hit", config.name, benchmark)
+                if self.telemetry is not None:
+                    self.telemetry.events.emit(
+                        "cache_hit", benchmark=benchmark, config=config.name,
                     )
-                    methods[name] = MethodResult(
-                        stats=PlanStats.from_plan(plan),
-                        estimate=evaluation.estimate,
-                        deviation=evaluation.deviation,
-                    )
-
-            with self._stage(benchmark, "diagnostics"):
-                diags = self._diagnose(
-                    plan_diags, plans, results, baseline, methods
-                )
-
-            merged_methods = dict(cached.methods) if cached else {}
-            merged_methods.update(methods)
-            merged_diags = dict(cached.diagnostics) if cached else {}
-            merged_diags.update(diags)
-            merged = BenchmarkRun(
-                benchmark=benchmark,
-                config_name=config.name,
-                total_instructions=trace.total_instructions,
-                baseline=baseline,
-                methods=merged_methods,
-                diagnostics=merged_diags,
+            diagnostics = stored["diagnostics"]
+            payload = dict(
+                stored,
+                methods={name: stored["methods"][name]
+                         for name in self.methods},
+                diagnostics={name: diagnostics[name]
+                             for name in self.methods if name in diagnostics},
             )
-            published = merged.to_dict()
-            self.cache.put(key, published)
             record_diag_metrics(
-                self.obs.metrics, span, config.name,
-                self._select_diagnostics(published["diagnostics"]),
+                self.obs.metrics, span, config.name, payload["diagnostics"]
             )
-            # Fault-injection hook: tests corrupt the just-published entry
-            # to prove torn cache files are quarantined, not trusted
-            # (no-op unless $REPRO_FAULTS configures a `corrupt` fault).
-            corrupt_cache_entry(self.cache, key, benchmark)
-            return self._select_methods(merged)
+            return replace(
+                BenchmarkRun.from_dict(payload), cached=not compute
+            )
 
-    def _select_methods(self, run: BenchmarkRun) -> BenchmarkRun:
-        """*run* restricted and re-ordered to this runner's method set."""
-        if tuple(run.methods) == self.methods:
-            return run
-        return BenchmarkRun(
-            benchmark=run.benchmark,
-            config_name=run.config_name,
-            total_instructions=run.total_instructions,
-            baseline=run.baseline,
-            methods={name: run.methods[name] for name in self.methods},
-            diagnostics={
-                name: run.diagnostics[name]
-                for name in self.methods if name in run.diagnostics
-            },
-        )
-
-    def _select_diagnostics(self, diagnostics: dict) -> dict:
-        """Serialised *diagnostics* (``{method: MethodDiag.to_dict()}``)
-        restricted to this runner's methods, in their order."""
-        return {
-            name: diagnostics[name]
-            for name in self.methods if name in diagnostics
+    def _compute(
+        self,
+        benchmark: str,
+        config: MachineConfig,
+        compute: List[str],
+        stored: Optional[dict],
+    ) -> dict:
+        """The stored payload *stored* (``None`` when cold) grown by the
+        *compute* methods, in :meth:`BenchmarkRun.to_dict` form."""
+        with self._stage(benchmark, "trace_build"):
+            trace = self.trace(benchmark)
+        plans = self.plans(benchmark, methods=compute)
+        built = self._contexts[benchmark].built
+        plan_diags = {
+            name: built[name][1] for name in compute
+            if built[name][1] is not None
         }
+
+        with self._stage(benchmark, "detailed_simulation"):
+            simulator = TimingSimulator(
+                trace, config, metrics=self.obs.metrics
+            )
+            results = simulate_plans(
+                simulator, plans.values(), baseline=stored is None,
+                phases={
+                    (name, phase): bounds
+                    for name, diag in plan_diags.items()
+                    for phase, bounds in diag.members.items()
+                },
+            )
+            baseline = (
+                results[BASELINE_TAG].metrics() if stored is None
+                else Metrics(**stored["baseline"])
+            )
+            methods: Dict[str, MethodResult] = {}
+            for name in compute:
+                plan = plans[name]
+                evaluation = evaluate_plan(
+                    plan, simulator, baseline, cache=results
+                )
+                methods[name] = MethodResult(
+                    stats=PlanStats.from_plan(plan),
+                    estimate=evaluation.estimate,
+                    deviation=evaluation.deviation,
+                )
+
+        with self._stage(benchmark, "diagnostics"):
+            diags = self._diagnose(
+                plan_diags, plans, results, baseline, methods
+            )
+
+        computed = BenchmarkRun(
+            benchmark=benchmark,
+            config_name=config.name,
+            total_instructions=trace.total_instructions,
+            baseline=baseline,
+            methods=methods,
+            diagnostics=diags,
+        ).to_dict()
+        if stored is None:
+            return computed
+        return dict(
+            stored,
+            methods={**stored["methods"], **computed["methods"]},
+            diagnostics={**stored["diagnostics"], **computed["diagnostics"]},
+        )
 
     @staticmethod
     def _diagnose(
@@ -618,8 +602,9 @@ class ExperimentRunner:
         results: Dict[object, SimulationResult],
         baseline: Metrics,
         methods: Dict[str, MethodResult],
-    ) -> Dict[str, MethodDiag]:
-        """The attributed diagnostics of every method in *diags*.
+    ) -> Dict[str, dict]:
+        """The attributed diagnostics of every method in *diags*, as
+        ``MethodDiag.to_dict()`` records.
 
         True per-phase metric means are the walk's ``(method, phase)``
         tags and the representative terms its leaf tags (both in
@@ -627,7 +612,7 @@ class ExperimentRunner:
         deviation into per-phase contributions plus an exact residual;
         the plan-time records in *diags* are left as they are.
         """
-        attributed: Dict[str, MethodDiag] = {}
+        attributed: Dict[str, dict] = {}
         for name, diag in diags.items():
             plan = plans[name]
             weight_total = sum(
@@ -671,7 +656,7 @@ class ExperimentRunner:
                 rep_terms=rep_terms,
                 phase_values=phase_values,
                 weight_total=weight_total,
-            )
+            ).to_dict()
         return attributed
 
     def run_suite(

@@ -20,6 +20,7 @@ from repro.analysis.kmeans import KMeansResult, cluster_quality, kmeans
 from repro.config import CONFIG_A, CONFIG_B
 from repro.errors import ClusteringError
 from repro.harness import ExperimentRunner, ResultCache
+from repro.harness import runner as runner_module
 from repro.obs import (
     MetricsRegistry,
     Span,
@@ -31,6 +32,8 @@ from repro.obs.diag import (
     DIAG_RESIDUAL,
     DIAG_TOTAL_ERROR,
     MethodDiag,
+    PhaseDiag,
+    attribute,
     format_diag_report,
     record_diag_metrics,
     run_diagnostics,
@@ -58,11 +61,11 @@ class TestAttributionExactness:
         assert set(run.diagnostics) == set(run.methods)
         for name, diag in run.diagnostics.items():
             for metric in DIAG_METRICS:
-                total = diag.total_error[metric]
+                total = diag["total_error"][metric]
                 explained = sum(
-                    row.contributions.get(metric, 0.0)
-                    for row in diag.phases
-                ) + diag.residual[metric]
+                    row["contributions"].get(metric, 0.0)
+                    for row in diag["phases"]
+                ) + diag["residual"][metric]
                 assert explained == pytest.approx(total, abs=1e-9), \
                     (name, metric)
 
@@ -70,22 +73,30 @@ class TestAttributionExactness:
         _, run = gcc_run
         for name, diag in run.diagnostics.items():
             deviation = run.methods[name].deviation
-            assert abs(diag.total_error["cpi"]) == \
+            assert abs(diag["total_error"]["cpi"]) == \
                 pytest.approx(deviation.cpi, abs=1e-9), name
-            assert abs(diag.total_error["l1"]) == \
+            assert abs(diag["total_error"]["l1"]) == \
                 pytest.approx(deviation.l1_hit_rate, abs=1e-9), name
 
     def test_members_cleared_and_never_serialised(self, gcc_run):
-        _, run = gcc_run
+        runner, run = gcc_run
         for diag in run.diagnostics.values():
-            assert diag.members == {}
-            assert "members" not in diag.to_dict()
+            assert "members" not in diag
+        plan_diag = runner.context("gcc").built["coasts"][1]
+        assert plan_diag.members
+        attributed = attribute(
+            plan_diag, baseline={"cpi": 1.0, "l1": 0.5, "l2": 0.5},
+            estimate={"cpi": 1.0, "l1": 0.5, "l2": 0.5},
+            rep_terms={}, phase_values={}, weight_total=1.0,
+        )
+        assert attributed.members == {}
+        assert "members" not in attributed.to_dict()
 
 
 class TestGccPathology:
     def test_giant_coarse_point_flagged(self, gcc_run, test_sampling):
         _, run = gcc_run
-        coasts = run.diagnostics["coasts"]
+        coasts = MethodDiag.from_dict(run.diagnostics["coasts"])
         assert coasts.resample_threshold == test_sampling.resample_threshold
         assert coasts.n_oversized >= 1
         oversized = [row for row in coasts.phases if row.oversized]
@@ -102,20 +113,25 @@ class TestGccPathology:
     def test_multilevel_marks_oversized_phases_resampled(self, gcc_run):
         _, run = gcc_run
         ml = run.diagnostics["multilevel"]
-        assert ml.method == "multilevel"
-        for row in ml.phases:
-            assert row.resampled == row.oversized
+        assert ml["method"] == "multilevel"
+        for row in ml["phases"]:
+            assert row["resampled"] == row["oversized"]
 
     def test_report_renders_flags_and_residual(self, gcc_run):
         _, run = gcc_run
-        views = {("gcc", CONFIG_A.name): run.diagnostics}
+        views = {
+            ("gcc", CONFIG_A.name): {
+                name: MethodDiag.from_dict(record)
+                for name, record in run.diagnostics.items()
+            }
+        }
         report = format_diag_report(views, benchmark="gcc")
         assert "GIANT-COARSE-POINT" in report
         assert "coverage/aggregation" in report
         assert f"gcc / coasts ({CONFIG_A.name})" in report
         # Worst phase first: the first table row carries the largest
         # absolute CPI contribution.
-        coasts = run.diagnostics["coasts"]
+        coasts = views["gcc", CONFIG_A.name]["coasts"]
         worst = coasts.sorted_phases()[0]
         table = [
             line for line in
@@ -130,10 +146,9 @@ class TestGccPathology:
 class TestRoundTrips:
     def test_dict_round_trip(self, gcc_run):
         _, run = gcc_run
-        for diag in run.diagnostics.values():
-            payload = json.loads(json.dumps(diag.to_dict()))
-            rebuilt = MethodDiag.from_dict(payload)
-            assert rebuilt.to_dict() == diag.to_dict()
+        for record in run.diagnostics.values():
+            rebuilt = MethodDiag.from_dict(json.loads(json.dumps(record)))
+            assert rebuilt.to_dict() == record
 
     def test_quick_run_records_round_trip_byte_for_byte(
             self, tmp_path, test_sampling):
@@ -169,13 +184,13 @@ class TestRoundTrips:
         rebuilt = views["gcc", CONFIG_A.name]
         assert set(rebuilt) == set(run.diagnostics)
         for name, original in run.diagnostics.items():
-            assert rebuilt[name].to_dict() == original.to_dict(), name
+            assert rebuilt[name].to_dict() == original, name
 
     def test_recording_is_idempotent(self, gcc_run):
         _, run = gcc_run
         registry = MetricsRegistry()
         span = Span("run")
-        diags = {name: d.to_dict() for name, d in run.diagnostics.items()}
+        diags = run.diagnostics
         record_diag_metrics(registry, span, CONFIG_A.name, diags)
         once = (registry.to_dict(), json.dumps(span.attributes))
         record_diag_metrics(registry, span, CONFIG_A.name, diags)
@@ -185,32 +200,121 @@ class TestRoundTrips:
             {DIAG_TOTAL_ERROR, DIAG_RESIDUAL}
         assert len(registry) == 2 * len(run.diagnostics) * len(DIAG_METRICS)
 
-    def test_cache_hit_run_span_carries_diagnostics(self, tmp_path,
-                                                    test_sampling):
-        cache_dir = tmp_path / "cache"
-        first = ExperimentRunner(
-            sampling=test_sampling,
-            cache=ResultCache(directory=cache_dir),
-            workload_scale=TEST_SCALE,
-        )
-        first.run_benchmark("gzip", CONFIG_A)
-        second = ExperimentRunner(
-            sampling=test_sampling,
-            cache=ResultCache(directory=cache_dir),
-            workload_scale=TEST_SCALE,
-        )
-        run = second.run_benchmark("gzip", CONFIG_A)
-        assert second.cache.hits == 1
-        assert run.diagnostics  # survived the disk round-trip
-        (span,) = second.obs.tracer.spans()
-        assert span.name == "run" and span.attributes["cache_hit"]
-        assert span.attributes["diagnostics"] == {
-            name: diag.to_dict() for name, diag in run.diagnostics.items()
-        }
-        assert second.obs.metrics.value(
-            DIAG_TOTAL_ERROR, benchmark="gzip", config=CONFIG_A.name,
-            method="coasts", metric="cpi",
-        ) == run.diagnostics["coasts"].total_error["cpi"]
+    def test_cache_hit_run_span_carries_diagnostics(
+            self, tmp_path, test_sampling, monkeypatch):
+        """Cold, partial-hit and full-hit runs of one (benchmark, config)
+        each return the stored payload restricted to the runner's
+        methods, publish its diagnostics once on the run span, and set
+        the same ``repro_diag_*`` gauges."""
+        published = []
+        record = runner_module.record_diag_metrics
+
+        def spy(registry, span, config, diags):
+            published.append(diags)
+            record(registry, span, config, diags)
+
+        monkeypatch.setattr(runner_module, "record_diag_metrics", spy)
+
+        def serve(cache_dir, methods=None):
+            runner = ExperimentRunner(
+                sampling=test_sampling,
+                cache=ResultCache(directory=cache_dir),
+                workload_scale=TEST_SCALE, methods=methods,
+            )
+            del published[:]
+            run = runner.run_benchmark("gzip", CONFIG_A)
+            (span,) = [
+                span for span in runner.obs.tracer.spans()
+                if span.name == "run"
+            ]
+            assert span.attributes["cache_hit"] == run.cached
+            assert published == [span.attributes["diagnostics"]]
+            assert span.attributes["diagnostics"] == run.diagnostics
+            (entry,) = cache_dir.glob("*.json")
+            stored = json.loads(entry.read_text())["payload"]
+            restricted = dict(
+                stored,
+                methods={m: stored["methods"][m] for m in runner.methods},
+                diagnostics={
+                    m: stored["diagnostics"][m] for m in runner.methods
+                    if m in stored["diagnostics"]
+                },
+            )
+            assert json.dumps(run.to_dict()) == json.dumps(restricted)
+            gauges = {
+                (name, labels): metric.value
+                for name, labels, metric in runner.obs.metrics.samples()
+                if name.startswith("repro_diag_")
+            }
+            assert len(gauges) == 2 * len(run.diagnostics) * len(DIAG_METRICS)
+            for method, diag in run.diagnostics.items():
+                assert runner.obs.metrics.value(
+                    DIAG_TOTAL_ERROR, benchmark="gzip",
+                    config=CONFIG_A.name, method=method, metric="cpi",
+                ) == diag["total_error"]["cpi"]
+            return run, gauges
+
+        cold, cold_gauges = serve(tmp_path / "cold")
+        serve(tmp_path / "grown", methods=("coasts",))
+        partial, partial_gauges = serve(tmp_path / "grown")
+        hit, hit_gauges = serve(tmp_path / "grown")
+        cold_hit, cold_hit_gauges = serve(tmp_path / "cold")
+        assert (cold.cached, partial.cached, hit.cached) == \
+            (False, False, True)
+        assert cold_hit.cached
+        assert cold.diagnostics
+        # A hit returns and publishes exactly what the run that stored
+        # its entry returned and published.
+        assert hit == partial and hit_gauges == partial_gauges
+        assert cold_hit == cold and cold_hit_gauges == cold_gauges
+        # The grown entry's methods came from other walks than the cold
+        # run's; the walk's cut points only reorder float sums (DESIGN
+        # decision 16).
+        assert _flat(cold.to_dict()) == pytest.approx(
+            _flat(partial.to_dict()), rel=1e-12, abs=1e-12)
+        assert cold_gauges == pytest.approx(
+            partial_gauges, rel=1e-12, abs=1e-12)
+
+    def test_full_hit_builds_no_diag_objects(self, tmp_path, test_sampling,
+                                             monkeypatch):
+        """A warm suite serves the stored records as they are: no
+        :class:`MethodDiag` or :class:`PhaseDiag` is rebuilt."""
+        def runner():
+            return ExperimentRunner(
+                sampling=test_sampling,
+                cache=ResultCache(directory=tmp_path / "cache"),
+                workload_scale=TEST_SCALE,
+            )
+
+        assert runner().run_suite(CONFIG_A, quick=True).ok
+        calls = []
+        for cls in (MethodDiag, PhaseDiag):
+            build = cls.from_dict
+
+            def spy(payload, _build=build, _name=cls.__name__):
+                calls.append(_name)
+                return _build(payload)
+
+            monkeypatch.setattr(cls, "from_dict", staticmethod(spy))
+        warm = runner()
+        outcome = warm.run_suite(CONFIG_A, quick=True)
+        assert outcome.ok and all(run.cached for run in outcome)
+        assert all(run.diagnostics for run in outcome)
+        assert calls == []
+
+
+def _flat(value, path=()):
+    """``{path: leaf}`` of a nested dict/list, for tolerance compares."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return {path: value}
+    flat = {}
+    for key, item in items:
+        flat.update(_flat(item, path + (key,)))
+    return flat
 
 
 class TestConfigs:
@@ -232,15 +336,15 @@ class TestConfigs:
         assert set(views) == {("gzip", name) for name in runs}
         for config, run in runs.items():
             for name, diag in run.diagnostics.items():
-                assert views["gzip", config][name].to_dict() == \
-                    diag.to_dict(), (config, name)
+                assert views["gzip", config][name].to_dict() == diag, \
+                    (config, name)
                 assert runner.obs.metrics.value(
                     DIAG_TOTAL_ERROR, benchmark="gzip", config=config,
                     method=name, metric="cpi",
-                ) == diag.total_error["cpi"]
+                ) == diag["total_error"]["cpi"]
         # The configs really differ, so neither table hides the other.
-        assert runs[CONFIG_A.name].diagnostics["coasts"].total_error != \
-            runs[CONFIG_B.name].diagnostics["coasts"].total_error
+        assert runs[CONFIG_A.name].diagnostics["coasts"]["total_error"] != \
+            runs[CONFIG_B.name].diagnostics["coasts"]["total_error"]
         report = format_diag_report(views, method="coasts").splitlines()
         headers = [
             line.split(":")[0] for line in report if line.startswith("gzip")
@@ -249,7 +353,7 @@ class TestConfigs:
         totals = [line for line in report
                   if line.startswith("total signed deviation")]
         for config, line in zip(sorted(runs), totals):
-            error = runs[config].diagnostics["coasts"].total_error
+            error = runs[config].diagnostics["coasts"]["total_error"]
             assert line == (
                 "total signed deviation: "
                 f"CPI {100 * error['cpi']:+.3f}%, "
@@ -345,10 +449,7 @@ class TestFrozenPlanRecords:
             cache=ResultCache(enabled=False),
             workload_scale=TEST_SCALE,
         ).run_benchmark("gzip", CONFIG_B)
-        assert {name: diag.to_dict()
-                for name, diag in run_b.diagnostics.items()} == \
-            {name: diag.to_dict()
-             for name, diag in fresh.diagnostics.items()}
+        assert run_b.diagnostics == fresh.diagnostics
 
         coasts = built["coasts"]
         with pytest.raises(FrozenInstanceError):

@@ -570,8 +570,8 @@ class TestOneWalk:
         assert (method in alone.diagnostics) == \
             (method in together.diagnostics)
         if method in alone.diagnostics:
-            _assert_close(alone.diagnostics[method].to_dict(),
-                          together.diagnostics[method].to_dict(), floor=1.0)
+            _assert_close(alone.diagnostics[method],
+                          together.diagnostics[method], floor=1.0)
 
     def test_uncached_run_walks_the_trace_once(self, all_methods_run,
                                                small_trace):

@@ -186,10 +186,11 @@ class TestSamplerConformance:
     def test_attribution_is_exact(self, method, conformance_run):
         """est - base splits exactly into phase terms plus residual."""
         diag = conformance_run.diagnostics[method]
-        for metric, total in diag.total_error.items():
+        for metric, total in diag["total_error"].items():
             recomposed = sum(
-                row.contributions.get(metric, 0.0) for row in diag.phases
-            ) + diag.residual[metric]
+                row["contributions"].get(metric, 0.0)
+                for row in diag["phases"]
+            ) + diag["residual"][metric]
             assert recomposed == pytest.approx(total, abs=1e-9)
 
     def test_estimate_within_sanity_bounds(self, method, conformance_run):
@@ -437,10 +438,11 @@ class TestFamilyConformance:
     @pytest.mark.parametrize("method", registered_methods())
     def test_attribution_is_exact(self, member, method, family_runs):
         diag = family_runs[member].diagnostics[method]
-        for metric, total in diag.total_error.items():
+        for metric, total in diag["total_error"].items():
             recomposed = sum(
-                row.contributions.get(metric, 0.0) for row in diag.phases
-            ) + diag.residual[metric]
+                row["contributions"].get(metric, 0.0)
+                for row in diag["phases"]
+            ) + diag["residual"][metric]
             assert recomposed == pytest.approx(total, abs=1e-9)
 
     @pytest.mark.parametrize("method", registered_methods())
