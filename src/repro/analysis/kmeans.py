@@ -13,18 +13,21 @@ k on its own, unpruned.  The vectorized path seeds once per attempt at
 the largest k (the seeds of a smaller k are a prefix), takes the first
 assignment from the seeding pass, reuses an assignment while the
 centroids come back unchanged, and skips the rows Hamerly's bounds
-settle.  It only uses reductions whose rounding matches the scalar loop
-(innermost-axis pairwise sums, index-order ``np.bincount``
-accumulation), never BLAS products.  DESIGN decision 12 gives the
-exactness argument for each reuse; ``tests/test_kmeans_sweep.py`` and
-``tests/test_vectorized.py`` pin it; ``repro bench`` measures the
+settle.  It runs every (attempt, k) of a group of neighbouring ks in
+lockstep (:class:`_Lockstep`): one array operation per step serves every
+unfinished run, centroids padded to the group's largest k.  It only uses
+reductions whose rounding matches the scalar loop (innermost-axis
+pairwise sums, index-order ``np.bincount`` accumulation), never BLAS
+products.  DESIGN decision 12 gives the exactness argument for each
+reuse; ``tests/test_kmeans_sweep.py``, ``tests/test_kmeans_snapshot.py``
+and ``tests/test_vectorized.py`` pin it; ``repro bench`` measures the
 speedup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, NamedTuple, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -206,41 +209,30 @@ def _kmeanspp_init(
 
 
 def _update_centroids(
-    data: np.ndarray, labels: np.ndarray, centroids: np.ndarray, backend: str
+    data: np.ndarray, labels: np.ndarray, centroids: np.ndarray
 ) -> Tuple[np.ndarray, float]:
-    """One Lloyd update: member means (empty clusters keep their centroid).
+    """One scalar Lloyd update: member means (empty clusters keep their
+    centroid).
 
     Returns ``(new_centroids, shift)`` with *shift* the largest squared
-    centroid movement.  Member sums accumulate in point order on both
-    backends (``np.bincount`` adds sequentially in index order), so the
-    means — and everything downstream — are bit-identical.
+    centroid movement.  Member sums accumulate in point order, as the
+    vectorized path's ``np.bincount`` adds them, so the means — and
+    everything downstream — are bit-identical.
     """
     k, d = centroids.shape
     new_centroids = centroids.copy()
-    if backend == "scalar":
-        sums = np.zeros((k, d), dtype=np.float64)
-        counts = np.zeros(k, dtype=np.int64)
-        for i in range(len(data)):
-            sums[labels[i]] += data[i]
-            counts[labels[i]] += 1
-        shift = 0.0
-        for j in range(k):
-            if counts[j]:
-                candidate = sums[j] / counts[j]
-                shift = max(shift, float(np.sum((candidate - centroids[j]) ** 2)))
-                new_centroids[j] = candidate
-        return new_centroids, shift
-    # One weighted bincount over (label, dim) bins: each bin adds its
-    # points in row order from 0.0, as the scalar loop does.
-    bins = (labels[:, None] * d + np.arange(d)).ravel()
-    sums = np.bincount(
-        bins, weights=data.ravel(), minlength=k * d
-    ).reshape(k, d)
-    counts = np.bincount(labels, minlength=k)
-    occupied = counts > 0
-    new_centroids[occupied] = sums[occupied] / counts[occupied, None]
-    moves = ((new_centroids - centroids) ** 2).sum(axis=1)
-    return new_centroids, float(moves.max(initial=0.0))
+    sums = np.zeros((k, d), dtype=np.float64)
+    counts = np.zeros(k, dtype=np.int64)
+    for i in range(len(data)):
+        sums[labels[i]] += data[i]
+        counts[labels[i]] += 1
+    shift = 0.0
+    for j in range(k):
+        if counts[j]:
+            candidate = sums[j] / counts[j]
+            shift = max(shift, float(np.sum((candidate - centroids[j]) ** 2)))
+            new_centroids[j] = candidate
+    return new_centroids, shift
 
 
 def _lloyd(
@@ -248,9 +240,9 @@ def _lloyd(
     centroids: np.ndarray,
     max_iterations: int,
     tolerance: float,
-    backend: str,
 ) -> KMeansResult:
-    """Lloyd iterations from the given initial centroids."""
+    """The scalar twin's Lloyd iterations from the given initial
+    centroids."""
     labels = np.zeros(len(data), dtype=np.int64)
     history = []
     for _ in range(max_iterations):
@@ -258,7 +250,7 @@ def _lloyd(
         history.append(float(np.sum(distances)))
         moved = not np.array_equal(new_labels, labels)
         labels = new_labels
-        centroids, shift = _update_centroids(data, labels, centroids, backend)
+        centroids, shift = _update_centroids(data, labels, centroids)
         if not moved and shift <= tolerance:
             break
     # Final refresh against the converged centroids, so the reported
@@ -282,120 +274,257 @@ _MARGIN = 1e-9
 #: Relative shrink applied whenever a lower bound is set or decreased,
 #: so it stays a bound on the exact distances despite rounding.
 _SLACK = 1e-12
+#: Consecutive ks of a sweep whose runs advance in lockstep.  Padding a
+#: small k to a large one costs more than the batch saves, and one batch
+#: per k leaves most of the per-call overhead in place.  Results are
+#: identical for any positive value.
+_GROUP_KS = 5
+#: Upper bound on one lockstep broadcast temporary, in float64 elements
+#: (256 KiB), which keeps the batches' memory near the per-run code's.
+#: Results are identical for any positive value.
+_STEP_ELEMENTS = 32 * 1024
 
 
-def _second_bounds(rows: np.ndarray) -> np.ndarray:
-    """Lower bound on each point's distance to its second-nearest centre."""
-    if rows.shape[1] < 2:
-        return np.full(len(rows), np.inf)
-    second = np.partition(rows, 1, axis=1)[:, 1]
+def _chunks(count: int, size: int) -> Iterator[slice]:
+    """Slices of ``range(count)`` whose items, *size* elements each, fit
+    :data:`_STEP_ELEMENTS` (one item at least)."""
+    step = max(1, _STEP_ELEMENTS // size)
+    for lo in range(0, count, step):
+        yield slice(lo, min(lo + step, count))
+
+
+def _reset_bounds(rows: np.ndarray) -> np.ndarray:
+    """Lower bound on each row's distance to its second-nearest centre.
+
+    *rows* holds squared distances on its last axis, padded columns at
+    ``+inf``, so the second order statistic is a real centre's (or
+    ``inf`` for a run of k = 1).
+    """
+    if rows.shape[-1] < 2:
+        return np.full(rows.shape[:-1], np.inf)
+    second = np.partition(rows, 1, axis=-1)[..., 1]
     return np.sqrt(second) * (1.0 - _SLACK)
 
 
-def _reassign(
-    data: np.ndarray,
-    centroids: np.ndarray,
-    labels: np.ndarray,
-    lower: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, int]:
-    """One exact assignment step that skips the rows its bounds settle.
-
-    Every point's squared distance to its own centre is recomputed.  A
-    point keeps its label when that distance is strictly below the larger
-    of its lower bound and half its centre's nearest-centre distance
-    (Hamerly), with :data:`_MARGIN` to spare; every other point gets its
-    full row from :func:`squared_distances` and a fresh lower bound.
-    Returns ``(labels, distances, evaluated)``; *lower* is updated in
+def _square_sums(delta: np.ndarray) -> np.ndarray:
+    """``(delta ** 2).sum(axis=-1)``, squaring the temporary *delta* in
     place.
+
+    Callers may pass centre-minus-point differences: negation is exact,
+    so their squares equal those of point-minus-centre bit for bit.
     """
-    n, k = len(data), len(centroids)
-    own = ((data - centroids[labels]) ** 2).sum(axis=1)
-    gaps = ((centroids[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(gaps, np.inf)
-    bound = np.maximum(lower, 0.5 * np.sqrt(gaps.min(axis=1))[labels])
-    settled = np.sqrt(own) * (1.0 + _MARGIN) < bound * (1.0 - _MARGIN)
-    open_rows = np.flatnonzero(~settled)
-    if len(open_rows):
-        labels = labels.copy()
-        rows = squared_distances(data[open_rows], centroids)
-        picked = np.argmin(rows, axis=1)
-        labels[open_rows] = picked
-        own[open_rows] = rows[np.arange(len(open_rows)), picked]
-        lower[open_rows] = _second_bounds(rows)
-    return labels, own, n + len(open_rows) * k
+    np.multiply(delta, delta, out=delta)
+    return delta.sum(axis=-1)
 
 
-def _shrink_bounds(
-    lower: np.ndarray,
-    labels: np.ndarray,
-    old: np.ndarray,
-    new: np.ndarray,
-) -> np.ndarray:
-    """Lower bounds after the centroids moved from *old* to *new*.
+class _Lockstep:
+    """Bound-pruned Lloyd runs of a group of ks, advanced together.
 
-    A point's bound drops by the largest move among the centres other
-    than its own.
+    Run ``r`` clusters with the first ``ks[r]`` seeds of its attempt's
+    seeding.  Centroids are padded to the group's largest k; wherever
+    distances are compared the padded columns read ``+inf``, and an
+    update leaves them where they are (they have no members).  Each step
+    gives every unfinished run the values its own Lloyd loop would, so
+    each run is bit-identical to the scalar twin's: the first assignment
+    is read off the seeding pass, an assignment is reused while the
+    centroids come back unchanged (which also covers the final refresh),
+    and the other assignment steps skip the rows Hamerly's bounds settle.
     """
-    if len(new) < 2:
-        return lower
-    moves = np.sqrt(((new - old) ** 2).sum(axis=1))
-    second, first = np.argsort(moves)[-2:]
-    step = np.where(labels == first, moves[second], moves[first])
-    return lower * (1.0 - _SLACK) - step * (1.0 + _SLACK)
 
-
-def _lloyd_bounded(
-    data: np.ndarray,
-    seeding: _Seeding,
-    k: int,
-    max_iterations: int,
-    tolerance: float,
-) -> Tuple[KMeansResult, int]:
-    """Vectorized Lloyd from the first *k* seeds of *seeding*.
-
-    Bit-identical to :func:`_lloyd`: the first assignment is read off the
-    seeding pass's distances, an assignment is reused while the centroids
-    come back unchanged (which also covers the final refresh), and the
-    other steps go through :func:`_reassign`.  Returns ``(result,
-    distances evaluated)``.
-    """
-    centroids = seeding.centroids[:k].copy()
-    seeded = seeding.distances[:, :k]
-    labels = np.argmin(seeded, axis=1)
-    own = seeded[np.arange(len(data)), labels]
-    lower = _second_bounds(seeded)
-    current = True  # (labels, own) belong to these centroids
-    previous = np.zeros(len(data), dtype=np.int64)
-    evaluated = 0
-    history = []
-    for _ in range(max_iterations):
-        if not current:
-            labels, own, count = _reassign(data, centroids, labels, lower)
-            evaluated += count
-        history.append(float(np.sum(own)))
-        moved = not np.array_equal(labels, previous)
-        previous = labels
-        updated, shift = _update_centroids(
-            data, labels, centroids, "vectorized"
+    def __init__(
+        self, data: np.ndarray, seedings: List[_Seeding], ks: List[int]
+    ) -> None:
+        n, width = len(data), ks[-1]
+        self.data = data
+        self.runs = [(k, attempt) for k in ks
+                     for attempt in range(len(seedings))]
+        self.ks = np.array([k for k, _ in self.runs])
+        self.padded = np.arange(width) >= self.ks[:, None]
+        self.centroids = np.stack(
+            [seedings[attempt].centroids[:width] for _, attempt in self.runs]
         )
-        current = np.array_equal(updated, centroids)
-        if not current:
-            lower = _shrink_bounds(lower, labels, centroids, updated)
-        centroids = updated
-        if not moved and shift <= tolerance:
-            break
-    if not current:
-        labels, own, count = _reassign(data, centroids, labels, lower)
-        evaluated += count
-    inertia = float(np.sum(own))
-    history.append(inertia)
-    result = KMeansResult(
-        centroids=centroids,
-        labels=labels,
-        inertia=inertia,
-        inertia_history=tuple(history),
-    )
-    return result, evaluated
+        self.labels = np.empty((len(self.runs), n), dtype=np.int64)
+        self.own = np.empty((len(self.runs), n), dtype=np.float64)
+        self.lower = np.empty((len(self.runs), n), dtype=np.float64)
+        # Squared centre-centre distances, +inf on the diagonal and in
+        # padded columns; a row is recomputed only after its centre moved.
+        self.gaps = np.full((len(self.runs), width, width), np.inf)
+        self.fresh = self.padded.copy()
+        for part in _chunks(len(self.runs), n * width):
+            seeded = np.where(self.padded[part, None, :], np.inf, np.stack([
+                seedings[attempt].distances[:, :width]
+                for _, attempt in self.runs[part]
+            ]))
+            labels = seeded.argmin(axis=2)
+            self.labels[part] = labels
+            self.own[part] = np.take_along_axis(
+                seeded, labels[:, :, None], axis=2
+            )[:, :, 0]
+            self.lower[part] = _reset_bounds(seeded)
+
+    def _keep(self, keep: np.ndarray) -> None:
+        """Drop the runs not in the boolean mask *keep*."""
+        for name in ("ks", "padded", "centroids", "labels", "own", "lower",
+                     "gaps", "fresh"):
+            setattr(self, name, getattr(self, name)[keep])
+
+    def _assign(self, stale: np.ndarray) -> int:
+        """One exact assignment step for the runs *stale*.
+
+        Every point's squared distance to its own centre is recomputed.
+        A point keeps its label when that distance is strictly below the
+        larger of its lower bound and half its centre's nearest-centre
+        distance (Hamerly), with :data:`_MARGIN` to spare; every other
+        point gets its full row, its ``argmin`` and a fresh lower bound.
+        Returns the distances evaluated.
+        """
+        data = self.data
+        n, d = data.shape
+        width = self.centroids.shape[1]
+        self._refresh_gaps(stale)
+        open_runs, open_points = [], []
+        for part in _chunks(len(stale), n * d):
+            runs = stale[part]
+            labels = self.labels[runs]
+            mine = self.centroids[runs[:, None], labels]
+            mine -= data
+            own = _square_sums(mine)
+            half = 0.5 * np.sqrt(self.gaps[runs].min(axis=2))
+            bound = np.maximum(
+                self.lower[runs], np.take_along_axis(half, labels, axis=1)
+            )
+            settled = np.sqrt(own) * (1.0 + _MARGIN) < bound * (1.0 - _MARGIN)
+            self.own[runs] = own
+            local, points = np.nonzero(~settled)
+            open_runs.append(runs[local])
+            open_points.append(points)
+        open_runs = np.concatenate(open_runs)
+        open_points = np.concatenate(open_points)
+        for part in _chunks(len(open_runs), width * d):
+            runs, points = open_runs[part], open_points[part]
+            delta = self.centroids[runs]
+            delta -= data[points][:, None, :]
+            rows = _square_sums(delta)
+            rows[self.padded[runs]] = np.inf
+            picked = rows.argmin(axis=1)
+            self.labels[runs, points] = picked
+            self.own[runs, points] = rows[np.arange(len(runs)), picked]
+            self.lower[runs, points] = _reset_bounds(rows)
+        return len(stale) * n + int(self.ks[open_runs].sum())
+
+    def _refresh_gaps(self, stale: np.ndarray) -> None:
+        """Recompute the gap rows (and columns) of the moved centres of
+        the runs *stale*.
+
+        A gap is a pure function of its two centres, and the square of a
+        difference does not depend on its sign, so a row computed for
+        one centre equals the column the full matrix would hold for it.
+        """
+        runs, centres = np.nonzero(~self.fresh[stale])
+        runs = stale[runs]
+        width, d = self.centroids.shape[1:]
+        for part in _chunks(len(runs), width * d):
+            run, centre = runs[part], centres[part]
+            delta = self.centroids[run]
+            delta -= self.centroids[run, centre][:, None, :]
+            rows = _square_sums(delta)
+            rows[self.padded[run]] = np.inf
+            rows[np.arange(len(run)), centre] = np.inf
+            self.gaps[run, centre] = rows
+            self.gaps[run, :, centre] = rows
+        self.fresh[stale] = True
+
+    def _update(self) -> Tuple[np.ndarray, np.ndarray]:
+        """One Lloyd update of every run: member means, bounds shrunk.
+
+        Member sums are one weighted ``np.bincount`` over (run, label,
+        dimension) bins, so each bin adds its points in row order from
+        ``0.0``, as the scalar loop does.  A lower bound drops by the
+        largest move among the centres other than its point's own, taken
+        from the values of the two largest moves.  Returns ``(shift,
+        unchanged)`` per run: the largest squared centroid move, and
+        whether every centroid came back equal.
+        """
+        data = self.data
+        n, d = data.shape
+        width = self.centroids.shape[1]
+        updated = self.centroids.copy()
+        for part in _chunks(len(updated), n * d):
+            cells = self.labels[part] + (
+                np.arange(part.stop - part.start) * width
+            )[:, None]
+            bins = (cells[:, :, None] * d + np.arange(d)).ravel()
+            weights = np.broadcast_to(data, (len(cells), n, d)).ravel()
+            sums = np.bincount(
+                bins, weights=weights, minlength=len(cells) * width * d
+            ).reshape(-1, width, d)
+            counts = np.bincount(
+                cells.ravel(), minlength=len(cells) * width
+            ).reshape(-1, width)
+            occupied = counts > 0
+            updated[part][occupied] = sums[occupied] / counts[occupied, None]
+        moves = ((updated - self.centroids) ** 2).sum(axis=2)
+        moved = (updated != self.centroids).any(axis=2)
+        self.fresh &= ~moved
+        unchanged = ~moved.any(axis=1)
+        self.centroids = updated
+        shrink = np.flatnonzero(~unchanged & (self.ks > 1))
+        if len(shrink):
+            # A padded centre moves by exactly 0, no more than any real
+            # one, so it never changes the two largest values.
+            steps = np.sqrt(moves[shrink])
+            top = np.sort(steps, axis=1)
+            first, second = top[:, -1:], top[:, -2:-1]
+            own_step = np.take_along_axis(
+                steps, self.labels[shrink], axis=1
+            )
+            step = np.where(own_step == first, second, first)
+            self.lower[shrink] = (
+                self.lower[shrink] * (1.0 - _SLACK) - step * (1.0 + _SLACK)
+            )
+        return moves.max(axis=1), unchanged
+
+    def run(
+        self, max_iterations: int, tolerance: float
+    ) -> Tuple[List[KMeansResult], int]:
+        """Every run to convergence; ``(results in run order, distances
+        evaluated)``."""
+        results: List[KMeansResult] = [None] * len(self.runs)
+        histories: List[List[float]] = [[] for _ in self.runs]
+        ids = np.arange(len(self.runs))
+        current = np.ones(len(ids), dtype=bool)
+        done = np.full(len(ids), max_iterations == 0)
+        previous = np.zeros_like(self.labels)
+        evaluated = 0
+        iterations = 0
+        while True:
+            stale = np.flatnonzero(~current)
+            if len(stale):
+                evaluated += self._assign(stale)
+            totals = self.own.sum(axis=1).tolist()
+            for run, total in zip(ids.tolist(), totals):
+                histories[run].append(total)
+            if done.any():
+                for local in np.flatnonzero(done).tolist():
+                    run, k = ids[local], self.ks[local]
+                    results[run] = KMeansResult(
+                        centroids=self.centroids[local, :k].copy(),
+                        labels=self.labels[local].copy(),
+                        inertia=totals[local],
+                        inertia_history=tuple(histories[run]),
+                    )
+                keep = ~done
+                if not keep.any():
+                    return results, evaluated
+                ids, previous = ids[keep], previous[keep]
+                self._keep(keep)
+            moved = (self.labels != previous).any(axis=1)
+            previous = self.labels.copy()
+            shift, current = self._update()
+            iterations += 1
+            done = (~moved & (shift <= tolerance)) | (
+                iterations == max_iterations
+            )
 
 
 @dataclass(frozen=True)
@@ -424,8 +553,10 @@ def kmeans_sweep(
     *attempt* of every k seeds its RNG with ``seed + attempt * 7919``.
     The active backend (:mod:`repro.backend`) is read once, here.  The
     ``scalar`` twin clusters each k on its own; the ``vectorized`` path
-    seeds once per attempt at the largest k and prunes the assignment
-    steps with bounds, with bit-identical results (DESIGN decision 12).
+    seeds once per attempt at the largest k, prunes the assignment steps
+    with bounds and advances the runs of every :data:`_GROUP_KS`
+    neighbouring ks in lockstep, with bit-identical results (DESIGN
+    decision 12).
     """
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 2 or len(data) == 0:
@@ -449,23 +580,22 @@ def kmeans_sweep(
                 rng = np.random.default_rng(seed + attempt * 7919)
                 seeding = _kmeanspp_init(data, k, rng, chosen)
                 result = _lloyd(
-                    data, seeding.centroids, max_iterations, tolerance,
-                    chosen,
+                    data, seeding.centroids, max_iterations, tolerance
                 )
                 runs.append((k, result))
                 evaluated += seeding.evaluated
                 evaluated += n * k * (result.n_iterations + 1)
     else:
+        seedings = []
         for attempt in range(n_seeds):
             rng = np.random.default_rng(seed + attempt * 7919)
-            seeding = _kmeanspp_init(data, ks[-1], rng, chosen)
-            evaluated += seeding.evaluated
-            for k in ks:
-                result, count = _lloyd_bounded(
-                    data, seeding, k, max_iterations, tolerance
-                )
-                runs.append((k, result))
-                evaluated += count
+            seedings.append(_kmeanspp_init(data, ks[-1], rng, chosen))
+            evaluated += seedings[-1].evaluated
+        for lo in range(0, len(ks), _GROUP_KS):
+            engine = _Lockstep(data, seedings, ks[lo:lo + _GROUP_KS])
+            results, count = engine.run(max_iterations, tolerance)
+            runs.extend(zip((k for k, _ in engine.runs), results))
+            evaluated += count
 
     best: Dict[int, KMeansResult] = {}
     for k, result in runs:

@@ -262,9 +262,10 @@ class TimingSimulator:
             max(per_set.values(), default=0) <= config.icache.assoc
         )
 
-        # One statics record per kind, numbered by first appearance (the
-        # argsort of the argsort of first indices).  A single-block kind is
-        # the code block * 2 + is_loop; multi-block ones get negative codes.
+        # One statics record per kind, numbered by first appearance.  A
+        # single-block kind is the code block * 2 + is_loop; multi-block
+        # ones get negative codes.  Shifted by their count, the codes index
+        # a dense table of first segment indices.
         flat, offsets = trace.flat_blocks.tolist(), trace.flat_offsets
         is_loop = trace.loop_id >= 0
         codes = trace.flat_blocks[offsets[:-1]] * 2 + is_loop
@@ -275,10 +276,15 @@ class TimingSimulator:
                                    is_loop[many].tolist()):
             key = (tuple(flat[lo:hi]), loop)
             codes[i] = -1 - multi.setdefault(key, len(multi))
-        _, first, inverse = np.unique(codes, return_index=True,
-                                      return_inverse=True)
-        order = np.argsort(first)
-        self._segment_kind: List[int] = np.argsort(order)[inverse].tolist()
+        codes += len(multi)
+        n_segments = len(codes)
+        first = np.full(len(multi) + 2 * len(program.blocks), n_segments)
+        np.minimum.at(first, codes, np.arange(n_segments))
+        present = np.flatnonzero(first < n_segments)
+        order = present[np.argsort(first[present])]
+        number = np.empty(len(first), dtype=np.int64)
+        number[order] = np.arange(len(order))
+        self._segment_kind: List[int] = number[codes].tolist()
         self._kind_statics: List[_KindStatics] = [
             self._build_statics(tuple(flat[offsets[i]:offsets[i + 1]]),
                                 bool(is_loop[i]), int(trace.rep_lengths[i]))

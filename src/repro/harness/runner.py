@@ -339,6 +339,8 @@ class ExperimentRunner:
         #: lands here; workers ship theirs back for merging.
         self.obs = ObsContext()
         self.cache.bind_metrics(self.obs.metrics)
+        #: ``{id(config): (config, repr(config))}`` for cache keys.
+        self._reprs: Dict[int, Tuple[object, str]] = {}
         #: Live telemetry plane (:class:`~repro.obs.stream.TelemetryPlane`)
         #: attached by the CLI's ``--serve``/``--events-out``; ``None``
         #: keeps every telemetry hook a no-op.  Strictly out-of-band:
@@ -456,9 +458,17 @@ class ExperimentRunner:
         # requested set is a partial hit (compute only the missing
         # methods), not a full recompute.
         return (
-            f"run:{benchmark}:{get_spec(benchmark).fingerprint}:{config!r}:"
-            f"{self.sampling!r}:scale={self.workload_scale}"
+            f"run:{benchmark}:{get_spec(benchmark).fingerprint}:"
+            f"{self._rendered(config)}:{self._rendered(self.sampling)}:"
+            f"scale={self.workload_scale}"
         )
+
+    def _rendered(self, value: object) -> str:
+        """``repr(value)``, rendered once per (frozen) config object."""
+        entry = self._reprs.get(id(value))
+        if entry is None or entry[0] is not value:
+            entry = self._reprs[id(value)] = (value, repr(value))
+        return entry[1]
 
     def run_benchmark(
         self, benchmark: str, config: MachineConfig = CONFIG_A

@@ -381,25 +381,28 @@ def record_diag_metrics(
     span gets it as its ``diagnostics`` attribute.  Worker span trees
     carry it to the driver and into ``--trace-out``, where
     :func:`run_diagnostics` reads it back.  *registry* (a
-    :class:`~repro.obs.metrics.MetricsRegistry`, duck typed) gets each
-    method's total error and residual per metric, so live ``/metrics``
-    shows accuracy.  Publishing the same run twice is idempotent.
+    :class:`~repro.obs.metrics.MetricsRegistry`) gets each method's total
+    error and residual per metric, so live ``/metrics`` shows accuracy;
+    each method's labels are sorted once, not once per gauge.  Publishing
+    the same run twice is idempotent.
     """
     span.set(diagnostics=diags)
     for diag in diags.values():
-        labels = {
+        items = registry.label_items({
             "benchmark": diag["benchmark"], "config": config,
-            "method": diag["method"],
-        }
+            "method": diag["method"], "metric": "",
+        })
+        at = [key for key, _ in items].index("metric")
         total_error = diag["total_error"]
         residual = diag["residual"]
         for name in DIAG_METRICS:
+            gauge_items = items[:at] + (("metric", name),) + items[at + 1:]
             if name in total_error:
-                registry.gauge(DIAG_TOTAL_ERROR, metric=name, **labels).set(
+                registry.gauge_at(DIAG_TOTAL_ERROR, gauge_items).set(
                     total_error[name]
                 )
             if name in residual:
-                registry.gauge(DIAG_RESIDUAL, metric=name, **labels).set(
+                registry.gauge_at(DIAG_RESIDUAL, gauge_items).set(
                     residual[name]
                 )
 

@@ -272,11 +272,15 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     @staticmethod
-    def _label_items(labels: Dict[str, Any]) -> LabelItems:
+    def label_items(labels: Dict[str, Any]) -> LabelItems:
+        """*labels* in key form: ``(name, str(value))`` pairs, sorted."""
         return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
     def _get(self, name: str, labels: Dict[str, Any], factory, kind: str):
-        key = (name, self._label_items(labels))
+        return self._instrument(name, self.label_items(labels), factory, kind)
+
+    def _instrument(self, name: str, items: LabelItems, factory, kind: str):
+        key = (name, items)
         metric = self._metrics.get(key)
         if metric is None:
             metric = factory()
@@ -296,6 +300,13 @@ class MetricsRegistry:
         """The gauge ``name{labels}`` (created on first use)."""
         return self._get(name, labels, lambda: Gauge(agg), "gauge")
 
+    def gauge_at(
+        self, name: str, items: LabelItems, agg: str = "last"
+    ) -> Gauge:
+        """The gauge ``name{items}``, *items* already in :meth:`label_items`
+        form (for callers that look up many gauges of one label set)."""
+        return self._instrument(name, items, lambda: Gauge(agg), "gauge")
+
     def histogram(
         self,
         name: str,
@@ -309,7 +320,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def value(self, name: str, **labels: Any) -> float:
         """Convenience: a counter/gauge's value, 0.0 when absent."""
-        metric = self._metrics.get((name, self._label_items(labels)))
+        metric = self._metrics.get((name, self.label_items(labels)))
         if metric is None:
             return 0.0
         if metric.kind == "histogram":

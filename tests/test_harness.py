@@ -1,11 +1,11 @@
 """Tests for the experiment harness: cache, runner, tables, experiments."""
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 
-from repro.config import CONFIG_A
+from repro.config import CONFIG_A, CONFIG_B
 from repro.detailed.timing import TimingSimulator
 from repro.errors import HarnessError
 from repro.harness import (
@@ -128,6 +128,21 @@ class TestRunner:
         assert get_spec("fam:irregular[3]").fingerprint is spec.fingerprint
         key = runner._cache_key("fam:irregular[3]", CONFIG_A)
         assert key.startswith(f"run:fam:irregular[3]:{spec!r}:{CONFIG_A!r}:")
+
+    @pytest.mark.parametrize("name", ["gzip", "fam:irregular[3]"])
+    def test_cache_key_equals_the_rendered_formula(self, runner, name):
+        # Renderings are memoised per config object; every key stays the
+        # bytes the full formula renders, so no cache entry moves.
+        from repro.workloads.registry import get_spec
+
+        for config in (CONFIG_A, CONFIG_B, replace(CONFIG_A, rob_entries=64),
+                       CONFIG_A.with_name("other")):
+            expected = (
+                f"run:{name}:{get_spec(name)!r}:{config!r}:"
+                f"{runner.sampling!r}:scale={runner.workload_scale}"
+            )
+            assert runner._cache_key(name, config) == expected
+            assert runner._cache_key(name, config) == expected
 
     def test_cache_hit_returns_equal_run(self, runner, gzip_run):
         again = runner.run_benchmark("gzip", CONFIG_A)

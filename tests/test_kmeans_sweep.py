@@ -2,9 +2,10 @@
 
 The ``vectorized`` sweep seeds once per attempt at the largest k, reads
 the first assignment off the seeding pass, reuses an assignment while
-the centroids come back unchanged and prunes the other assignment steps
-with bounds.  The ``scalar`` twin clusters each k on its own, unpruned,
-and is the oracle: every property here compares against it bit for bit.
+the centroids come back unchanged, prunes the other assignment steps
+with bounds, and advances the runs of neighbouring ks in lockstep.  The
+``scalar`` twin clusters each k on its own, unpruned, and is the oracle:
+every property here compares against it bit for bit.
 """
 
 import importlib
@@ -80,6 +81,17 @@ class TestSweepMatchesScalarOracle:
     @example(case=_line([6, 3, 1, 3, 5, 2, 0, 2, 1], k=3, seed=4865))
     # Lower bounds must drop by the largest move of the *other* centres.
     @example(case=_line([1, 0, 3, 6, 4, 0], k=2, seed=477))
+    # Runs advanced in lockstep stop at different iterations (the best
+    # runs of ks 1-6 take 2, 4, 2, 3, 3 and 2), k = 1 among them.
+    @example(case={
+        "data": np.array([[8, 6], [5, 2], [3, 0], [0, 0], [1, 8], [6, 9],
+                          [5, 6], [9, 7], [6, 5], [5, 9], [2, 8], [6, 0],
+                          [3, 8], [5, 0]], dtype=np.float64),
+        "ks": [6, 1, 2, 3, 4, 5],
+        "seed": 0,
+        "n_seeds": 2,
+        "max_iterations": 100,
+    })
     def test_vectorized_sweep_equals_scalar_per_k_kmeans(self, case):
         data, ks = case["data"], case["ks"]
         knobs = {key: case[key]

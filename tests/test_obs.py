@@ -143,6 +143,19 @@ class TestMetrics:
         registry.counter("x")
         with pytest.raises(ObservabilityError):
             registry.gauge("x")
+        items = registry.label_items({})
+        with pytest.raises(ObservabilityError):
+            registry.gauge_at("x", items)
+
+    def test_gauge_at_prebuilt_items_is_the_labelled_gauge(self):
+        registry = MetricsRegistry()
+        labels = {"method": "coasts", "benchmark": "gzip", "k": 3}
+        items = registry.label_items(labels)
+        assert items == (("benchmark", "gzip"), ("k", "3"),
+                         ("method", "coasts"))
+        registry.gauge_at("g", items).set(2.5)
+        assert registry.gauge("g", **labels) is registry.gauge_at("g", items)
+        assert registry.value("g", **labels) == 2.5
 
     def test_histogram_buckets_and_merge(self):
         a = MetricsRegistry()
