@@ -23,7 +23,10 @@ The walk is array-native: everything static about a segment depends only
 on its *kind* (block sequence, and whether it is a loop body), so the
 simulator builds one statics record per kind when it is constructed and
 walks plain ``(segment, rep offset, reps)`` ints — no
-:class:`~repro.engine.trace.Segment` view is ever materialised.
+:class:`~repro.engine.trace.Segment` view is ever materialised.  The
+per-segment lists it walks (kind index and rep count) belong to the
+simulator, not the trace: they are built with it and dropped with it, and
+segment bounds are summed from the kind's rep length as the walk goes.
 
 **One loop.**  :meth:`TimingSimulator.simulate_range` is the whole walk:
 one ``while`` that cuts pieces as :meth:`Trace.piece_bounds` does and
@@ -53,7 +56,6 @@ both shortcuts below book bit-identical results:
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from itertools import product
 from typing import Dict, List, NamedTuple, Optional, Set, Tuple
@@ -284,7 +286,10 @@ class TimingSimulator:
         order = present[np.argsort(first[present])]
         number = np.empty(len(first), dtype=np.int64)
         number[order] = np.arange(len(order))
+        # The walk's per-segment columns are the simulator's own lists, so
+        # they go away with it; a segment's rep length is its kind's.
         self._segment_kind: List[int] = number[codes].tolist()
+        self._segment_reps: List[int] = trace.reps.tolist()
         self._kind_statics: List[_KindStatics] = [
             self._build_statics(tuple(flat[offsets[i]:offsets[i + 1]]),
                                 bool(is_loop[i]), int(trace.rep_lengths[i]))
@@ -360,8 +365,8 @@ class TimingSimulator:
         if start < 0 or end > trace.total_instructions or start >= end:
             raise TraceError(f"bad clip range [{start}, {end})")
         start, end = int(start), int(end)
-        seg_starts, rep_lengths, seg_reps = trace._piece_columns
         kind_statics, segment_kind = self._kind_statics, self._segment_kind
+        seg_reps = self._segment_reps
         l1d_penalty, l2_penalty = self.l1d_penalty, self.l2_penalty
         branch_penalty, mlp = self.branch_penalty, self.mlp
         data, il1, fetched = state.data, state.il1, state.fetched
@@ -375,13 +380,16 @@ class TimingSimulator:
             result.mispredicts)
         before = instructions
 
-        index = first_index = bisect_right(seg_starts, start) - 1
-        seg_start = seg_starts[index]
+        index = first_index = trace.locate(start)
+        seg_start = int(trace.seg_starts[index])
         while seg_start < end:
+            (rep_len, rep_cycles, rep_fetch_lines, rep_mem_insts, blocks,
+             distinct_visits, plain_branches, plain_rate_sum,
+             loop_branch_block) = kind_statics[segment_kind[index]]
+            reps = seg_reps[index]
+            seg_end = seg_start + rep_len * reps
             # The piece, as Trace.piece_bounds cuts it: whole reps rounded
             # outward, at least one rep and at most the segment's.
-            seg_end = seg_starts[index + 1]
-            rep_len, reps = rep_lengths[index], seg_reps[index]
             rep_offset = ((start - seg_start) // rep_len
                           if start > seg_start else 0)
             last_rep = ((end if end < seg_end else seg_end) - seg_start
@@ -392,9 +400,6 @@ class TimingSimulator:
                 last_rep = reps
             n = last_rep - rep_offset
             includes_end = last_rep == reps
-            (rep_insts, rep_cycles, rep_fetch_lines, rep_mem_insts, blocks,
-             distinct_visits, plain_branches, plain_rate_sum,
-             loop_branch_block) = kind_statics[segment_kind[index]]
             # A whole-segment piece keeps no visit state, unless a visit is
             # open (an earlier range on this state cut its segment) or a
             # block recurs in the segment (reusing its first batch's rates).
@@ -403,7 +408,7 @@ class TimingSimulator:
 
             # Batched stateless quantities: instruction and access counts,
             # steady-state cycles, data-dependent branch mispredicts.
-            instructions += rep_insts * n
+            instructions += rep_len * n
             l1i_accesses += rep_fetch_lines * n
             l1d_accesses += rep_mem_insts * n
             cycles = rep_cycles * n

@@ -15,7 +15,11 @@ backend-switched (:mod:`repro.backend`): the vectorized default
 reduces each pass to a handful of weighted :func:`np.bincount` calls over
 the trace's flat arrays, laid out so every accumulator cell receives its
 additions in exactly the order the retained scalar loops add them — the
-outputs are bit-identical, which the differential tests assert.
+outputs are bit-identical, which the differential tests assert.  The
+coarse pass expands its instances in chunks of bounded size
+(:data:`_CHUNK_ENTRIES`), so its temporaries do not grow with the trace:
+each accumulator cell belongs to one instance, and any positive bound
+gives the same bytes.
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ from .profiles import (
     StructureProfiles,
 )
 from .trace import Trace
+
+#: Entries a coarse-profile chunk of instances expands: their (row,
+#: block) entries plus their accumulator cells (the sub-chunk expansion
+#: adds at most ``n_segments - 1`` rows per instance).  A chunk holds one
+#: instance at least; any positive value gives the same bytes.
+_CHUNK_ENTRIES = 1 << 14
 
 
 class FunctionalSimulator:
@@ -269,26 +279,24 @@ class FunctionalSimulator:
     def _coarse_vectorized(
         self, bounds: np.ndarray, n_segments: int
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """One weighted-bincount pass over flattened (instance, sub-chunk,
-        block) cells.
+        """Weighted-bincount passes over (instance, sub-chunk, block)
+        cells, one per chunk of instances.
 
-        Entry layout is instance-major, then trace order, then sub-chunk,
-        then block position — exactly the order the scalar walk issues its
-        ``+=`` updates, and ``np.bincount`` adds entries in index order, so
-        every accumulator cell sees the same addition sequence and the
-        profile is bit-identical.  Sub-chunk edges reproduce the scalar
-        arithmetic operation for operation (truncating division for chunk
-        indices, round-half-even for interior edges); zero-width edge
-        spans contribute exact ``+0.0`` no-ops instead of being skipped.
+        All bounds are validated first, so an error names the same
+        instance whatever the chunking.  A chunk is a run of instances
+        whose expanded (row, block) entries plus accumulator cells stay
+        within :data:`_CHUNK_ENTRIES` (or one instance that alone
+        exceeds it), which bounds the pass's temporaries independently
+        of the trace's length.  Every ``bbv``/``seg_bbv`` cell belongs to
+        one instance, so splitting between instances changes no cell's
+        additions: the profile is the same bytes for any positive bound.
         """
         trace = self.trace
         n_instances = len(bounds)
         n_blocks = self.program.n_blocks
-        if n_instances == 0:
-            return (
-                np.zeros((0, n_blocks), dtype=np.float64),
-                np.zeros((0, n_segments, n_blocks), dtype=np.float64),
-            )
+        bbv = np.zeros((n_instances, n_blocks), dtype=np.float64)
+        seg_bbv = np.zeros((n_instances, n_segments, n_blocks),
+                           dtype=np.float64)
         starts_b = bounds[:, 0]
         ends_b = bounds[:, 1]
         total = trace.total_instructions
@@ -300,10 +308,53 @@ class FunctionalSimulator:
                 raise TraceError(f"instance {i}: empty bounds")
             raise TraceError(f"bad clip range [{start}, {end})")
 
-        # One row per (instance, overlapped segment), instance-major.
+        # Each instance overlaps segments [lo_idx, hi_idx).
         seg_starts = trace.seg_starts
         lo_idx = np.searchsorted(seg_starts, starts_b, side="right") - 1
         hi_idx = np.searchsorted(seg_starts, ends_b - 1, side="right")
+        # Per instance: its (row, block) entries plus its accumulator
+        # cells; each chunk [lo, hi) sums to at most _CHUNK_ENTRIES.
+        sizes = (trace.flat_offsets[hi_idx] - trace.flat_offsets[lo_idx]
+                 + (n_segments + 1) * n_blocks)
+        ends = np.cumsum(sizes)
+        lo = 0
+        while lo < n_instances:
+            hi = int(np.searchsorted(
+                ends, ends[lo] - sizes[lo] + _CHUNK_ENTRIES, side="right"))
+            hi = max(hi, lo + 1)
+            bbv[lo:hi], seg_bbv[lo:hi] = self._coarse_chunk(
+                starts_b[lo:hi], ends_b[lo:hi], lo_idx[lo:hi],
+                hi_idx[lo:hi], n_segments,
+            )
+            lo = hi
+        return bbv, seg_bbv
+
+    def _coarse_chunk(
+        self,
+        starts_b: np.ndarray,
+        ends_b: np.ndarray,
+        lo_idx: np.ndarray,
+        hi_idx: np.ndarray,
+        n_segments: int,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The BBVs of one chunk of instances [start, end), each
+        overlapping segments [lo_idx, hi_idx).
+
+        Entry layout is instance-major, then trace order, then sub-chunk,
+        then block position — exactly the order the scalar walk issues its
+        ``+=`` updates, and ``np.bincount`` adds entries in index order, so
+        every accumulator cell sees the same addition sequence and the
+        profile is bit-identical.  Sub-chunk edges reproduce the scalar
+        arithmetic operation for operation (truncating division for chunk
+        indices, round-half-even for interior edges); zero-width edge
+        spans contribute exact ``+0.0`` no-ops instead of being skipped.
+        """
+        trace = self.trace
+        n_instances = len(starts_b)
+        n_blocks = self.program.n_blocks
+        seg_starts = trace.seg_starts
+
+        # One row per (instance, overlapped segment), instance-major.
         spans = hi_idx - lo_idx
         n_rows = int(spans.sum())
         row_inst = np.repeat(np.arange(n_instances, dtype=np.int64), spans)

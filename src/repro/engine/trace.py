@@ -9,10 +9,16 @@ The canonical trace representation is **array-native**: contiguous flat
 int64 arrays (``flat_blocks`` plus per-segment ``blocks_per_segment``,
 ``reps``, ``outer_index``, ``iter_base``, ``loop_id``) that the vectorized
 profilers index directly.  :class:`Segment` tuples are
-materialised lazily, only for the consumers that still want object views
-(:meth:`Trace.clip`'s pieces, read by the instruction-level OoO reference
-and the scalar profiling twins); the block-level timing simulator cuts
-:meth:`Trace.piece_bounds`' pieces inline and never builds one.
+materialised lazily, one by one into a dict, only for the consumers that
+still want object views (:meth:`Trace.clip`'s pieces, read by the
+instruction-level OoO reference and the scalar profiling twins).
+
+A trace holds nothing per segment beyond these arrays and what is
+derived from them (offsets, rep lengths, starts).  Python-list copies of
+the piece columns exist only for the oracle paths
+(:meth:`Trace.piece_bounds`, :meth:`Trace.clip`); the block-level timing
+simulator cuts the same pieces inline from lists it owns, which go away
+with it, and never builds a :class:`Segment`.
 
 Every consumer — the functional profiler, both detailed simulators, the
 sampling cost accounting — reads the *same* trace, so baseline and sampled
@@ -200,17 +206,17 @@ class Trace:
         self.outer_starts = outer_starts
         self.prologue_end = int(outer_starts[0])
 
-        #: Lazily materialised Segment views (prefilled when the trace
-        #: was constructed from segments in the first place).
-        self._segment_views: List[Optional[Segment]] = (
-            list(segments) if segments is not None else [None] * n
+        #: Segment views materialised so far, by segment index (all of
+        #: them when the trace was constructed from segments).
+        self._segment_views: Dict[int, Segment] = (
+            dict(enumerate(segments)) if segments is not None else {}
         )
 
     # ------------------------------------------------------------------
     # Lazy object views over the canonical arrays.
     def segment_at(self, index: int) -> Segment:
         """The (lazily materialised, memoised) Segment view of *index*."""
-        seg = self._segment_views[index]
+        seg = self._segment_views.get(index)
         if seg is None:
             lo = int(self.flat_offsets[index])
             hi = int(self.flat_offsets[index + 1])
@@ -227,9 +233,7 @@ class Trace:
     @property
     def segments(self) -> Tuple[Segment, ...]:
         """All Segment views (materialises any not yet built)."""
-        return tuple(
-            self.segment_at(i) for i in range(len(self._segment_views))
-        )
+        return tuple(self.segment_at(i) for i in range(self.n_segments))
 
     @cached_property
     def flat_composition(self) -> np.ndarray:
@@ -276,8 +280,10 @@ class Trace:
     @cached_property
     def _piece_columns(self) -> Tuple[List[int], List[int], List[int]]:
         """Python-list copies of ``seg_starts``, ``rep_lengths`` and
-        ``reps``: the piece arithmetic is plain int math per segment,
-        which on lists avoids a NumPy scalar per access."""
+        ``reps`` for the oracle paths (:meth:`piece_bounds`,
+        :meth:`clip`): the piece arithmetic is plain int math per segment,
+        which on lists avoids a NumPy scalar per access.  The timing walk
+        keeps its own lists, so a run's trace never holds these."""
         return (
             self.seg_starts.tolist(),
             self.rep_lengths.tolist(),
@@ -349,14 +355,15 @@ class TraceBuilder:
     Two backends produce byte-identical traces (see
     :mod:`repro.backend`):
 
-    * ``vectorized`` (default): one Python pass draws the RNG stream in
-      the exact order the scalar builder draws it (jitter normals, noise
-      uniforms/integers — the draws are interleaved and control-flow
-      dependent, so their order is part of the trace's definition) while
-      appending plain ints to flat columns; the jitter factors and rep
-      counts are then computed in one batched ``exp``/``rint`` pass, and
-      the trace is constructed array-native without ever materialising
-      :class:`Segment` objects.
+    * ``vectorized`` (default): the columns of one outer iteration are
+      built once per regime and gathered in schedule order; one Python
+      pass draws the RNG stream in the exact order the scalar builder
+      draws it (jitter normals, noise uniforms/integers — the draws are
+      interleaved and control-flow dependent, so their order is part of
+      the trace's definition), keeping only the draws; the rep counts
+      are then computed in one batched ``exp``/``rint`` pass, the noise
+      segments inserted, and the trace is constructed array-native
+      without ever materialising :class:`Segment` objects.
     * ``scalar``: the original object builder, kept as the differential
       reference.
     """
@@ -442,111 +449,121 @@ class TraceBuilder:
         return Trace(self.workload, segments)
 
     # ------------------------------------------------------------------
-    def _regime_entries(self) -> List[List[Tuple[int, List[int], int, int, float]]]:
-        """Per regime: the ordered (visit-major) inner-loop entry list.
+    def _build_vectorized(self) -> Trace:
+        """Assemble the canonical arrays from per-regime templates.
 
-        Each entry is ``(header_block, body_blocks, loop_id, iterations,
-        jitter)`` — the schedule-independent part of one inner-loop visit,
-        precomputed once so the unroll walk touches no layout objects.
+        Every outer iteration of a regime emits the same segments (its
+        header, then a header and a body per inner-loop visit) up to the
+        body rep counts and the noise segments the RNG adds.  So the
+        columns are built once per regime, gathered in schedule order,
+        and the noise segments are inserted after the bodies that drew
+        them.  The only per-entry Python work is the draw loop, which
+        takes the stream in the scalar builder's order (jitter normal,
+        noise uniform, noise block and reps: interleaved and control-flow
+        dependent, so their order is part of the trace's definition).
+        Body reps are one batched ``exp``/``rint``/``maximum`` pass over
+        ``iterations * scale`` (the scalar expression's association) and
+        the normals (0.0 when jitterless: ``exp(0) == 1`` exactly), which
+        is bit-identical to the per-entry ``max(1, int(round(iterations
+        * scale * factor)))``.
         """
-        entries_per_regime = []
-        for layout in self.workload.regime_layouts:
-            entries = []
+        wl = self.workload
+        spec = wl.spec
+        rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+
+        # --- prologue: (flat blocks, reps, loop id) per segment ---------
+        init_reps = self.INIT_LOOP_REPS * max(1, spec.prologue_iterations)
+        prologue = (
+            [(block, 1, -1) for block in wl.prologue_blocks]
+            + [(wl.init_loop_header, 1, -1),
+               (wl.init_loop_body, init_reps, wl.init_loop_id)]
+            + [(block, reps, -1) for block, reps in wl.init_scans]
+        )
+
+        # --- one template per regime -------------------------------------
+        # One outer iteration's segment columns (blocks per segment, reps
+        # with 0 for a body's, loop id) and flat blocks, plus its visits'
+        # trip counts and jitters in visit-major order.
+        templates = []
+        for layout in wl.regime_layouts:
+            nblocks, reps, loop = [1], [1], [-1]
+            flat, iterations, jitters = [wl.outer_header], [], []
             max_visits = max(l.spec.visits for l in layout.loops)
             for visit in range(max_visits):
                 for inner in layout.loops:
                     if visit >= inner.spec.visits:
                         continue
-                    entries.append((
-                        inner.header_block,
-                        list(inner.body_blocks),
-                        inner.loop_id,
-                        inner.spec.iterations,
-                        inner.spec.jitter,
-                    ))
-            entries_per_regime.append(entries)
-        return entries_per_regime
+                    nblocks += [1, len(inner.body_blocks)]
+                    reps += [1, 0]
+                    loop += [-1, inner.loop_id]
+                    flat.append(inner.header_block)
+                    flat.extend(inner.body_blocks)
+                    iterations.append(inner.spec.iterations)
+                    jitters.append(inner.spec.jitter)
+            templates.append(tuple(
+                np.array(column, dtype=np.int64)
+                for column in (nblocks, reps, loop, flat)
+            ) + (np.array(iterations, dtype=np.float64), jitters))
 
-    def _build_vectorized(self) -> Trace:
-        """Emit the canonical arrays directly, batching the float math."""
-        wl = self.workload
-        spec = wl.spec
-        rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
-
-        # Per-segment columns, filled by one walk in segment order.
-        flat: List[int] = []
-        nblocks: List[int] = []
-        reps: List[int] = []
-        outer: List[int] = []
-        loop: List[int] = []
-        add_flat = flat.append
-        ext_flat = flat.extend
-        add_n = nblocks.append
-        add_r = reps.append
-        add_o = outer.append
-        add_l = loop.append
-
-        # --- prologue --------------------------------------------------
-        for block in wl.prologue_blocks:
-            add_flat(block); add_n(1); add_r(1); add_o(-1); add_l(-1)
-        init_reps = self.INIT_LOOP_REPS * max(1, spec.prologue_iterations)
-        add_flat(wl.init_loop_header); add_n(1); add_r(1); add_o(-1); add_l(-1)
-        add_flat(wl.init_loop_body); add_n(1); add_r(init_reps); add_o(-1)
-        add_l(wl.init_loop_id)
-        for scan_block, scan_reps in wl.init_scans:
-            add_flat(scan_block); add_n(1); add_r(scan_reps); add_o(-1); add_l(-1)
-
-        # --- main outer loop -------------------------------------------
-        # The walk draws the RNG stream in scalar order and leaves a rep
-        # placeholder per body segment; `normals` (0.0 when jitterless:
-        # exp(0) == 1 exactly) and `bases` ((iterations * scale), the
-        # scalar expression's association) feed one vectorized
-        # exp/rint/maximum pass below that is bit-identical to the
-        # per-entry max(1, int(round(iterations * scale * factor))).
-        entries_per_regime = self._regime_entries()
+        # --- the draw loop, in scalar order ------------------------------
         noise = spec.noise
         noise_blocks = wl.noise_blocks
         n_noise = len(noise_blocks)
-        draw_normal = rng.normal
+        # Generator.normal(0.0, jitter) returns 0.0 + jitter * z for the
+        # same standard normal z, so this is the same float (and stream).
+        draw_normal = rng.standard_normal
         draw_uniform = rng.random
         draw_integers = rng.integers
-        outer_header = wl.outer_header
         normals: List[float] = []
-        bases: List[float] = []
-        body_rows: List[int] = []
-        for outer_index, regime_index in enumerate(spec.schedule):
-            scale = spec.scale_of(outer_index)
-            add_flat(outer_header); add_n(1); add_r(1); add_o(outer_index)
-            add_l(-1)
-            for header, body, loop_id, iterations, jitter in \
-                    entries_per_regime[regime_index]:
-                normals.append(draw_normal(0.0, jitter) if jitter else 0.0)
-                bases.append(iterations * scale)
-                add_flat(header); add_n(1); add_r(1); add_o(outer_index)
-                add_l(-1)
-                ext_flat(body)
-                body_rows.append(len(reps))
-                add_n(len(body)); add_r(0); add_o(outer_index); add_l(loop_id)
+        noisy: List[int] = []
+        noise_flat: List[int] = []
+        noise_reps: List[int] = []
+        for regime_index in spec.schedule:
+            for jitter in templates[regime_index][5]:
+                normals.append(jitter * draw_normal() if jitter else 0.0)
                 if noise and draw_uniform() < noise:
-                    add_flat(noise_blocks[int(draw_integers(n_noise))])
-                    add_n(1); add_r(int(draw_integers(1, 5)))
-                    add_o(outer_index); add_l(-1)
+                    noisy.append(len(normals) - 1)
+                    noise_flat.append(noise_blocks[int(draw_integers(n_noise))])
+                    noise_reps.append(int(draw_integers(1, 5)))
 
-        reps_arr = np.array(reps, dtype=np.int64)
-        if body_rows:
-            factors = np.exp(np.array(normals, dtype=np.float64))
-            body_reps = np.maximum(
-                1.0, np.rint(np.array(bases, dtype=np.float64) * factors)
-            ).astype(np.int64)
-            reps_arr[np.array(body_rows, dtype=np.int64)] = body_reps
-        n = len(reps_arr)
+        # --- the templates in schedule order, body reps filled in --------
+        nblocks, reps, loop, flat, iterations = (
+            np.concatenate([templates[r][column] for r in spec.schedule])
+            for column in range(5)
+        )
+        n_outer = len(spec.schedule)
+        outer = np.repeat(np.arange(n_outer, dtype=np.int64),
+                          [len(templates[r][0]) for r in spec.schedule])
+        body_rows = np.flatnonzero(reps == 0)
+        scales = np.array([spec.scale_of(i) for i in range(n_outer)],
+                          dtype=np.float64)
+        bases = iterations * scales[outer[body_rows]]
+        factors = np.exp(np.array(normals, dtype=np.float64))
+        reps[body_rows] = np.maximum(1.0, np.rint(bases * factors)
+                                     ).astype(np.int64)
+
+        # --- noise segments, each right after the body that drew it ------
+        if noisy:
+            after = body_rows[noisy] + 1
+            flat_after = np.concatenate(([0], np.cumsum(nblocks)))[after]
+            flat = np.insert(flat, flat_after, noise_flat)
+            outer = np.insert(outer, after, outer[after - 1])
+            reps = np.insert(reps, after, noise_reps)
+            nblocks = np.insert(nblocks, after, 1)
+            loop = np.insert(loop, after, -1)
+
+        n_prologue = len(prologue)
+        blocks, prologue_reps, prologue_loop = zip(*prologue)
         arrays = {
-            "flat_blocks": np.array(flat, dtype=np.int64),
-            "blocks_per_segment": np.array(nblocks, dtype=np.int64),
-            "reps": reps_arr,
-            "outer_index": np.array(outer, dtype=np.int64),
-            "iter_base": np.zeros(n, dtype=np.int64),
-            "loop_id": np.array(loop, dtype=np.int64),
+            "flat_blocks": np.concatenate((blocks, flat)).astype(np.int64),
+            "blocks_per_segment": np.concatenate(
+                (np.ones(n_prologue, dtype=np.int64), nblocks)),
+            "reps": np.concatenate((prologue_reps, reps)).astype(np.int64),
+            "outer_index": np.concatenate(
+                (np.full(n_prologue, -1, dtype=np.int64), outer)),
+            "iter_base": np.zeros(n_prologue + len(reps), dtype=np.int64),
+            "loop_id": np.concatenate(
+                (prologue_loop, loop)).astype(np.int64),
         }
         return Trace(self.workload, arrays=arrays)
 

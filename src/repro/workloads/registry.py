@@ -1,4 +1,4 @@
-"""Benchmark registry: look specs up by name and cache generated workloads.
+"""Benchmark registry: look specs up by name and share generated workloads.
 
 Three name shapes resolve here, so every consumer (runner, dispatcher
 workers, cache keys) can go from a bare string to a spec, workload or
@@ -12,10 +12,18 @@ trace without side channels:
   carry their own unrolled arrays at the scale they were exported at, so
   :func:`load_trace` returns those verbatim and the requested scale is
   ignored for them.
+
+Family and import names resolve without building the suite's specs.
+Generated workloads are memoised *weakly*: one stays shared while any
+holder (a runner's :class:`~repro.samplers.PlanContext`, through its
+trace) keeps it, and is freed with the last one.  The runner's context
+is the one per-benchmark memo; this one only stops two live holders from
+generating the same workload twice.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional
 
 from ..errors import ProgramError
@@ -27,7 +35,9 @@ from .suite import QUICK_SUITE_NAMES, SUITE_NAMES, build_suite, scaled_spec
 IMPORT_PREFIX = "import:"
 
 _SPECS: Optional[Dict[str, BenchmarkSpec]] = None
-_WORKLOADS: Dict[str, Workload] = {}
+_WORKLOADS: "weakref.WeakValueDictionary[str, Workload]" = (
+    weakref.WeakValueDictionary()
+)
 
 
 def _specs() -> Dict[str, BenchmarkSpec]:
@@ -43,19 +53,23 @@ def benchmark_names(quick: bool = False) -> List[str]:
 
 
 def get_spec(name: str) -> BenchmarkSpec:
-    """Return the spec for benchmark *name* (suite, family or import)."""
-    specs = _specs()
-    if name in specs:
-        return specs[name]
+    """Return the spec for benchmark *name* (suite, family or import).
+
+    Family and import names resolve first, so looking one up never
+    builds the suite's specs.
+    """
+    if name.startswith(IMPORT_PREFIX):
+        from . import trace_import
+
+        return trace_import.import_spec(name[len(IMPORT_PREFIX):])
     from . import families
 
     member = families.spec_for(name)
     if member is not None:
         return member
-    if name.startswith(IMPORT_PREFIX):
-        from . import trace_import
-
-        return trace_import.import_spec(name[len(IMPORT_PREFIX):])
+    specs = _specs()
+    if name in specs:
+        return specs[name]
     raise ProgramError(
         f"unknown benchmark {name!r}; known: {', '.join(sorted(specs))}, "
         f"fam:<family>[i], {IMPORT_PREFIX}<path>"
@@ -63,14 +77,18 @@ def get_spec(name: str) -> BenchmarkSpec:
 
 
 def load_workload(name: str, scale: float = 1.0) -> Workload:
-    """Return the (cached) generated workload for benchmark *name*.
+    """Return the generated workload for benchmark *name*.
 
     ``scale < 1`` returns a shrunken variant (for tests / smoke runs); scaled
-    variants are cached separately.  Imported benchmarks were unrolled at
-    their embedded scale, so *scale* does not apply to them.
+    variants are memoised separately.  The memo is weak: a workload that
+    someone still holds is returned again, one that nobody holds is
+    generated anew (deterministically, so it is equal).  Imported
+    benchmarks were unrolled at their embedded scale, so *scale* does not
+    apply to them.
     """
     key = name if scale == 1.0 else f"{name}@{scale:g}"
-    if key not in _WORKLOADS:
+    workload = _WORKLOADS.get(key)
+    if workload is None:
         if name.startswith(IMPORT_PREFIX):
             from . import trace_import
 
@@ -83,7 +101,7 @@ def load_workload(name: str, scale: float = 1.0) -> Workload:
                 spec = scaled_spec(spec, scale)
             workload = generate_workload(spec)
         _WORKLOADS[key] = workload
-    return _WORKLOADS[key]
+    return workload
 
 
 def load_trace(
@@ -112,7 +130,7 @@ def load_trace(
 
 
 def clear_cache() -> None:
-    """Drop all cached workloads and imports (mainly for tests)."""
+    """Drop all memoised workloads and imports (mainly for tests)."""
     _WORKLOADS.clear()
     from . import trace_import
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import CONFIG_A
+from repro.engine import functional as functional_mod
 from repro import backend as backend_mod
 from repro.backend import BACKEND_ENV, get_backend, use_backend
 from repro.engine import (
@@ -209,6 +210,15 @@ class TestFunctionalDifferential:
         assert (scalar.bbv == vector.bbv).all()
         assert (scalar.segment_bbvs == vector.segment_bbvs).all()
 
+    def test_coarse_profile_of_no_instances(self, small_functional):
+        bounds = np.zeros((0, 2), dtype=np.int64)
+        profile = small_functional.profile_coarse_intervals
+        scalar = _under("scalar", profile, bounds=bounds)
+        vector = _under("vectorized", profile, bounds=bounds)
+        assert scalar.bbv.shape == vector.bbv.shape == (
+            0, small_functional.program.n_blocks)
+        assert scalar.segment_bbvs.shape == vector.segment_bbvs.shape
+
     def test_structure_profile_identical(self, small_functional):
         assert _under("scalar", small_functional.profile_structures) == \
             _under("vectorized", small_functional.profile_structures)
@@ -241,6 +251,82 @@ class TestFunctionalDifferential:
             with use_backend(backend), pytest.raises(
                 TraceError, match="instance 1"
             ):
+                small_functional.profile_coarse_intervals(bounds=bounds)
+
+
+class TestCoarseProfileChunks:
+    """Chunking the coarse pass by instances changes no byte of it."""
+
+    #: One instance per chunk, a few per chunk, and one chunk.
+    BOUNDS = (1, 1500, 1 << 62)
+
+    def _chunked(self, functional, monkeypatch, bound, **kwargs):
+        """The profile under chunk *bound*, and its chunks' sizes."""
+        sizes = []
+        chunk = FunctionalSimulator._coarse_chunk
+
+        def recording(self, starts_b, *args):
+            sizes.append(len(starts_b))
+            return chunk(self, starts_b, *args)
+
+        monkeypatch.setattr(functional_mod, "_CHUNK_ENTRIES", bound)
+        monkeypatch.setattr(FunctionalSimulator, "_coarse_chunk", recording)
+        profile = functional.profile_coarse_intervals(**kwargs)
+        monkeypatch.undo()
+        return profile, sizes
+
+    def _assert_invariant(self, functional, monkeypatch, **kwargs):
+        runs = [self._chunked(functional, monkeypatch, bound, **kwargs)
+                for bound in self.BOUNDS]
+        (one, one_sizes), (_, mid_sizes), (_, whole_sizes) = runs
+        n_instances = len(one.starts)
+        assert one_sizes == [1] * n_instances
+        assert 1 < len(mid_sizes) < n_instances
+        assert whole_sizes == [n_instances]
+        scalar = _under("scalar", functional.profile_coarse_intervals,
+                        **kwargs)
+        for profile, _ in runs:
+            assert profile.bbv.tobytes() == scalar.bbv.tobytes()
+            assert (profile.segment_bbvs.tobytes()
+                    == scalar.segment_bbvs.tobytes())
+
+    def test_outer_iterations(self, small_functional, monkeypatch):
+        self._assert_invariant(small_functional, monkeypatch)
+
+    def test_bounds_cut_inside_segments(self, small_functional,
+                                        small_trace, monkeypatch):
+        # Edges off segment boundaries: neighbouring instances, and so
+        # neighbouring chunks, share the segment an edge cuts.
+        total = small_trace.total_instructions
+        edges = np.unique(np.linspace(3, total - 5, 41).astype(np.int64))
+        bounds = np.stack([edges[:-1], edges[1:]], axis=1)
+        self._assert_invariant(small_functional, monkeypatch,
+                               n_segments=5, bounds=bounds)
+
+    def test_coasts_bounds(self, small_functional, small_trace,
+                           test_sampling, monkeypatch):
+        from repro.sampling import Coasts
+
+        coasts = Coasts(test_sampling)
+        bounds = coasts.collect_boundaries(small_trace).bounds
+        self._assert_invariant(
+            small_functional, monkeypatch,
+            n_segments=test_sampling.signature_segments, bounds=bounds,
+        )
+
+    @pytest.mark.parametrize("bad, message", [
+        ([7, 7], "instance 30: empty bounds"),
+        ([10, None], "bad clip range"),
+    ])
+    def test_bad_bound_in_a_later_chunk(self, small_functional,
+                                        small_trace, monkeypatch, bad,
+                                        message):
+        total = small_trace.total_instructions
+        bounds = small_trace.outer_bounds()[:40].copy()
+        bounds[30] = [bad[0], total + 1 if bad[1] is None else bad[1]]
+        for bound in self.BOUNDS:
+            monkeypatch.setattr(functional_mod, "_CHUNK_ENTRIES", bound)
+            with pytest.raises(TraceError, match=message):
                 small_functional.profile_coarse_intervals(bounds=bounds)
 
 

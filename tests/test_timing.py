@@ -264,4 +264,4 @@ class TestKindStatics:
         simulate_tagged_ranges(simulator, {
             "all": [(0, total)], "mid": [(total // 3, total // 2 + 1)],
         })
-        assert trace._segment_views == [None] * trace.n_segments
+        assert trace._segment_views == {}

@@ -120,8 +120,13 @@ class TestSuite:
         assert len(benchmark_names(quick=True)) == 3
 
     def test_get_spec_unknown_raises(self):
-        with pytest.raises(ProgramError):
+        with pytest.raises(ProgramError) as caught:
             get_spec("doom")
+        assert str(caught.value) == (
+            "unknown benchmark 'doom'; known: "
+            f"{', '.join(sorted(SUITE_NAMES))}, fam:<family>[i], "
+            "import:<path>"
+        )
 
 
 class TestGenerator:
@@ -174,6 +179,20 @@ class TestGenerator:
         a = load_workload("gzip", scale=0.02)
         b = load_workload("gzip", scale=0.02)
         assert a is b
+
+    def test_family_lookup_never_builds_the_suite(self, monkeypatch):
+        from repro.workloads import registry
+
+        def refuse():
+            raise AssertionError("build_suite called")
+
+        monkeypatch.setattr(registry, "_SPECS", None)
+        monkeypatch.setattr(registry, "build_suite", refuse)
+        spec = get_spec("fam:irregular[3]")
+        assert spec.name == "fam:irregular[3]"
+        load_workload("fam:phase-heavy[1]", scale=0.05)
+        with pytest.raises(AssertionError, match="build_suite called"):
+            get_spec("gzip")
 
     def test_scaled_spec_preserves_phase_structure(self):
         spec = scaled_spec(get_spec("equake"), 0.05)
