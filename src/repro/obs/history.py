@@ -12,10 +12,10 @@ ratios.
 :func:`diff_records` compares two records metric by metric and renders
 thresholded PASS / REGRESSED / IMPROVED verdicts; the CLI's
 ``repro obs diff`` exits nonzero when anything regressed, which is what
-CI's no-regression smoke leans on.  Records whose provenance keys differ
-(different config digest, scale, methods...) still diff, but every
-mismatched key is called out so an apples-to-oranges comparison cannot
-masquerade as a regression signal.
+the warm-rerun pin in ``tests/test_exact_pins.py`` leans on.  Records
+whose provenance keys differ (different config digest, scale,
+methods...) still diff, but every mismatched key is called out so an
+apples-to-oranges comparison cannot masquerade as a regression signal.
 """
 
 from __future__ import annotations
@@ -456,7 +456,7 @@ def diff_records(
         ))
 
     # Leaderboard ranks: a method sliding down the table (rank number
-    # grew) is a regression — the signal CI's leaderboard smoke guards.
+    # grew) is a regression.
     for method in sorted(set(a.ranks) | set(b.ranks)):
         va, vb = a.ranks.get(method), b.ranks.get(method)
         if va is None or vb is None:

@@ -10,8 +10,8 @@ driver's registry with well-defined merge semantics:
 * **counters** add;
 * **histograms** add bucket counts and sums (bucket bounds must match —
   a mismatch is a programming error and raises);
-* **gauges** merge per their declared aggregation: ``last`` (an updated
-  incoming value wins), ``sum``, ``max`` or ``min``.
+* **gauges** keep the last updated value: an updated incoming gauge
+  wins, one never set leaves the value alone.
 
 Names follow the Prometheus conventions the text exposition
 (:func:`repro.obs.export.render_prometheus`) expects: counters end in
@@ -129,9 +129,6 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 60.0, 300.0,
 )
 
-#: Gauge aggregations accepted by :class:`Gauge`.
-GAUGE_AGGS = ("last", "sum", "max", "min")
-
 LabelItems = Tuple[Tuple[str, str], ...]
 
 
@@ -163,19 +160,13 @@ class Counter:
 
 
 class Gauge:
-    """Point-in-time value with a declared multi-process aggregation."""
+    """Point-in-time value; across processes the last update wins."""
 
     kind = "gauge"
-    __slots__ = ("value", "agg", "updated")
+    __slots__ = ("value", "updated")
 
-    def __init__(self, agg: str = "last") -> None:
-        if agg not in GAUGE_AGGS:
-            raise ObservabilityError(
-                f"unknown gauge aggregation {agg!r} (expected one of "
-                f"{GAUGE_AGGS})"
-            )
+    def __init__(self) -> None:
         self.value = 0.0
-        self.agg = agg
         self.updated = False
 
     def set(self, value: float) -> None:
@@ -183,31 +174,21 @@ class Gauge:
         self.updated = True
 
     def merge(self, other: "Gauge") -> None:
-        if other.agg != self.agg:
-            raise ObservabilityError(
-                f"gauge aggregation mismatch: {self.agg!r} vs {other.agg!r}"
-            )
-        if not other.updated:
-            return
-        if not self.updated:
+        if other.updated:  # the incoming (more recent) value wins
             self.value = other.value
-        elif self.agg == "sum":
-            self.value += other.value
-        elif self.agg == "max":
-            self.value = max(self.value, other.value)
-        elif self.agg == "min":
-            self.value = min(self.value, other.value)
-        else:  # "last": the incoming (more recent) value wins
-            self.value = other.value
-        self.updated = True
+            self.updated = True
 
     def to_dict(self) -> dict:
-        return {"value": self.value, "agg": self.agg,
-                "updated": self.updated}
+        return {"value": self.value, "updated": self.updated}
 
     def load(self, payload: dict) -> None:
+        # Every gauge is last-wins: a payload naming any other
+        # aggregation is malformed.
+        if payload.get("agg", "last") != "last":
+            raise ObservabilityError(
+                f"unknown gauge aggregation {payload['agg']!r}"
+            )
         self.value = payload["value"]
-        self.agg = payload.get("agg", "last")
         self.updated = payload.get("updated", True)
 
 
@@ -296,16 +277,14 @@ class MetricsRegistry:
         """The counter ``name{labels}`` (created on first use)."""
         return self._get(name, labels, Counter, "counter")
 
-    def gauge(self, name: str, agg: str = "last", **labels: Any) -> Gauge:
+    def gauge(self, name: str, **labels: Any) -> Gauge:
         """The gauge ``name{labels}`` (created on first use)."""
-        return self._get(name, labels, lambda: Gauge(agg), "gauge")
+        return self._get(name, labels, Gauge, "gauge")
 
-    def gauge_at(
-        self, name: str, items: LabelItems, agg: str = "last"
-    ) -> Gauge:
+    def gauge_at(self, name: str, items: LabelItems) -> Gauge:
         """The gauge ``name{items}``, *items* already in :meth:`label_items`
         form (for callers that look up many gauges of one label set)."""
-        return self._instrument(name, items, lambda: Gauge(agg), "gauge")
+        return self._instrument(name, items, Gauge, "gauge")
 
     def histogram(
         self,
@@ -345,7 +324,7 @@ class MetricsRegistry:
             if metric.kind == "counter":
                 self.counter(name, **labels_dict).merge(metric)
             elif metric.kind == "gauge":
-                self.gauge(name, agg=metric.agg, **labels_dict).merge(metric)
+                self.gauge(name, **labels_dict).merge(metric)
             else:
                 self.histogram(
                     name, buckets=metric.bounds, **labels_dict
@@ -381,8 +360,7 @@ class MetricsRegistry:
             if kind == "counter":
                 incoming.counter(name, **labels).load(item)
             elif kind == "gauge":
-                incoming.gauge(name, agg=item.get("agg", "last"),
-                               **labels).load(item)
+                incoming.gauge(name, **labels).load(item)
             elif kind == "histogram":
                 incoming.histogram(
                     name, buckets=tuple(item["bounds"]), **labels

@@ -268,7 +268,7 @@ class TestCli:
 
     def test_identical_seeded_runs_diff_clean(self, capsys, tmp_path,
                                               monkeypatch):
-        """The CI no-regression smoke: same config twice -> PASS, exit 0."""
+        """The no-regression check: same config twice -> PASS, exit 0."""
         self._run_twice(tmp_path, monkeypatch)
         code = main(["obs", "diff", "prev", "last"])
         out = capsys.readouterr().out

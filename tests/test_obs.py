@@ -179,14 +179,15 @@ class TestMetrics:
             a.merge(b)
 
     def test_gauge_aggregations(self):
-        for agg, expected in (("last", 2.0), ("sum", 5.0), ("max", 3.0),
-                              ("min", 2.0)):
+        # Every gauge is last-wins: the incoming updated value replaces
+        # the held one, whichever is larger.
+        for held, incoming in ((3.0, 2.0), (2.0, 3.0)):
             a = MetricsRegistry()
-            a.gauge("g", agg=agg).set(3.0)
+            a.gauge("g").set(held)
             b = MetricsRegistry()
-            b.gauge("g", agg=agg).set(2.0)
+            b.gauge("g").set(incoming)
             a.merge(b)
-            assert a.value("g") == expected, agg
+            assert a.value("g") == incoming
 
     def test_gauge_never_set_does_not_clobber(self):
         a = MetricsRegistry()
@@ -199,7 +200,7 @@ class TestMetrics:
     def test_dict_roundtrip_equals_merge(self):
         a = MetricsRegistry()
         a.counter("c_total", site="x").inc(4)
-        a.gauge("g", agg="max").set(2.0)
+        a.gauge("g").set(2.0)
         a.histogram("h").observe(0.2)
         rebuilt = MetricsRegistry.from_dict(a.to_dict())
         assert rebuilt.to_dict() == a.to_dict()

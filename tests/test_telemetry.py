@@ -88,10 +88,8 @@ def _get(url):
 # ----------------------------------------------------------------------
 # live registry: the last snapshot per stream wins, resolved on commit
 # ----------------------------------------------------------------------
-#: Gauge names with their fixed aggregation (a gauge's agg is part of
-#: its identity: merging two aggs of one name is an error).
-_GAUGE_AGGS = {"repro_g_last": "last", "repro_g_max": "max",
-               "repro_g_sum": "sum"}
+#: Gauge names (every gauge is last-wins).
+_GAUGES = ("repro_g_a", "repro_g_b")
 
 _labels = st.sampled_from([{}, {"benchmark": "gzip"}, {"benchmark": "lucas"}])
 
@@ -100,7 +98,7 @@ _labels = st.sampled_from([{}, {"benchmark": "gzip"}, {"benchmark": "lucas"}])
 _steps = st.one_of(
     st.tuples(st.just("counter"), _labels,
               st.floats(min_value=0, max_value=1e6, allow_nan=False)),
-    st.tuples(st.just("gauge"), st.sampled_from(sorted(_GAUGE_AGGS)),
+    st.tuples(st.just("gauge"), st.sampled_from(_GAUGES),
               _labels, st.floats(min_value=-1e6, max_value=1e6,
                                  allow_nan=False)),
     st.tuples(st.just("histogram"), _labels,
@@ -114,8 +112,7 @@ def _apply(registry, step):
     if kind == "counter":
         registry.counter("repro_x_total", **step[1]).inc(step[2])
     elif kind == "gauge":
-        registry.gauge(step[1], agg=_GAUGE_AGGS[step[1]], **step[2]) \
-            .set(step[3])
+        registry.gauge(step[1], **step[2]).set(step[3])
     else:
         registry.histogram("repro_s", buckets=(0.1, 1.0), **step[1]) \
             .observe(step[2])
