@@ -17,9 +17,11 @@ For one benchmark and one machine configuration the runner:
    (:meth:`BenchmarkRun.from_dict`), computed or cached alike.
 
 Plans depend only on the benchmark (profiling is architecture-independent),
-so each benchmark's :class:`~repro.samplers.PlanContext` — its trace,
-profiles, clusterings and every built plan — is the runner's only
-per-benchmark state, reused across configurations.
+so each benchmark's :class:`~repro.samplers.PlanContext` is the runner's
+only per-benchmark state, reused across configurations.  A computed run
+releases its context's trace, profiles and clusterings and keeps the
+built plans; a later run under another configuration reloads the trace
+for its walk and plans nothing.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from __future__ import annotations
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -57,7 +60,7 @@ from ..sampling.estimate import (  # noqa: F401
     simulate_tagged_ranges,
 )
 from ..sampling.points import SamplingPlan
-from ..workloads.registry import benchmark_names, load_trace
+from ..workloads.registry import benchmark_names, get_spec, load_trace
 from .cache import ResultCache
 from .dispatch import DEFAULT_LEASE_TIMEOUT, DispatchPool, pool_for
 from .faults import corrupt_cache_entry, current_attempt, fire_stage
@@ -346,35 +349,40 @@ class ExperimentRunner:
         #: keeps every telemetry hook a no-op.  Strictly out-of-band:
         #: results are identical with or without a plane.
         self.telemetry = None
-        #: The one per-benchmark memo: each benchmark's
-        #: :class:`~repro.samplers.PlanContext` holds its trace, profiles,
-        #: clusterings and built plans.
-        self._contexts: Dict[str, PlanContext] = {}
+        #: The one per-benchmark memo: ``{benchmark: (spec fingerprint,
+        #: PlanContext)}``.  Plans stay for the runner's life; the trace,
+        #: profiles and clusterings only until :meth:`run_benchmark` has
+        #: computed a run from them.  A changed fingerprint (an edited
+        #: ``import:`` file) makes the next run plan afresh.
+        self._contexts: Dict[str, Tuple[str, PlanContext]] = {}
 
     # ------------------------------------------------------------------
     def context(self, benchmark: str) -> PlanContext:
         """The (memoised) :class:`~repro.samplers.PlanContext` of
-        *benchmark*; the first call loads its trace.
+        *benchmark*; its trace loads when first read, and again after a
+        run released it.
 
         Suite and family benchmarks unroll at the runner's workload
         scale; ``import:`` benchmarks return their validated external
         arrays at the scale they were exported at (see
         :mod:`repro.workloads.trace_import`).
         """
-        context = self._contexts.get(benchmark)
-        if context is None:
-            trace = load_trace(
-                benchmark, scale=self.workload_scale,
+        entry = self._contexts.get(benchmark)
+        if entry is None:
+            load = partial(
+                load_trace, benchmark, scale=self.workload_scale,
                 metrics=self.obs.metrics,
             )
-            context = PlanContext(
-                trace, self.sampling, benchmark, obs=self.obs
+            entry = self._contexts[benchmark] = (
+                get_spec(benchmark).fingerprint,
+                PlanContext(
+                    None, self.sampling, benchmark, obs=self.obs, load=load
+                ),
             )
-            self._contexts[benchmark] = context
-        return context
+        return entry[1]
 
     def trace(self, benchmark: str) -> Trace:
-        """The (memoised) trace of *benchmark*."""
+        """The trace of *benchmark*, held by its context."""
         return self.context(benchmark).trace
 
     def plans(
@@ -449,8 +457,6 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
     def _cache_key(self, benchmark: str, config: MachineConfig) -> str:
-        from ..workloads.registry import get_spec
-
         # The spec repr fingerprints the workload definition, so cached
         # results are invalidated whenever the suite is re-tuned.  The
         # method set is deliberately NOT part of the key: one entry per
@@ -490,6 +496,10 @@ class ExperimentRunner:
         payload restricted to this runner's methods, published once on
         the run span and gauges and rebuilt with
         :meth:`BenchmarkRun.from_dict`.
+
+        A computed run releases the benchmark's trace, profiles and
+        clusterings (:meth:`~repro.samplers.PlanContext.release`); a
+        failed attempt keeps them for its retry.
         """
         with self._run_span(benchmark, config.name) as span:
             key = self._cache_key(benchmark, config)
@@ -546,11 +556,20 @@ class ExperimentRunner:
         stored: Optional[dict],
     ) -> dict:
         """The stored payload *stored* (``None`` when cold) grown by the
-        *compute* methods, in :meth:`BenchmarkRun.to_dict` form."""
+        *compute* methods, in :meth:`BenchmarkRun.to_dict` form.
+
+        Plans built for another spec fingerprint (an ``import:`` file
+        edited since) are dropped with their context.  Once the payload
+        is complete the context keeps only its plans.
+        """
+        entry = self._contexts.get(benchmark)
+        if entry is not None and entry[0] != get_spec(benchmark).fingerprint:
+            del self._contexts[benchmark]
+        context = self.context(benchmark)
         with self._stage(benchmark, "trace_build"):
-            trace = self.trace(benchmark)
+            trace = context.trace
         plans = self.plans(benchmark, methods=compute)
-        built = self._contexts[benchmark].built
+        built = context.built
         plan_diags = {
             name: built[name][1] for name in compute
             if built[name][1] is not None
@@ -597,6 +616,7 @@ class ExperimentRunner:
             methods=methods,
             diagnostics=diags,
         ).to_dict()
+        context.release()
         if stored is None:
             return computed
         return dict(

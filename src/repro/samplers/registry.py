@@ -33,13 +33,16 @@ module defining its ``build_plan``, which each worker imports (see
 fixed-interval BBV profile, its SimPoint-style clustering and every
 built plan — so co-scheduled methods share them bit-for-bit: the same
 profile object, the same fine clustering for simpoint, early_sp and
-stratified, the same COASTS plan for coasts and multilevel.
+stratified, the same COASTS plan for coasts and multilevel.  The plans
+outlive the rest: :meth:`PlanContext.release` drops the trace and what
+was derived from it, and a context built with a loader reloads the
+trace when something next asks for it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..config import SamplingConfig
 from ..errors import SamplingError
@@ -66,11 +69,21 @@ class PlanContext:
     built once (:meth:`plan`), so multilevel refines the very COASTS plan
     the coasts method reports.  Which methods run, and in what order,
     never changes a plan.
+
+    The built plans are the only state that outlives the trace: they
+    hold bounds and weights, never trace data.  :meth:`release` drops
+    the trace, the functional simulator, the fine profile and the fine
+    clusterings and keeps :attr:`built`; the next read of :attr:`trace`
+    calls *load* again.  A context given *load* and no *trace* loads on
+    first use.
     """
 
     def __init__(self, trace, sampling: SamplingConfig, benchmark: str,
-                 obs=None) -> None:
-        self.trace = trace
+                 obs=None, load: Optional[Callable[[], Any]] = None) -> None:
+        self._trace = trace
+        #: Zero-argument callable returning the trace (``None``: the
+        #: trace given is the only one, and :meth:`release` is refused).
+        self._load = load
         self.sampling = sampling
         self.benchmark = benchmark
         #: Optional :class:`~repro.obs.ObsContext`; samplers built from
@@ -83,6 +96,30 @@ class PlanContext:
         self.built: Dict[str, Tuple[SamplingPlan, Optional[MethodDiag]]] = {}
 
     # ------------------------------------------------------------------
+    @property
+    def trace(self):
+        """The benchmark's trace, loaded (again, after :meth:`release`)
+        on first read."""
+        if self._trace is None:
+            self._trace = self._load()
+        return self._trace
+
+    def release(self) -> None:
+        """Drop the trace and everything derived from it, keeping the
+        built ``(plan, diag)`` records.
+
+        A later plan request that finds its method built reads nothing
+        else; one that does not reloads the trace and profiles it anew
+        (same bytes: loading and profiling are deterministic).
+        """
+        if self._load is None:
+            raise SamplingError(
+                f"context of {self.benchmark!r} has no loader to reload "
+                f"its trace"
+            )
+        self._trace = self._functional = self._fine_profile = None
+        self._fine_clusterings = {}
+
     @property
     def functional(self):
         """A (memoised) functional simulator over the trace."""

@@ -45,7 +45,10 @@ front instead of sorting every region by a last-access stamp; a region
 the walk drains to zero leaves the list until it is installed again
 (draining it once more would take nothing).  The total that decides an
 overflow is still summed over every region in first-install order, so
-each float is what the stamped, sorted ledger computed.
+each float is what the stamped, sorted ledger computed.  That sum is
+skipped only when it cannot change: the last one fit and no residency
+has moved since, and the install stores the value its region already
+holds (see :meth:`OccupancyCache.install`).
 
 **Tie rule.**  The per-visit code writes ``min(a, b)`` as ``b if b < a
 else a`` and ``max(a, b)`` as ``b if b > a else a``: the operand the
@@ -97,11 +100,14 @@ class OccupancyCache:
         #: The regions eviction may still drain, least recently
         #: installed first.
         self._recency: "OrderedDict[int, None]" = OrderedDict()
+        #: The last overflow sum fit, and no residency changed since.
+        self._fits = False
 
     def reset(self) -> None:
         """Drop all residency (cold cache)."""
         self._residency.clear()
         self._recency.clear()
+        self._fits = False
 
     # ------------------------------------------------------------------
     def residency(self, region: int) -> float:
@@ -115,15 +121,30 @@ class OccupancyCache:
 
     def install(self, region: int, lines: float) -> None:
         """Set *region*'s residency to *lines* (capped by capacity), marking
-        it most recently used and evicting stalest regions on overflow."""
+        it most recently used and evicting stalest regions on overflow.
+
+        When the last overflow sum fit and no residency has changed
+        since, an install of the value *region* already holds only moves
+        its recency: the sum would add the same floats in the same order
+        and fit again.  ``==`` cannot hide a bit change there, because a
+        residency is never NaN or ``-0.0``: it is a sum of non-negative
+        floats, a difference ``x - x`` of equal ones, or a clamp to
+        ``0.0``.
+        """
         residency = self._residency
         recency = self._recency
         capacity = self.capacity
-        residency[region] = capacity if capacity < lines else lines
+        value = capacity if capacity < lines else lines
+        if self._fits and residency.get(region) == value:
+            recency[region] = None
+            recency.move_to_end(region)
+            return
+        residency[region] = value
         recency[region] = None
         recency.move_to_end(region)
         overflow = sum(residency.values()) - capacity
         if overflow > 1e-9:
+            self._fits = False
             drained = []
             for key in recency:
                 if key == region:
@@ -143,6 +164,8 @@ class OccupancyCache:
             if overflow > 1e-9:
                 left = residency[region] - overflow
                 residency[region] = left if left > 0.0 else 0.0
+        else:
+            self._fits = True
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -18,6 +18,8 @@ from repro.detailed.timing import TimingSimulator
 from repro.engine import FunctionalSimulator, Trace
 from repro.engine import functional as functional_mod
 from repro.harness import ExperimentRunner, ResultCache
+from repro.harness import runner as runner_mod
+from repro.workloads.families import family_names
 from repro.workloads.registry import load_trace
 
 from .conftest import TEST_SCALE
@@ -28,6 +30,20 @@ BYTES_PER_CHUNK_ENTRY = 32 * 8
 #: Bytes the pass may allocate per instance, across all chunks (its
 #: segment ranges and chunk sizes).
 BYTES_PER_INSTANCE = 8 * 8
+#: Bytes a finished serial run may leave for the runner's life: its run
+#: record and diagnostics, its plans, spans and gauges, and its member's
+#: memoised spec (about 33 KiB at the test scale).  A run that kept its
+#: trace and profiles would leave about 240 KiB.
+RETAINED_PER_RUN = 64 * 1024
+
+
+def _family_members(count):
+    """The first *count* family members, cycling through the families."""
+    families = family_names()
+    return [
+        f"fam:{families[i % len(families)]}[{i // len(families)}]"
+        for i in range(count)
+    ]
 
 
 @pytest.mark.parametrize("bound", [1024, functional_mod._CHUNK_ENTRIES])
@@ -73,3 +89,51 @@ def test_walk_leaves_no_list_columns_on_the_trace(small_trace):
     trace = Trace(small_trace.workload, arrays=small_trace.arrays())
     TimingSimulator(trace, CONFIG_A).simulate_full()
     assert "_piece_columns" not in trace.__dict__
+
+
+def test_serial_suite_frees_each_finished_trace(tmp_path, monkeypatch):
+    """A computed run releases its trace; its context keeps the plans."""
+    loaded = {}
+
+    def tracking(name, **kwargs):
+        trace = load_trace(name, **kwargs)
+        loaded.setdefault(name, []).append(weakref.ref(trace))
+        return trace
+
+    monkeypatch.setattr(runner_mod, "load_trace", tracking)
+    names = _family_members(4)
+    runner = ExperimentRunner(
+        cache=ResultCache(tmp_path), workload_scale=TEST_SCALE,
+        methods=("coasts", "multilevel"),
+    )
+    outcome = runner.run_suite(CONFIG_A, names=names, jobs=1)
+    assert [run.benchmark for run in outcome] == names
+    gc.collect()
+    for name in names:
+        assert [ref() for ref in loaded[name]] == [None], name
+        assert set(runner.context(name).built) == set(runner.methods)
+    assert set(loaded) == set(names)  # reading the plans loaded nothing
+
+
+def test_serial_campaign_memory_stays_flat():
+    """Runs 11 to 40 of a serial campaign keep only their records."""
+    runner = ExperimentRunner(
+        cache=ResultCache(enabled=False), workload_scale=TEST_SCALE,
+        methods=("coasts", "multilevel"),
+    )
+    names = _family_members(40)
+    outcomes = []
+    current = []
+    tracemalloc.start()
+    try:
+        for chunk in (names[:10], names[10:]):
+            outcomes.append(runner.run_suite(CONFIG_A, names=chunk, jobs=1))
+            gc.collect()
+            current.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+    assert sum(len(list(outcome)) for outcome in outcomes) == 40
+    growth = current[1] - current[0]
+    assert growth <= 30 * RETAINED_PER_RUN, (
+        f"30 runs kept {growth} B > {30 * RETAINED_PER_RUN} B"
+    )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import tempfile
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -126,6 +127,43 @@ class _ClockOrderedLedger:
                 )
 
 
+class _SummingLedger:
+    """Reference :meth:`OccupancyCache.install` that sums the residencies
+    on every install: the recency-list ledger without its re-sum skip."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.residency = {}
+        self.recency = OrderedDict()
+
+    def install(self, region, lines):
+        residency = self.residency
+        recency = self.recency
+        capacity = self.capacity
+        residency[region] = capacity if capacity < lines else lines
+        recency[region] = None
+        recency.move_to_end(region)
+        overflow = sum(residency.values()) - capacity
+        if overflow > 1e-9:
+            drained = []
+            for key in recency:
+                if key == region:
+                    continue
+                held = residency[key]
+                take = held if held < overflow else overflow
+                residency[key] = held = held - take
+                overflow -= take
+                if not held:
+                    drained.append(key)
+                if overflow <= 1e-9:
+                    break
+            for key in drained:
+                del recency[key]
+            if overflow > 1e-9:
+                left = residency[region] - overflow
+                residency[region] = left if left > 0.0 else 0.0
+
+
 def _min_max_visit_hit_rate(resident, footprint, visit_touches, capacity):
     """The visit hit-rate formula written with builtin ``min``/``max``."""
     if visit_touches <= 0:
@@ -195,6 +233,41 @@ class TestCacheProperties:
                 reference.residency.items()
             )
             assert cache.occupancy == sum(reference.residency.values())
+
+    @given(
+        installs=st.lists(
+            st.tuples(
+                st.integers(-1, 4),
+                st.one_of(
+                    st.just(0.0),
+                    st.sampled_from([16.0, 63.5, 64.0, 64.5, 1e6]),
+                    st.floats(0.0, 80.0),
+                    st.integers(0, 80).map(float),
+                ),
+            ),
+            min_size=1, max_size=80,
+        ),
+        resets=st.sets(st.integers(0, 79), max_size=3),
+    )
+    @settings(max_examples=300)
+    def test_install_skip_matches_summing_reference(self, installs, resets):
+        """Skipping the re-sum of an unchanged, fitting ledger moves no
+        residency bit and no recency position: repeated regions, zero
+        lines and lines at or above capacity (64) included."""
+        cache = OccupancyCache(CacheConfig("t", 64 * 32, 1, 32, 1))
+        reference = _SummingLedger(cache.capacity)
+        for step, (region, lines) in enumerate(installs):
+            if step in resets:
+                cache.reset()
+                reference = _SummingLedger(cache.capacity)
+            cache.install(region, lines)
+            reference.install(region, lines)
+            assert [(key, value.hex())
+                    for key, value in cache._residency.items()] == [
+                (key, value.hex())
+                for key, value in reference.residency.items()
+            ]
+            assert list(cache._recency) == list(reference.recency)
 
     @given(
         resident=st.floats(0, 1000),

@@ -10,8 +10,11 @@ Two halves:
   for free the moment it registers.
 """
 
+import gc
 import importlib
+import json
 import sys
+import weakref
 
 import pytest
 
@@ -309,20 +312,30 @@ class TestSharedFineClustering:
         assert points("multilevel") == points("coasts")
 
     def test_second_config_reuses_every_plan(self, test_sampling):
-        """Config B after config A builds nothing: no sweep is booked and
-        its run span has no profiling or plan_construction stage."""
-        runner = ExperimentRunner(
-            sampling=test_sampling, cache=ResultCache(enabled=False),
-            workload_scale=0.04,
-        )
+        """Config A's run releases the trace; config B after it reloads
+        the trace but builds nothing: no sweep is booked, its run span
+        has no profiling or plan_construction stage, and the run is a
+        fresh runner's config-B run byte for byte."""
+        def runner_of():
+            return ExperimentRunner(
+                sampling=test_sampling, cache=ResultCache(enabled=False),
+                workload_scale=0.04,
+            )
+
+        runner = runner_of()
+        trace = weakref.ref(runner.trace("gzip"))
         runner.run_benchmark("gzip", CONFIG_A)
+        gc.collect()
+        assert trace() is None
         sweeps = self._counters(runner.obs, CLUSTER_SWEEPS)
-        runner.run_benchmark("gzip", CONFIG_B)
+        run_b = runner.run_benchmark("gzip", CONFIG_B)
         assert self._counters(runner.obs, CLUSTER_SWEEPS) == sweeps
         config_b = runner.obs.tracer.roots[-1]
         assert [stage.name for stage in config_b.children] == [
             "trace_build", "detailed_simulation", "diagnostics",
         ]
+        fresh_b = runner_of().run_benchmark("gzip", CONFIG_B)
+        assert json.dumps(run_b.to_dict()) == json.dumps(fresh_b.to_dict())
 
     def test_foreign_profile_rejected(self, small_trace, test_sampling,
                                       small_fine_profile):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.config import CONFIG_A
+from repro.config import CONFIG_A, CONFIG_B
 from repro.errors import HarnessError, TraceImportError
 from repro.harness import ExperimentRunner, ResultCache
 from repro.obs.metrics import TRACE_IMPORT_REJECTED, MetricsRegistry
@@ -121,6 +121,34 @@ class TestRoundTrip:
         path.write_text("\n".join(lines[: len(lines) // 2]) + "\n")
         with pytest.raises(TraceImportError):
             load_import(str(path))
+
+
+    def test_runner_replans_an_edited_import(self, gzip_trace, tmp_path,
+                                             test_sampling):
+        """An import edited between two configs is planned afresh: the
+        config-B run is a fresh runner's run of the edited file."""
+        path = _export(gzip_trace, tmp_path / "trace.jsonl")
+        name = f"import:{path}"
+
+        def runner_of():
+            return ExperimentRunner(
+                sampling=test_sampling, cache=ResultCache(enabled=False),
+                workload_scale=SCALE, methods=("simpoint", "coasts"),
+            )
+
+        runner = runner_of()
+        run_a = runner.run_benchmark(name, CONFIG_A)
+        edited = registry.load_trace("lucas", scale=SCALE)
+        export_trace(edited, path, benchmark="lucas", scale=SCALE)
+        run_b = runner.run_benchmark(name, CONFIG_B)
+        assert run_a.total_instructions == gzip_trace.total_instructions
+        assert run_b.total_instructions == edited.total_instructions
+        config_b = runner.obs.tracer.roots[-1]
+        assert "plan_construction" in [
+            stage.name for stage in config_b.children
+        ]
+        fresh_b = runner_of().run_benchmark(name, CONFIG_B)
+        assert json.dumps(run_b.to_dict()) == json.dumps(fresh_b.to_dict())
 
 
 class TestQuarantine:
